@@ -1,0 +1,122 @@
+"""Byte-identity goldens for the CLI and the singular-cell scan.
+
+Each case runs one command in-process and hashes its exit code, its
+stdout and its output file.  The digests were recorded from the program
+as it stood before the evaluator, stencil, classifier and clustering
+paths were merged, so a refactor that changes any printed digit fails
+here.  A digest that has to change needs a stated reason in CHANGES.md;
+never re-record one silently.
+"""
+
+import hashlib
+
+import pytest
+
+from isomin.cli import main
+from isomin.expr import parse_expr
+from isomin.geometry import Rect
+from isomin.weierstrass import WeierstrassData, validate_data
+
+GEN = ["gen", "--F", "exp(z)", "--G", "z^2", "--theta", "0.7",
+       "--base", "0.1,-0.2", "--grid", "12,10"]
+
+# (argv, writes --out); the output path is appended when it does
+CASES = {
+    "gen-obj": (GEN + ["--format", "obj"], True),
+    "gen-csv": (GEN + ["--format", "csv"], True),
+    "gen-json": (GEN + ["--format", "json"], True),
+    "analyze-graph-csv": (["analyze", "--graph", "u^3-3*u*v^2+u*v",
+                           "--grid", "9,7", "--format", "csv"], True),
+    "analyze-weierstrass-zero-json": (["analyze", "--F", "z", "--G", "z^2+1",
+                                       "--grid", "9,9", "--format", "json"],
+                                      True),
+    "analyze-catalog-helicoid2": (["analyze", "--catalog", "helicoid2",
+                                   "--grid", "7,7", "--format", "csv"], True),
+    "singular": (["singular", "--F", "z^2*(z-0.5)", "--G", "z",
+                  "--grid", "24,24"], False),
+    "reconstruct-expr": (["reconstruct", "--h11", "6*u", "--h12", "-6*v",
+                          "--h22", "-6*u", "--grid", "9,9"], True),
+    "reconstruct-forms-csv": (["reconstruct", "--forms-csv", "{forms}"], True),
+    "embed-graph-two-clusters": (["embed", "--graph",
+                                  "0.1*u^4-0.05*u^2+0.02*v^2",
+                                  "--grid", "3,3"], False),
+    "embed-catalog": (["embed", "--catalog", "cubic_harmonic",
+                       "--grid", "3,3"], False),
+    "embed-chart": (["embed", "--x1", "0", "--x2", "u", "--x3", "v",
+                     "--x4", "u^2-v^2", "--grid", "3,3"], False),
+}
+
+GOLDEN = {
+    "gen-obj":
+        "fb7bf1dab9bcd357b3516b4863db5d54477b524fa0ed2b86c6a17b06396bd398",
+    "gen-csv":
+        "367888dee1aedf39873c05a4403345a7dfb10836dbdbf89216b4ee4ee091e97c",
+    "gen-json":
+        "28bd8d5f73040dc720b0d1723a0a4d04f1a36a281d71fc93298972484595494c",
+    "analyze-graph-csv":
+        "c781afc3a25c4ee50f010a16401e5d12f88cc011b2dd6197523af015325b62db",
+    "analyze-weierstrass-zero-json":
+        "dcc20a503b07668d36ae15d6949c305936d98b3d09e69f4edc345e23ab8571ac",
+    "analyze-catalog-helicoid2":
+        "e0379a626fc321cb01464fd28ea8fc14872e818920daab6b9d7a2a2d5a3c57c1",
+    "singular":
+        "223a065c516a035fd9937592a40f7eecf690a47152ea3c7a592d7be1f51c97d5",
+    "reconstruct-expr":
+        "80348e383108d475626b1fc716af1820acbcec607cadee56edde7010bc13f326",
+    "reconstruct-forms-csv":
+        "8fe73fb3d121c4aa5eb47d837d722ee226fd794fb19c13d084388e897f0abb3b",
+    "embed-graph-two-clusters":
+        "a47f81498c80cdc8e88c3bdadddb4c63c88c4f80e17a1da3d46b14b22b39d845",
+    "embed-catalog":
+        "8db1f893b4115a817686e9fbab6c9d9a98f24ec603263cdc5a662b2720503edf",
+    "embed-chart":
+        "75815bb4b2a56998de734735006c7aeffdde860e91a045ad9287222ba53cd45b",
+    "validate-two-clusters":
+        "b4aec4ab1289d374a9bc5fb8aebf22b12b69f0c335a2b5864cf8d6ba95a54242",
+}
+
+
+def _write_forms_csv(path):
+    # Hessian of p = u^3 + u*v^2 - v^3 on a 9x9 lattice of exact binary
+    # fractions, rows in reverse order
+    rows = []
+    for i in range(9):
+        for j in range(9):
+            u, v = -1.0 + 0.25 * i, -1.0 + 0.25 * j
+            h = (6.0 * u, 2.0 * v, 2.0 * u - 6.0 * v)
+            rows.append(",".join(format(x, ".12e") for x in (u, v) + h))
+    path.write_text("u,v,h11,h12,h22\n" + "\n".join(reversed(rows)) + "\n")
+
+
+def case_digest(name, capsys, tmp_path):
+    argv, writes = CASES[name]
+    forms = tmp_path / "forms.csv"
+    _write_forms_csv(forms)
+    argv = [a.replace("{forms}", str(forms)) for a in argv]
+    out = tmp_path / f"{name}.out"
+    if writes:
+        argv = argv + ["--out", str(out)]
+    capsys.readouterr()
+    rc = main(argv)
+    digest = hashlib.sha256(f"rc={rc}\n".encode())
+    digest.update(capsys.readouterr().out.encode())
+    if writes:
+        digest.update(b"\0" + out.read_bytes())
+    return digest.hexdigest()
+
+
+def validate_digest():
+    data = WeierstrassData(parse_expr("z^2 - 0.25"), parse_expr("1"),
+                           base=0.1 + 0.1j, domain=Rect(-1, 1, -1, 1))
+    report = validate_data(data, grid=(65, 65))
+    assert len(report.singular_regions) >= 2
+    return hashlib.sha256(repr(report).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_output_bytes_pinned(name, capsys, tmp_path):
+    assert case_digest(name, capsys, tmp_path) == GOLDEN[name]
+
+
+def test_validate_data_report_pinned():
+    assert validate_digest() == GOLDEN["validate-two-clusters"]

@@ -32,9 +32,9 @@ import numpy as np
 
 from .catalog import UnknownSurfaceError, entries, get
 from .expr import ParseError, parse_expr, parse_real_expr
-from .geometry import (DegenerateMetricError, Rect, SurfacePatch,
-                       fundamental_forms, graph_patch, mean_curvature,
-                       relative_gauss_curvature)
+from .geometry import (DegenerateMetricError, FundamentalForms, Rect,
+                       classify_point, fundamental_forms, graph_patch,
+                       mean_curvature, relative_gauss_curvature)
 from .minkowski import (MinkSurface, iota_lift, mink_surface_from_exprs,
                         vanishing_h_locus, verify_flat_zmc)
 from .quadrature import IntegrationError
@@ -94,7 +94,6 @@ class RunConfig:
     tol: float | None = None
     out: str | None = None
     fmt: str = ""
-    threads: int = 0
 
     def __post_init__(self):
         if self.grid is not None and min(self.grid) < 2:
@@ -135,20 +134,19 @@ def _parse_grid(text: str) -> tuple[int, int]:
     return n, m
 
 
-def _threads_from_env() -> int:
+def _threads_from_env() -> None:
+    # DMIN_THREADS is reserved: every computation runs on one thread,
+    # but the variable is validated so misconfigured pipelines fail
+    # loudly instead of silently
     raw = os.environ.get("DMIN_THREADS")
     if raw is None:
-        return 0
+        return
     try:
         n = int(raw)
     except ValueError:
         raise CliError(EXIT_INPUT, f"DMIN_THREADS must be an integer, got {raw!r}") from None
     if n < 1:
         raise CliError(EXIT_INPUT, f"DMIN_THREADS must be >= 1, got {n}")
-    # every computation here runs one grid point at a time, so any
-    # positive cap is already respected; the variable is validated so
-    # misconfigured pipelines fail loudly instead of silently
-    return n
 
 
 def _parse_complex_pair(ast_src: str, flag: str):
@@ -256,13 +254,24 @@ def _single_source(cfg: RunConfig, allow_x: bool = False) -> str:
     return picked[0]
 
 
-def _catalog_patch(cfg: RunConfig) -> SurfacePatch:
-    try:
-        return get(cfg.catalog, lam=cfg.lam).patch
-    except UnknownSurfaceError as err:
-        raise CliError(EXIT_INPUT, str(err)) from None
-    except ValueError as err:
-        raise CliError(EXIT_INPUT, str(err)) from None
+def _source(cfg: RunConfig, kind: str):
+    """(patch or data, label) for the source _single_source picked.
+
+    Catalog and graph sources give a SurfacePatch, Weierstrass sources
+    their WeierstrassData and an explicit Minkowski chart None.
+    """
+    if kind == "catalog":
+        try:
+            patch = get(cfg.catalog, lam=cfg.lam).patch
+        except (UnknownSurfaceError, ValueError) as err:
+            raise CliError(EXIT_INPUT, str(err)) from None
+        return patch, f"catalog:{cfg.catalog}"
+    if kind == "graph":
+        return (graph_patch(_parse_real(cfg.graph_src, "--graph"), cfg.domain),
+                f"graph:{cfg.graph_src}")
+    if kind == "weierstrass":
+        return _weier_data(cfg), f"weierstrass:F={cfg.f_src},G={cfg.g_src}"
+    return None, "minkowski:" + ",".join(cfg.x_srcs)
 
 
 def _inset_axis(lo: float, hi: float, n: int) -> list[float]:
@@ -273,68 +282,60 @@ def _inset_axis(lo: float, hi: float, n: int) -> list[float]:
 
 
 def cmd_analyze(cfg: RunConfig) -> int:
-    source = _single_source(cfg)
+    kind = _single_source(cfg)
     nu, nv = cfg.grid or (33, 33)
     tol = cfg.tol if cfg.tol is not None else 1e-6
     fmt = cfg.fmt or "csv"
     if fmt == "obj":
         raise CliError(EXIT_INPUT, "analyze writes csv or json, not obj")
+    src, label = _source(cfg, kind)
 
-    if source == "catalog":
-        patch = _catalog_patch(cfg)
-        label = f"catalog:{cfg.catalog}"
-    elif source == "graph":
-        patch = graph_patch(_parse_real(cfg.graph_src, "--graph"), cfg.domain)
-        label = f"graph:{cfg.graph_src}"
+    nan = float("nan")
+    if kind == "weierstrass":
+        # closed-form forms; the metric columns are |F|^2 even where the
+        # forms are undefined
+        dom = cfg.domain
+
+        def forms_at(u: float, v: float) -> FundamentalForms:
+            return second_form_from_data(src, complex(u, v),
+                                         tol=max(tol, 1e-12))
+
+        def metric(u: float, v: float, forms) -> tuple[float, float, float]:
+            g = metric_at(src, complex(u, v))
+            return g, 0.0, g
     else:
-        patch = None
-        data = _weier_data(cfg)
-        label = f"weierstrass:F={cfg.f_src},G={cfg.g_src}"
+        dom = src.domain
 
-    dom = patch.domain if patch is not None else cfg.domain
+        def forms_at(u: float, v: float) -> FundamentalForms:
+            return fundamental_forms(src, u, v)
+
+        def metric(u: float, v: float, forms) -> tuple[float, float, float]:
+            if forms is None:
+                return nan, nan, nan
+            return forms.g11, forms.g12, forms.g22
+
     us = _inset_axis(dom.u0, dom.u1, nu)
     vs = _inset_axis(dom.v0, dom.v1, nv)
 
-    nan = float("nan")
     rows = []           # (u, v, g11, g12, g22, h11, h12, h22, H, K, cls)
     h_grid = {}         # (i, j) -> (h11, h12, h22) for the Codazzi sweep
     degenerate = 0
     for j, v in enumerate(vs):
         for i, u in enumerate(us):
-            cls = None
-            if patch is None:
-                w = complex(u, v)
-                g11 = g22 = metric_at(data, w)
-                g12 = 0.0
-                try:
-                    forms = second_form_from_data(data, w, tol=max(tol, 1e-12))
-                except ZeroDivisionError:
-                    cls = "degenerate"
-                    h11 = h12 = h22 = hmean = kval = nan
-            else:
-                try:
-                    forms = fundamental_forms(patch, u, v)
-                except DegenerateMetricError:
-                    cls = "degenerate"
-                    g11 = g12 = g22 = nan
-                    h11 = h12 = h22 = hmean = kval = nan
-                else:
-                    g11, g12, g22 = forms.g11, forms.g12, forms.g22
-            if cls is None:
-                h11, h12, h22 = forms.h11, forms.h12, forms.h22
-                hmean = mean_curvature(forms)
-                kval = relative_gauss_curvature(forms)
-                det_h = h11 * h22 - h12 * h12
-                if det_h > tol:
-                    cls = "elliptic"
-                elif det_h < -tol:
-                    cls = "hyperbolic"
-                else:
-                    cls = "parabolic"
-                h_grid[(i, j)] = (h11, h12, h22)
-            else:
+            try:
+                forms = forms_at(u, v)
+            except (ZeroDivisionError, DegenerateMetricError):
+                forms = None
+            g = metric(u, v, forms)
+            if forms is None:
                 degenerate += 1
-            rows.append((u, v, g11, g12, g22, h11, h12, h22, hmean, kval, cls))
+                rows.append((u, v, *g, nan, nan, nan, nan, nan, "degenerate"))
+                continue
+            h11, h12, h22 = forms.h11, forms.h12, forms.h22
+            h_grid[(i, j)] = (h11, h12, h22)
+            rows.append((u, v, *g, h11, h12, h22, mean_curvature(forms),
+                         relative_gauss_curvature(forms),
+                         classify_point(h11 * h22 - h12 * h12, tol)))
 
     budget = max(4, (nu * nv) // 100)
     if degenerate > budget:
@@ -349,18 +350,11 @@ def cmd_analyze(cfg: RunConfig) -> int:
     # The residual is normalized by the local gradient scale of h, so a
     # second form that blows up toward a singular point reports how well
     # the identity holds, not how large h got.
-    flat_coords = patch is None or patch.kind == "graph"
     codazzi_max = None
-    if flat_coords:
-        if patch is None:
-            def h_at(uu: float, vv: float):
-                f = second_form_from_data(data, complex(uu, vv),
-                                          tol=max(tol, 1e-12))
-                return f.h11, f.h12, f.h22
-        else:
-            def h_at(uu: float, vv: float):
-                f = fundamental_forms(patch, uu, vv)
-                return f.h11, f.h12, f.h22
+    if kind == "weierstrass" or src.kind == "graph":
+        def h_at(uu: float, vv: float):
+            f = forms_at(uu, vv)
+            return f.h11, f.h12, f.h22
 
         step = 1e-3 * max(dom.extent, 1.0)
         bad = [(i, j) for j in range(nv) for i in range(nu)
@@ -560,32 +554,21 @@ def cmd_reconstruct(cfg: RunConfig) -> int:
 
 
 def cmd_embed(cfg: RunConfig) -> int:
-    source = _single_source(cfg, allow_x=True)
+    kind = _single_source(cfg, allow_x=True)
     grid = cfg.grid or (9, 9)
     tol = cfg.tol if cfg.tol is not None else 1e-5
+    src, label = _source(cfg, kind)
 
-    patch = None
-    if source == "catalog":
-        patch = _catalog_patch(cfg)
-        label = f"catalog:{cfg.catalog}"
-    elif source == "graph":
-        patch = graph_patch(_parse_real(cfg.graph_src, "--graph"), cfg.domain)
-        label = f"graph:{cfg.graph_src}"
-    elif source == "weierstrass":
-        data = _weier_data(cfg)
-        patch = surface_from_data(data, theta=cfg.theta)
-        label = f"weierstrass:F={cfg.f_src},G={cfg.g_src}"
-    else:
-        label = "minkowski:" + ",".join(cfg.x_srcs)
-
-    if patch is not None:
-        surface = iota_lift(patch)
-        loci = vanishing_h_locus(patch)
-    else:
-        asts = [_parse_real(src, flag)
-                for src, flag in zip(cfg.x_srcs, ("--x1", "--x2", "--x3", "--x4"))]
+    if kind == "minkowski":
+        asts = [_parse_real(x_src, flag) for x_src, flag
+                in zip(cfg.x_srcs, ("--x1", "--x2", "--x3", "--x4"))]
         surface = mink_surface_from_exprs(*asts, domain=cfg.domain)
         loci = None
+    else:
+        patch = (surface_from_data(src, theta=cfg.theta)
+                 if kind == "weierstrass" else src)
+        surface = iota_lift(patch)
+        loci = vanishing_h_locus(patch)
 
     report = verify_flat_zmc(surface, grid=grid, tol=tol)
     if report.spacelike_violations:
@@ -730,6 +713,9 @@ def _config_from_args(ns: argparse.Namespace) -> RunConfig:
             if not all(x is not None for x in xs):
                 raise CliError(EXIT_INPUT, "--x1..--x4 must be given together")
             x_srcs = xs
+    domain = _parse_domain(ns.domain)
+    grid = _parse_grid(ns.grid) if ns.grid else None
+    _threads_from_env()
     return RunConfig(
         command=ns.command,
         f_src=getattr(ns, "f_src", None),
@@ -740,14 +726,13 @@ def _config_from_args(ns: argparse.Namespace) -> RunConfig:
         graph_src=getattr(ns, "graph_src", None),
         catalog=getattr(ns, "catalog", None),
         lam=getattr(ns, "lam", 1.0),
-        domain=_parse_domain(ns.domain),
-        grid=_parse_grid(ns.grid) if ns.grid else None,
+        domain=domain,
+        grid=grid,
         theta=getattr(ns, "theta", 0.0),
         base=base,
         tol=ns.tol,
         out=ns.out,
         fmt=ns.fmt,
-        threads=_threads_from_env(),
     )
 
 

@@ -21,6 +21,7 @@ division by zero and overflow all raise :class:`EvalError`.
 from __future__ import annotations
 
 import cmath
+import math
 import re
 from dataclasses import dataclass
 from functools import lru_cache
@@ -249,57 +250,18 @@ _FUNC_IMPL: dict[str, Callable[[complex], complex]] = {
 
 
 def eval_expr(ast: Expr, env: complex | float | Mapping[str, complex]) -> complex:
-    """Evaluate the tree.
+    """Evaluate the tree once through :func:`compile_expr`.
 
     ``env`` is either a mapping of variable names to values or a single
     number bound to the variable ``z``.
     """
     if not isinstance(env, Mapping):
         env = {"z": complex(env)}
-
-    def rec(node: Expr) -> complex:
-        if isinstance(node, Lit):
-            return node.value
-        if isinstance(node, Var):
-            try:
-                return complex(env[node.name])
-            except KeyError:
-                raise EvalError(f"unbound variable {node.name!r}") from None
-        if isinstance(node, Neg):
-            return -rec(node.arg)
-        if isinstance(node, BinOp):
-            a = rec(node.lhs)
-            b = rec(node.rhs)
-            try:
-                if node.op == "+":
-                    return a + b
-                if node.op == "-":
-                    return a - b
-                if node.op == "*":
-                    return a * b
-                if node.op == "/":
-                    return a / b
-                return _pow_value(a, b)
-            except ZeroDivisionError:
-                raise EvalError("division by zero") from None
-            except OverflowError:
-                raise EvalError("overflow") from None
-            except ValueError as exc:
-                raise EvalError(str(exc)) from None
-        if isinstance(node, Call):
-            a = rec(node.arg)
-            try:
-                return _FUNC_IMPL[node.fn](a)
-            except ValueError:
-                raise EvalError(f"{node.fn} domain error at {a}") from None
-            except OverflowError:
-                raise EvalError(f"overflow in {node.fn}") from None
-        raise TypeError(f"not an expression node: {node!r}")
-
-    val = rec(ast)
-    if not cmath.isfinite(val):
-        raise EvalError("overflow: result is not finite")
-    return val
+    fn = compile_expr(ast, tuple(env))
+    try:
+        return fn(*env.values())
+    except NameError as exc:
+        raise EvalError(f"unbound variable {exc.name!r}") from None
 
 
 def _emit(node: Expr) -> str:
@@ -324,11 +286,14 @@ def compile_expr(ast: Expr, variables: tuple[str, ...] = ("z",)
                  ) -> Callable[..., complex]:
     """Compile the tree to a python function of the given variables.
 
-    Matches :func:`eval_expr` exactly (same power and branch semantics,
-    same error contract); exists because the integrators evaluate
-    expressions millions of times.
+    This is the only evaluator: integer powers multiply, everything else
+    takes the principal branch, and log(0), division by zero and
+    non-finite results raise :class:`EvalError`.  A name that is not
+    among ``variables`` raises ``NameError`` when called.
     """
-    ns = {"_pow": _pow_value}
+    # no builtins, so an unbound variable cannot resolve to one; inf
+    # stands for a literal that overflowed while parsing
+    ns = {"__builtins__": {}, "inf": math.inf, "_pow": _pow_value}
     for name, fn in _FUNC_IMPL.items():
         ns["_" + name] = fn
     code = f"def _f({', '.join(variables)}): return {_emit(ast)}"

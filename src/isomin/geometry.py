@@ -101,6 +101,36 @@ def grid_points(rect: Rect, nu: int, nv: int, margin: float = 0.0
             for i in range(nu) for j in range(nv)]
 
 
+def _clusters(mask) -> list[list[tuple[int, int]]]:
+    """8-connected components of the True entries of a 2-D mask.
+
+    Seeds are taken in row-major order and each component lists its
+    members in depth-first visiting order.
+    """
+    n, m = len(mask), len(mask[0])
+    seen = [[False] * m for _ in range(n)]
+    out = []
+    for i in range(n):
+        for j in range(m):
+            if not mask[i][j] or seen[i][j]:
+                continue
+            stack = [(i, j)]
+            seen[i][j] = True
+            members = []
+            while stack:
+                a, b = stack.pop()
+                members.append((a, b))
+                for da in (-1, 0, 1):
+                    for db in (-1, 0, 1):
+                        na, nb = a + da, b + db
+                        if 0 <= na < n and 0 <= nb < m \
+                                and mask[na][nb] and not seen[na][nb]:
+                            seen[na][nb] = True
+                            stack.append((na, nb))
+            out.append(members)
+    return out
+
+
 @dataclass(frozen=True)
 class SurfacePatch:
     """A parametrised piece of surface.
@@ -179,6 +209,29 @@ def _rich_mixed(vals: dict, h: float):
     return (4.0 * m_h2 - m_h) / 3.0
 
 
+_OFFSETS = (-1, -0.5, 0.5, 1)
+
+
+def _stencil(ev: Callable, u: float, v: float, h: float):
+    """Value and jets (f, f_u, f_v, f_uu, f_uv, f_vv) of ev at (u, v).
+
+    Seventeen samples: the centre, offsets -h, -h/2, +h/2, +h along each
+    axis and the same offsets along both diagonals.  ev may return any
+    vector type with componentwise + and - and scalar * and /.
+    """
+    f0 = ev(u, v)
+    um, umh, uph, up = (ev(u + s * h, v) for s in _OFFSETS)
+    vm, vmh, vph, vp = (ev(u, v + s * h) for s in _OFFSETS)
+    corners = {(su, sv): ev(u + su * h, v + sv * h)
+               for su in _OFFSETS for sv in _OFFSETS if abs(su) == abs(sv)}
+    return (f0,
+            _rich1(um, umh, uph, up, h),
+            _rich1(vm, vmh, vph, vp, h),
+            _rich2(um, umh, f0, uph, up, h),
+            _rich_mixed(corners, h),
+            _rich2(vm, vmh, f0, vph, vp, h))
+
+
 def patch_jets(s: SurfacePatch, u: float, v: float, step: float | None = None):
     """First and second partial derivatives of the patch at (u, v).
 
@@ -189,25 +242,7 @@ def patch_jets(s: SurfacePatch, u: float, v: float, step: float | None = None):
     if s.domain.margin(u, v) < 2.0 * h - 1e-12 * s.domain.extent:
         raise ValueError(
             f"({u}, {v}) closer than 2*step={2 * h} to the domain boundary")
-    ev = s.evaluator
-    f0 = ev(u, v)
-    um = ev(u - h, v)
-    umh = ev(u - h / 2, v)
-    uph = ev(u + h / 2, v)
-    up = ev(u + h, v)
-    vm = ev(u, v - h)
-    vmh = ev(u, v - h / 2)
-    vph = ev(u, v + h / 2)
-    vp = ev(u, v + h)
-    corners = {(su, sv): ev(u + su * h, v + sv * h)
-               for su in (-1, -0.5, 0.5, 1) for sv in (-1, -0.5, 0.5, 1)
-               if abs(su) == abs(sv)}
-    f_u = _rich1(um, umh, uph, up, h)
-    f_v = _rich1(vm, vmh, vph, vp, h)
-    f_uu = _rich2(um, umh, f0, uph, up, h)
-    f_vv = _rich2(vm, vmh, f0, vph, vp, h)
-    f_uv = _rich_mixed(corners, h)
-    return f_u, f_v, f_uu, f_uv, f_vv
+    return _stencil(s.evaluator, u, v, h)[1:]
 
 
 def _degeneracy_threshold(g11: float, g22: float) -> float:
@@ -227,7 +262,11 @@ def fundamental_forms(s: SurfacePatch, u: float, v: float,
     component of each second derivative is found by a 2x2 solve in the
     xy-plane; what remains of the z-component is the coefficient of XI.
     """
-    f_u, f_v, f_uu, f_uv, f_vv = patch_jets(s, u, v, step)
+    return _forms_from_jets(patch_jets(s, u, v, step), u, v)
+
+
+def _forms_from_jets(jets, u: float, v: float) -> FundamentalForms:
+    f_u, f_v, f_uu, f_uv, f_vv = jets
     g11 = deg_inner(f_u, f_u)
     g12 = deg_inner(f_u, f_v)
     g22 = deg_inner(f_v, f_v)
@@ -275,9 +314,9 @@ def h_lambda(s: SurfacePatch, lam: float, u: float, v: float,
     The deformation adds lam * sigma(f_i) * sigma(f_j) to h_ij and leaves
     the metric untouched; lam = 0 recovers the flat connection.
     """
-    f_u, f_v, *_ = patch_jets(s, u, v, step)
-    base = fundamental_forms(s, u, v, step)
-    su, sv = sigma(f_u), sigma(f_v)
+    jets = patch_jets(s, u, v, step)
+    base = _forms_from_jets(jets, u, v)
+    su, sv = sigma(jets[0]), sigma(jets[1])
     return FundamentalForms(
         base.g11, base.g12, base.g22,
         base.h11 + lam * su * su,
@@ -465,36 +504,12 @@ def brioschi_curvature(metric: MetricFn, u: float, v: float,
     degenerate pullback (where it must vanish) and for Lorentzian induced
     metrics on spacelike surfaces.
     """
-    h = step
+    def triple(uu: float, vv: float) -> Vec021:
+        return Vec021(*metric(uu, vv))
 
-    def at(du: float, dv: float) -> tuple[float, float, float]:
-        return metric(u + du * h, v + dv * h)
-
-    vals = {}
-    for du in (-1, -0.5, 0, 0.5, 1):
-        for dv in (-1, -0.5, 0, 0.5, 1):
-            if du == 0 or dv == 0 or abs(du) == abs(dv):
-                vals[(du, dv)] = at(du, dv)
-
-    def comp(i: int):
-        def take(key):
-            return vals[key][i]
-        e0 = take((0, 0))
-        e_u = _rich1(take((-1, 0)), take((-0.5, 0)), take((0.5, 0)),
-                     take((1, 0)), h)
-        e_v = _rich1(take((0, -1)), take((0, -0.5)), take((0, 0.5)),
-                     take((0, 1)), h)
-        e_uu = _rich2(take((-1, 0)), take((-0.5, 0)), e0, take((0.5, 0)),
-                      take((1, 0)), h)
-        e_vv = _rich2(take((0, -1)), take((0, -0.5)), e0, take((0, 0.5)),
-                      take((0, 1)), h)
-        corners = {k: vals[k][i] for k in vals if k[0] != 0 and k[1] != 0}
-        e_uv = _rich_mixed(corners, h)
-        return e0, e_u, e_v, e_uu, e_uv, e_vv
-
-    E, E_u, E_v, E_uu, E_uv, E_vv = comp(0)
-    F, F_u, F_v, F_uu, F_uv, F_vv = comp(1)
-    G, G_u, G_v, G_uu, G_uv, G_vv = comp(2)
+    jets = [(j.x, j.y, j.z) for j in _stencil(triple, u, v, step)]
+    (E, F, G), (E_u, F_u, G_u), (E_v, F_v, G_v), \
+        (E_uu, F_uu, G_uu), (E_uv, F_uv, G_uv), (E_vv, F_vv, G_vv) = jets
 
     def det3(m):
         return (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])

@@ -20,8 +20,8 @@ import numpy as np
 
 from .expr import parse_real_expr, compile_real
 from .geometry import (Rect, SurfacePatch, Vec021, brioschi_curvature,
-                       default_step, fundamental_forms, _rich1, _rich2,
-                       _rich_mixed)
+                       default_step, fundamental_forms, _clusters, _rich1,
+                       _stencil)
 
 
 class NonSpacelikeError(Exception):
@@ -106,24 +106,6 @@ def mink_surface_from_exprs(x1, x2, x3, x4, domain: Rect) -> MinkSurface:
     return MinkSurface(evaluator, domain)
 
 
-def _jets4(s: MinkSurface, u: float, v: float, h: float):
-    def at(du: float, dv: float) -> Vec4M:
-        return s(u + du * h, v + dv * h)
-
-    f0 = at(0, 0)
-    um, umh, uph, up = at(-1, 0), at(-0.5, 0), at(0.5, 0), at(1, 0)
-    vm, vmh, vph, vp = at(0, -1), at(0, -0.5), at(0, 0.5), at(0, 1)
-    corners = {k: at(*k) for k in
-               [(1, 1), (1, -1), (-1, 1), (-1, -1),
-                (0.5, 0.5), (0.5, -0.5), (-0.5, 0.5), (-0.5, -0.5)]}
-    f_u = _rich1(um, umh, uph, up, h)
-    f_v = _rich1(vm, vmh, vph, vp, h)
-    f_uu = _rich2(um, umh, f0, uph, up, h)
-    f_vv = _rich2(vm, vmh, f0, vph, vp, h)
-    f_uv = _rich_mixed(corners, h)
-    return f_u, f_v, f_uu, f_uv, f_vv
-
-
 def _gram(f_u: Vec4M, f_v: Vec4M) -> tuple[float, float, float]:
     return (lorentz_inner(f_u, f_u), lorentz_inner(f_u, f_v),
             lorentz_inner(f_v, f_v))
@@ -150,7 +132,7 @@ def normal_second_form(s: MinkSurface, u: float, v: float,
     plane is.
     """
     h = default_step(s.domain) if step is None else step
-    f_u, f_v, f_uu, f_uv, f_vv = _jets4(s, u, v, h)
+    _, f_u, f_v, f_uu, f_uv, f_vv = _stencil(s.evaluator, u, v, h)
     g11, g12, g22 = _gram(f_u, f_v)
     det = _require_spacelike(g11, g12, g22, (u, v))
 
@@ -273,27 +255,7 @@ def vanishing_h_locus(s: SurfacePatch, grid: tuple[int, int] = (65, 65),
             norm = max(abs(forms.h11), abs(forms.h12), abs(forms.h22))
             hit[i, j] = norm < tol
 
-    clusters: list[list[tuple[int, int]]] = []
-    seen = np.zeros_like(hit)
-    for i in range(nu):
-        for j in range(nv):
-            if not hit[i, j] or seen[i, j]:
-                continue
-            stack = [(i, j)]
-            seen[i, j] = True
-            nodes = []
-            while stack:
-                a, b = stack.pop()
-                nodes.append((a, b))
-                for da in (-1, 0, 1):
-                    for db in (-1, 0, 1):
-                        na, nb = a + da, b + db
-                        if 0 <= na < nu and 0 <= nb < nv \
-                                and hit[na, nb] and not seen[na, nb]:
-                            seen[na, nb] = True
-                            stack.append((na, nb))
-            clusters.append(nodes)
-
+    clusters = _clusters(hit)
     out: list[LocusCluster] = []
     for nodes in clusters:
         arr = np.array(nodes)

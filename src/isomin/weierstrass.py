@@ -23,7 +23,8 @@ from functools import lru_cache
 import numpy as np
 
 from .expr import BinOp, Expr, EvalError, Lit, compile_expr, differentiate
-from .geometry import FundamentalForms, Rect, SurfacePatch, Vec021
+from .geometry import (FundamentalForms, Rect, SurfacePatch, Vec021,
+                       _clusters)
 from .quadrature import integrate_segment
 
 
@@ -256,34 +257,15 @@ def validate_data(data: WeierstrassData, grid: tuple[int, int] = (33, 33),
         slope = slopes[len(slopes) // 2] if slopes else 1.0
         tol = 2.0 * math.hypot(du, dv) * max(slope, 1e-12)
 
-    flagged = set()
-    for i in range(nu - 1):
-        for j in range(nv - 1):
-            cell_min = min(absf[i][j], absf[i + 1][j], absf[i][j + 1],
-                           absf[i + 1][j + 1])
-            if cell_min < tol:
-                flagged.add((i, j))
+    def cell_min(i: int, j: int) -> float:
+        return min(absf[i][j], absf[i + 1][j], absf[i][j + 1],
+                   absf[i + 1][j + 1])
 
+    flagged = [[cell_min(i, j) < tol for j in range(nv - 1)]
+               for i in range(nu - 1)]
     regions: list[complex] = []
-    seen: set[tuple[int, int]] = set()
-    for cell in sorted(flagged):
-        if cell in seen:
-            continue
-        stack, cluster = [cell], []
-        seen.add(cell)
-        while stack:
-            ci, cj = stack.pop()
-            cluster.append((ci, cj))
-            for di in (-1, 0, 1):
-                for dj in (-1, 0, 1):
-                    nb = (ci + di, cj + dj)
-                    if nb in flagged and nb not in seen:
-                        seen.add(nb)
-                        stack.append(nb)
-        best = min(cluster,
-                   key=lambda c: min(absf[c[0]][c[1]], absf[c[0] + 1][c[1]],
-                                     absf[c[0]][c[1] + 1],
-                                     absf[c[0] + 1][c[1] + 1]))
+    for cluster in _clusters(flagged):
+        best = min(cluster, key=lambda c: cell_min(*c))
         corners = [(best[0], best[1]), (best[0] + 1, best[1]),
                    (best[0], best[1] + 1), (best[0] + 1, best[1] + 1)]
         bi, bj = min(corners, key=lambda c: absf[c[0]][c[1]])
@@ -305,7 +287,7 @@ def validate_data(data: WeierstrassData, grid: tuple[int, int] = (33, 33),
         min_abs_f=min_val,
         min_at=min_at,
         singular_regions=tuple(regions),
-        flagged_cells=len(flagged),
+        flagged_cells=sum(map(sum, flagged)),
         phi_identity_exact=True,
         eval_failures=tuple(failures),
         cell_tol=tol,
@@ -315,6 +297,13 @@ def validate_data(data: WeierstrassData, grid: tuple[int, int] = (33, 33),
 def metric_at(data: WeierstrassData, w: complex) -> float:
     """Conformal factor of the pullback metric, |F(w)|^2."""
     return abs(compile_expr(data.F)(w)) ** 2
+
+
+def _data_values(data: WeierstrassData, w: complex):
+    """F, G, F' and G' at w."""
+    return (compile_expr(data.F)(w), compile_expr(data.G)(w),
+            compile_expr(differentiate(data.F))(w),
+            compile_expr(differentiate(data.G))(w))
 
 
 def second_form_from_data(data: WeierstrassData, w: complex,
@@ -329,10 +318,7 @@ def second_form_from_data(data: WeierstrassData, w: complex,
 
     from which h11 = -h22 and h12 follow without any finite differences.
     """
-    f_val = compile_expr(data.F)(w)
-    g_val = compile_expr(data.G)(w)
-    fp = compile_expr(differentiate(data.F))(w)
-    gp = compile_expr(differentiate(data.G))(w)
+    f_val, g_val, fp, gp = _data_values(data, w)
     abs_f = abs(f_val)
     if abs_f <= tol:
         raise ZeroDivisionError(
@@ -361,10 +347,7 @@ def det_h_from_data(data: WeierstrassData, w: complex) -> float:
     |G'|^2 and both G/F terms vanish with |G|), which also covers
     G identically zero.
     """
-    f_val = compile_expr(data.F)(w)
-    g_val = compile_expr(data.G)(w)
-    fp = compile_expr(differentiate(data.F))(w)
-    gp = compile_expr(differentiate(data.G))(w)
+    f_val, g_val, fp, gp = _data_values(data, w)
     abs_f, abs_g = abs(f_val), abs(g_val)
     if abs_f == 0.0:
         raise ZeroDivisionError(f"|F({w})| = 0: singular point")

@@ -113,6 +113,8 @@ class TestEval:
     def test_overflow_flagged(self):
         with pytest.raises(EvalError):
             ev("exp(exp(z))", 10)
+        with pytest.raises(EvalError):
+            compile_expr(parse_expr("1e400"))(0)
 
     def test_inf_product_flagged(self):
         with pytest.raises(EvalError):
@@ -132,30 +134,33 @@ class TestEval:
     def test_unbound_variable(self):
         with pytest.raises(EvalError):
             eval_expr(Var("q"), {"z": 1})
+        with pytest.raises(EvalError, match="unbound variable 'abs'"):
+            eval_expr(Var("abs"), {})
 
-    def test_compiled_matches_interpreter(self):
+    def test_matches_handwritten_cmath(self):
         rng = random.Random(7)
-        corpus = [
-            "z^3 - 2*z + 1",
-            "exp(z)*sin(z)",
-            "log(z + 3)",
-            "cosh(z)/(1 + z^2)",
-            "(z - i)^2 * (z + i)",
-            "sin(cos(z))",
-            "z^(1/3)",
-        ]
-        for src in corpus:
+        corpus = {
+            "z^3 - 2*z + 1": lambda z: z ** 3 - 2.0 * z + 1.0,
+            "exp(z)*sin(z)": lambda z: cmath.exp(z) * cmath.sin(z),
+            "log(z + 3)": lambda z: cmath.log(z + 3.0),
+            "cosh(z)/(1 + z^2)": lambda z: cmath.cosh(z) / (1.0 + z ** 2),
+            "(z - i)^2 * (z + i)": lambda z: (z - 1j) ** 2 * (z + 1j),
+            "sin(cos(z))": lambda z: cmath.sin(cmath.cos(z)),
+            "z^(1/3)": lambda z: cmath.exp((1.0 / 3.0) * cmath.log(z)),
+            "1/(z - 0.25)": lambda z: 1.0 / (z - 0.25),
+        }
+        for src, ref in corpus.items():
             ast = parse_expr(src)
             fn = compile_expr(ast)
             for _ in range(20):
                 w = complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5))
-                try:
-                    ref = eval_expr(ast, w)
-                except EvalError:
-                    with pytest.raises(EvalError):
-                        fn(w)
-                    continue
-                assert fn(w) == ref
+                want = ref(w)
+                for got in (eval_expr(ast, w), fn(w)):
+                    assert cmath.isclose(got, want, rel_tol=1e-15), (src, w)
+        with pytest.raises(EvalError):
+            ev("1/(z - 0.25)", 0.25)
+        with pytest.raises(EvalError):
+            ev("log(z + 3)", -3)
 
 
 class TestRoundTrip:

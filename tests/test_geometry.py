@@ -250,6 +250,19 @@ class TestHLambda:
         plain = fundamental_forms(s, 1.0, 0.0)
         assert abs(plain.h11) > 0.1  # the undeformed form is far from zero
 
+    def test_one_stencil_per_call(self):
+        calls = []
+
+        def ev(u, v):
+            calls.append((u, v))
+            return Vec021(u, v, u * u - v * v)
+
+        f = h_lambda(SurfacePatch(ev, SQ2), 0.5, 0.3, -0.2)
+        assert len(calls) == 17
+        assert len(set(calls)) == 17
+        assert f == h_lambda(graph_patch(lambda u, v: u * u - v * v, SQ2),
+                             0.5, 0.3, -0.2)
+
 
 class TestIntrinsicCurvature:
     def test_brioschi_on_product_metric(self):

@@ -44,6 +44,12 @@ CASES = {
                        "--grid", "3,3"], False),
     "embed-chart": (["embed", "--x1", "0", "--x2", "u", "--x3", "v",
                      "--x4", "u^2-v^2", "--grid", "3,3"], False),
+    # recorded while e_locus still came from finite differences of the
+    # path-integrated patch; every one of the 65^2 locus nodes has
+    # | |h|_inf - 0.05 | > 1e-2, and one two-node cluster is reported
+    "embed-weierstrass-theta": (["embed", "--F", "1.2*exp(-0.5*z)",
+                                 "--G", "(z+0.3-0.2*i)^2+0.02*i",
+                                 "--theta", "0.7", "--grid", "3,3"], False),
 }
 
 GOLDEN = {
@@ -71,6 +77,8 @@ GOLDEN = {
         "8db1f893b4115a817686e9fbab6c9d9a98f24ec603263cdc5a662b2720503edf",
     "embed-chart":
         "75815bb4b2a56998de734735006c7aeffdde860e91a045ad9287222ba53cd45b",
+    "embed-weierstrass-theta":
+        "96babbde4b162616400f5ba24c7e636a376c756db2c0f1f9fdd8ceb1fa7e689e",
     "validate-two-clusters":
         "b4aec4ab1289d374a9bc5fb8aebf22b12b69f0c335a2b5864cf8d6ba95a54242",
 }

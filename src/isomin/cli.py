@@ -42,8 +42,8 @@ from .reconstruct import (CodazziViolationError, PrescribedForms,
                           codazzi_check, surface_from_forms)
 from .singularities import (ContourError, MultiplicityError,
                             RankDisagreementError, singular_report)
-from .weierstrass import (WeierstrassData, grid_eval, metric_at,
-                          second_form_from_data, surface_from_data)
+from .weierstrass import (WeierstrassData, family_data, grid_eval,
+                          metric_at, second_form_from_data, surface_from_data)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -98,8 +98,6 @@ class RunConfig:
     def __post_init__(self):
         if self.grid is not None and min(self.grid) < 2:
             raise CliError(EXIT_INPUT, f"grid must be at least 2x2, got {self.grid}")
-        if self.domain.u1 <= self.domain.u0 or self.domain.v1 <= self.domain.v0:
-            raise CliError(EXIT_INPUT, f"degenerate domain {self.domain}")
         if self.tol is not None and self.tol <= 0:
             raise CliError(EXIT_INPUT, f"tol must be positive, got {self.tol}")
 
@@ -274,6 +272,21 @@ def _source(cfg: RunConfig, kind: str):
     return None, "minkowski:" + ",".join(cfg.x_srcs)
 
 
+def _forms_sampler(cfg: RunConfig, kind: str, src, tol: float):
+    """forms_at(u, v): closed forms of the --theta member for Weierstrass
+    data (|F| <= max(tol, 1e-12) is a zero of F), FD forms for a patch."""
+    if kind == "weierstrass":
+        data = family_data(src, cfg.theta)
+
+        def forms_at(u: float, v: float) -> FundamentalForms:
+            return second_form_from_data(data, complex(u, v),
+                                         tol=max(tol, 1e-12))
+    else:
+        def forms_at(u: float, v: float) -> FundamentalForms:
+            return fundamental_forms(src, u, v)
+    return forms_at
+
+
 def _inset_axis(lo: float, hi: float, n: int) -> list[float]:
     # finite-difference jets need breathing room near the boundary
     m = 0.02 * (hi - lo)
@@ -289,26 +302,16 @@ def cmd_analyze(cfg: RunConfig) -> int:
     if fmt == "obj":
         raise CliError(EXIT_INPUT, "analyze writes csv or json, not obj")
     src, label = _source(cfg, kind)
+    forms_at = _forms_sampler(cfg, kind, src, tol)
+    dom = src.domain
 
     nan = float("nan")
     if kind == "weierstrass":
-        # closed-form forms; the metric columns are |F|^2 even where the
-        # forms are undefined
-        dom = cfg.domain
-
-        def forms_at(u: float, v: float) -> FundamentalForms:
-            return second_form_from_data(src, complex(u, v),
-                                         tol=max(tol, 1e-12))
-
+        # the metric columns are |F|^2 even where the forms are undefined
         def metric(u: float, v: float, forms) -> tuple[float, float, float]:
             g = metric_at(src, complex(u, v))
             return g, 0.0, g
     else:
-        dom = src.domain
-
-        def forms_at(u: float, v: float) -> FundamentalForms:
-            return fundamental_forms(src, u, v)
-
         def metric(u: float, v: float, forms) -> tuple[float, float, float]:
             if forms is None:
                 return nan, nan, nan
@@ -565,10 +568,10 @@ def cmd_embed(cfg: RunConfig) -> int:
         surface = mink_surface_from_exprs(*asts, domain=cfg.domain)
         loci = None
     else:
-        patch = (surface_from_data(src, theta=cfg.theta)
-                 if kind == "weierstrass" else src)
-        surface = iota_lift(patch)
-        loci = vanishing_h_locus(patch)
+        surface = iota_lift(surface_from_data(src, theta=cfg.theta)
+                            if kind == "weierstrass" else src)
+        loci = vanishing_h_locus(_forms_sampler(cfg, kind, src, tol),
+                                 src.domain)
 
     report = verify_flat_zmc(surface, grid=grid, tol=tol)
     if report.spacelike_violations:

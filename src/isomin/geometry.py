@@ -135,16 +135,13 @@ def _clusters(mask) -> list[list[tuple[int, int]]]:
 class SurfacePatch:
     """A parametrised piece of surface.
 
-    kind is one of "closed-form", "weierstrass" or "graph"; a few
-    operations (graph Hessians, Codazzi residuals) are only meaningful
-    for graphs.  singular_params lists parameter points where the patch
-    is known to fail immersion, so that grid reports can exempt them.
+    kind is "closed-form", "weierstrass" or "graph"; a few operations
+    (graph Hessians, Codazzi residuals) are only meaningful for graphs.
     """
 
     evaluator: Callable[[float, float], Vec021]
     domain: Rect
     kind: str = "closed-form"
-    singular_params: tuple[complex, ...] = ()
 
     def __call__(self, u: float, v: float) -> Vec021:
         return self.evaluator(u, v)
@@ -404,8 +401,7 @@ def apply_isometry(iso: AffineIsometry, s: SurfacePatch) -> SurfacePatch:
     def moved(u: float, v: float) -> Vec021:
         return iso.apply(ev(u, v))
 
-    return SurfacePatch(moved, s.domain, kind="closed-form",
-                        singular_params=s.singular_params)
+    return SurfacePatch(moved, s.domain, kind="closed-form")
 
 
 # curves --------------------------------------------------------------------

@@ -19,9 +19,9 @@ from typing import Callable
 import numpy as np
 
 from .expr import parse_real_expr, compile_real
-from .geometry import (Rect, SurfacePatch, Vec021, brioschi_curvature,
-                       default_step, fundamental_forms, _clusters, _rich1,
-                       _stencil)
+from .geometry import (DegenerateMetricError, FundamentalForms, Rect,
+                       SurfacePatch, Vec021, brioschi_curvature, default_step,
+                       _clusters, _rich1, _stencil)
 
 
 class NonSpacelikeError(Exception):
@@ -233,25 +233,28 @@ class LocusCluster:
     isolated: bool
 
 
-def vanishing_h_locus(s: SurfacePatch, grid: tuple[int, int] = (65, 65),
+def vanishing_h_locus(forms_at: Callable[[float, float], FundamentalForms],
+                      domain: Rect, grid: tuple[int, int] = (65, 65),
                       tol: float = 0.05) -> list[LocusCluster]:
-    """Grid clusters where the second form vanishes entirely.
+    """Grid clusters where the second form forms_at(u, v).h vanishes.
 
-    Nodes with ‖h‖∞ < tol merge by 8-connectivity.  A cluster counts as
-    isolated when it spans at most a couple of cells and no other
-    cluster comes within five grid cells; anything larger is flagged as
-    a suspected totally geodesic region rather than a singular point of
-    the second form.
+    Nodes with ‖h‖∞ < tol merge by 8-connectivity; a node where forms_at
+    raises ZeroDivisionError or DegenerateMetricError is not a hit.  A
+    cluster is isolated when it spans at most a couple of cells and no
+    other cluster comes within five grid cells; anything larger is
+    flagged as a suspected totally geodesic region, not a singular point.
     """
-    dom = s.domain
     nu, nv = grid
-    margin = 0.02 * max(dom.extent, 1.0)
-    us = np.linspace(dom.u0 + margin, dom.u1 - margin, nu)
-    vs = np.linspace(dom.v0 + margin, dom.v1 - margin, nv)
+    margin = 0.02 * max(domain.extent, 1.0)
+    us = np.linspace(domain.u0 + margin, domain.u1 - margin, nu)
+    vs = np.linspace(domain.v0 + margin, domain.v1 - margin, nv)
     hit = np.zeros((nu, nv), dtype=bool)
     for i, u in enumerate(us):
         for j, v in enumerate(vs):
-            forms = fundamental_forms(s, float(u), float(v))
+            try:
+                forms = forms_at(float(u), float(v))
+            except (ZeroDivisionError, DegenerateMetricError):
+                continue
             norm = max(abs(forms.h11), abs(forms.h12), abs(forms.h22))
             hit[i, j] = norm < tol
 
@@ -262,19 +265,15 @@ def vanishing_h_locus(s: SurfacePatch, grid: tuple[int, int] = (65, 65),
         ci, cj = arr.mean(axis=0)
         diam = max(int(arr[:, 0].max() - arr[:, 0].min()),
                    int(arr[:, 1].max() - arr[:, 1].min()))
-        near_other = False
-        for other in clusters:
-            if other is nodes:
-                continue
-            gap = min(max(abs(a - c), abs(b - d))
-                      for a, b in nodes for c, d in other)
-            if gap <= 5:
-                near_other = True
+        # the gap only matters for clusters small enough to be isolated
+        isolated = diam <= 2 and not any(
+            min(max(abs(a - c), abs(b - d))
+                for a, b in nodes for c, d in other) <= 5
+            for other in clusters if other is not nodes)
         nearest_i = int(round(ci))
         nearest_j = int(round(cj))
         point = (float(us[nearest_i]), float(vs[nearest_j]))
-        out.append(LocusCluster(point, len(nodes),
-                                diam <= 2 and not near_other))
+        out.append(LocusCluster(point, len(nodes), isolated))
     out.sort(key=lambda c: (c.point[0] ** 2 + c.point[1] ** 2, c.point))
     return out
 

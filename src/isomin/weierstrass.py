@@ -18,7 +18,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -83,34 +82,37 @@ def _angle(theta: float | FamilyAngle) -> FamilyAngle:
     return theta if isinstance(theta, FamilyAngle) else FamilyAngle(theta)
 
 
+def _integral_patch(fns, base: complex, domain: Rect, quad_tol: float,
+                    point) -> SurfacePatch:
+    """Patch whose value at w is point(*integrals of fns from base to w)."""
+    slack = 1e-9 * max(domain.extent, 1.0)
+
+    def ev(u: float, v: float) -> Vec021:
+        if not domain.contains(u, v, slack):
+            raise ValueError(f"({u}, {v}) outside parameter domain {domain}")
+        w = complex(u, v)
+        return point(*(integrate_segment(fn, base, w, quad_tol)
+                       for fn in fns))
+
+    return SurfacePatch(ev, domain, kind="weierstrass")
+
+
 def surface_from_data(data: WeierstrassData,
                       theta: float | FamilyAngle = 0.0,
                       quad_tol: float = 1e-10) -> SurfacePatch:
     """Member of the associated family as an evaluatable patch.
 
     The rotation by exp(-i theta) commutes with integration, so it is
-    applied to the cached integral values instead of the integrands.
+    applied to the integral values instead of the integrands.
     """
     rot = _angle(theta).rotor
-    f_fn = compile_expr(data.F)
-    g_fn = compile_expr(data.G)
-    base, dom = data.base, data.domain
-    slack = 1e-9 * max(dom.extent, 1.0)
 
-    @lru_cache(maxsize=65536)
-    def integrals(u: float, v: float) -> tuple[complex, complex]:
-        w = complex(u, v)
-        return (integrate_segment(f_fn, base, w, quad_tol),
-                integrate_segment(g_fn, base, w, quad_tol))
-
-    def ev(u: float, v: float) -> Vec021:
-        if not dom.contains(u, v, slack):
-            raise ValueError(f"({u}, {v}) outside parameter domain {dom}")
-        int_f, int_g = integrals(u, v)
+    def point(int_f: complex, int_g: complex) -> Vec021:
         zf = rot * int_f
         return Vec021(zf.real, zf.imag, (rot * int_g).real)
 
-    return SurfacePatch(ev, dom, kind="weierstrass")
+    return _integral_patch((compile_expr(data.F), compile_expr(data.G)),
+                           data.base, data.domain, quad_tol, point)
 
 
 def grid_eval(data: WeierstrassData, theta: float | FamilyAngle = 0.0,
@@ -182,20 +184,8 @@ def surface_from_phi(phi: PhiTriple, base: complex, domain: Rect,
         raise Data2ViolationError(
             "|phi1|^2 + |phi2|^2 vanishes on the whole grid")
 
-    slack = 1e-9 * max(domain.extent, 1.0)
-
-    @lru_cache(maxsize=65536)
-    def integrals(u: float, v: float) -> tuple[complex, complex, complex]:
-        w = complex(u, v)
-        return tuple(integrate_segment(fn, base, w, quad_tol) for fn in fns)
-
-    def ev(u: float, v: float) -> Vec021:
-        if not domain.contains(u, v, slack):
-            raise ValueError(f"({u}, {v}) outside parameter domain {domain}")
-        i1, i2, i3 = integrals(u, v)
-        return Vec021(i1.real, i2.real, i3.real)
-
-    return SurfacePatch(ev, domain, kind="weierstrass")
+    return _integral_patch(fns, base, domain, quad_tol,
+                           lambda a, b, c: Vec021(a.real, b.real, c.real))
 
 
 @dataclass(frozen=True, slots=True)
@@ -363,13 +353,24 @@ def det_h_from_data(data: WeierstrassData, w: complex) -> float:
             + 2.0 * ratio * (abs_f_u * abs_g_u + abs_f_v * abs_g_v))
 
 
+def _scaled(data: WeierstrassData, c: complex) -> WeierstrassData:
+    """(c F, c G) on the same base point and domain."""
+    return WeierstrassData(BinOp("*", Lit(c), data.F),
+                           BinOp("*", Lit(c), data.G), data.base, data.domain)
+
+
+def family_data(data: WeierstrassData,
+                theta: float | FamilyAngle) -> WeierstrassData:
+    """Data (r F, r G), r = exp(-i theta), whose theta = 0 surface is the
+    theta member of the family; theta = 0 returns data itself."""
+    angle = _angle(theta)
+    return data if angle.theta == 0.0 else _scaled(data, angle.rotor)
+
+
 def conjugate(data: WeierstrassData) -> WeierstrassData:
     """Data of the conjugate surface: both functions times -i.
 
     Applying it twice multiplies the data by -1, which is the theta = pi
     member of the associated family.
     """
-    minus_i = Lit(-1j)
-    return WeierstrassData(BinOp("*", minus_i, data.F),
-                           BinOp("*", minus_i, data.G),
-                           data.base, data.domain)
+    return _scaled(data, -1j)

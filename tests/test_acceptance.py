@@ -303,7 +303,8 @@ def test_criterion_09_minkowski_correspondence():
 
     cubic = get("cubic_harmonic").patch
     assert verify_flat_zmc(iota_lift(cubic), tol=1e-5).passed
-    loci = vanishing_h_locus(cubic)
+    loci = vanishing_h_locus(lambda u, v: fundamental_forms(cubic, u, v),
+                             cubic.domain)
     assert len(loci) == 1
     assert loci[0].point == (0.0, 0.0)
     assert loci[0].isolated
@@ -348,7 +349,9 @@ def test_criterion_12_property_suites():
             k = gaussian_curvature_induced(lift, u, v)
             assert abs(k) < 1e-5, f"{entry.name}: K = {k:.3e}"
 
-        loci = vanishing_h_locus(entry.patch)
+        p = entry.patch
+        loci = vanishing_h_locus(lambda u, v: fundamental_forms(p, u, v),
+                                 p.domain)
         if entry.name == "plane":
             # totally geodesic: h vanishes on the whole grid, and the
             # report must say so rather than fake discreteness

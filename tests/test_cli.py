@@ -403,6 +403,20 @@ class TestEmbed:
         s = json.loads(out)
         assert s["verdict"] == "pass"
 
+    def test_zero_of_f_on_locus_grid_not_a_locus_node(self, capsys):
+        # F = z vanishes at the centre node of the 65^2 locus grid; the
+        # 4x4 verification grid misses it
+        rc, out, _ = run(capsys, ["embed", "--F", "z", "--G", "1",
+                                  "--grid", "4,4"])
+        assert rc == 0
+        assert json.loads(out)["verdict"] == "pass"
+
+    def test_zero_of_f_on_verification_grid_exits_4(self, capsys):
+        rc, _, err = run(capsys, ["embed", "--F", "z", "--G", "1",
+                                  "--grid", "3,3"])
+        assert rc == 4
+        assert "1 non-spacelike samples, first at (0, 0)" in err
+
 
 class TestListAndConfig:
     def test_list_names(self, capsys):

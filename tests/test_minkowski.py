@@ -7,7 +7,8 @@ import pytest
 
 from isomin.catalog import entries as catalog_entries
 from isomin.expr import parse_expr
-from isomin.geometry import Rect, Vec021, deg_inner, graph_patch
+from isomin.geometry import (Rect, Vec021, deg_inner, fundamental_forms,
+                             graph_patch)
 from isomin.minkowski import (FlatZmcReport, MinkSurface, NonSpacelikeError,
                               NotInSliceError, Vec4M, gaussian_curvature_induced,
                               iota_embed, iota_lift, lorentz_inner,
@@ -21,6 +22,11 @@ SQUARE = Rect(-1.0, 1.0, -1.0, 1.0)
 def graph(src: str, domain: Rect = SQUARE):
     return graph_patch(parse_expr(src, variables=("u", "v"),
                                   allow_imaginary=False), domain)
+
+
+def locus(p, **kwargs):
+    return vanishing_h_locus(lambda u, v: fundamental_forms(p, u, v),
+                             p.domain, **kwargs)
 
 
 class TestLorentzInner:
@@ -169,7 +175,7 @@ class TestVerifyFlatZmc:
 
 class TestVanishingHLocus:
     def test_cubic_isolated_origin(self):
-        clusters = vanishing_h_locus(graph("u^3 - 3*u*v^2"))
+        clusters = locus(graph("u^3 - 3*u*v^2"))
         assert len(clusters) == 1
         (cluster,) = clusters
         assert abs(cluster.point[0]) < 1e-12
@@ -177,10 +183,10 @@ class TestVanishingHLocus:
         assert cluster.isolated
 
     def test_constant_form_empty(self):
-        assert vanishing_h_locus(graph("u*v"), grid=(17, 17)) == []
+        assert locus(graph("u*v"), grid=(17, 17)) == []
 
     def test_plane_flagged_as_region(self):
-        clusters = vanishing_h_locus(graph("0"), grid=(17, 17))
+        clusters = locus(graph("0"), grid=(17, 17))
         assert len(clusters) == 1
         assert clusters[0].node_count == 17 * 17
         assert not clusters[0].isolated

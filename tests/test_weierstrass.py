@@ -18,9 +18,10 @@ from isomin.geometry import (Rect, fundamental_forms, mean_curvature,
                              patch_jets)
 from isomin.weierstrass import (Data2ViolationError, FamilyAngle, PhiTriple,
                                 WeierstrassData, conjugate, det_h_from_data,
-                                grid_eval, integrate_holomorphic, metric_at,
-                                second_form_from_data, surface_from_data,
-                                surface_from_phi, validate_data)
+                                family_data, grid_eval, integrate_holomorphic,
+                                metric_at, second_form_from_data,
+                                surface_from_data, surface_from_phi,
+                                validate_data)
 
 SQUARE = Rect(-1.0, 1.0, -1.0, 1.0)
 
@@ -307,21 +308,24 @@ class TestSecondFormFromData:
             second_form_from_data(data(*SADDLE[:2]), 0j)
 
     def test_matches_finite_differences(self):
-        """Closed-form components track the FD forms of the actual patch."""
+        """Closed-form components of the rotated data track the FD forms
+        of the actual family member."""
         rng = random.Random(11)
-        for f_src, g_src in [("exp(z)", "1"), ("z^2 + 2", "z"),
-                             ("exp(z)", "z^2")]:
-            d = data(f_src, g_src)
-            patch = surface_from_data(d)
-            for _ in range(6):
-                u = rng.uniform(-0.8, 0.8)
-                v = rng.uniform(-0.8, 0.8)
-                fd = fundamental_forms(patch, u, v)
-                cf = second_form_from_data(d, complex(u, v))
-                assert abs(fd.h11 - cf.h11) < 1e-5
-                assert abs(fd.h12 - cf.h12) < 1e-5
-                assert abs(fd.h22 - cf.h22) < 1e-5
-                assert abs(fd.g11 - cf.g11) < 1e-6
+        for theta in (0.0, 0.7, math.pi / 2, 2.5):
+            for f_src, g_src in [("exp(z)", "1"), ("z^2 + 2", "z"),
+                                 ("exp(z)", "z^2")]:
+                d = data(f_src, g_src)
+                patch = surface_from_data(d, theta)
+                member = family_data(d, theta)
+                for _ in range(6):
+                    u = rng.uniform(-0.8, 0.8)
+                    v = rng.uniform(-0.8, 0.8)
+                    fd = fundamental_forms(patch, u, v)
+                    cf = second_form_from_data(member, complex(u, v))
+                    assert abs(fd.h11 - cf.h11) < 1e-5, (theta, u, v)
+                    assert abs(fd.h12 - cf.h12) < 1e-5, (theta, u, v)
+                    assert abs(fd.h22 - cf.h22) < 1e-5, (theta, u, v)
+                    assert abs(fd.g11 - cf.g11) < 1e-6, (theta, u, v)
 
 
 class TestDetH:

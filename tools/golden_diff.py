@@ -102,7 +102,8 @@ def _tokens(text: str):
         if paths is not None:
             fields.append(paths[k])
         elif is_csv:
-            fields.append(f"column {header[before.count(',')]} (line {line_no})")
+            column = header[before.count(",")]
+            fields.append(f"column {column} (line {line_no})")
         else:
             keys = _KEY.findall(before)
             if keys:

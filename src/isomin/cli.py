@@ -9,9 +9,9 @@ Subcommands:
     list         show the built-in reference surfaces
 
 Exit codes: 0 success (including honest "fail"/"not d-minimal" verdicts),
-2 bad input or parse error, 3 integration failure, 4 degenerate or
-non-spacelike samples beyond the allowed budget, 5 incompatible
-prescribed forms.
+2 bad input (a parse error, a non-finite number, an expression that fails
+to evaluate), 3 integration failure, 4 degenerate or non-spacelike
+samples beyond the allowed budget, 5 incompatible prescribed forms.
 
 Numbers in CSV/OBJ output are printed with a fixed 12-digit format and
 JSON floats are rounded the same way, so identical configurations
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import UnknownSurfaceError, entries, get
-from .expr import ParseError, parse_expr, parse_real_expr
+from .expr import EvalError, ParseError, parse_expr, parse_real_expr
 from .geometry import (DegenerateMetricError, FundamentalForms, Rect,
                        classify_point, fundamental_forms, graph_patch,
                        mean_curvature, relative_gauss_curvature)
@@ -96,6 +96,14 @@ class RunConfig:
     fmt: str = ""
 
     def __post_init__(self):
+        d = self.domain
+        for flag, values in (("--tol", (self.tol or 0.0,)),
+                             ("--theta", (self.theta,)), ("--lam", (self.lam,)),
+                             ("--domain", (d.u0, d.u1, d.v0, d.v1)),
+                             ("--base", self.base or ())):
+            if not all(map(math.isfinite, values)):
+                raise CliError(EXIT_INPUT, f"{flag} must be finite, got "
+                               + ",".join(map(str, values)))
         if self.grid is not None and min(self.grid) < 2:
             raise CliError(EXIT_INPUT, f"grid must be at least 2x2, got {self.grid}")
         if self.tol is not None and self.tol <= 0:
@@ -203,11 +211,8 @@ def cmd_gen(cfg: RunConfig) -> int:
     data = _weier_data(cfg)
     nu, nv = cfg.grid or (64, 64)
     quad_tol = cfg.tol if cfg.tol is not None else 1e-10
-    try:
-        us, vs, X, Y, Z = grid_eval(data, theta=cfg.theta, nu=nu, nv=nv,
-                                    quad_tol=quad_tol)
-    except IntegrationError as err:
-        raise CliError(EXIT_INTEGRATION, f"integration failed: {err}") from None
+    us, vs, X, Y, Z = grid_eval(data, theta=cfg.theta, nu=nu, nv=nv,
+                                quad_tol=quad_tol)
 
     verts = [(float(X[i, j]), float(Y[i, j]), float(Z[i, j]))
              for j in range(nv) for i in range(nu)]
@@ -479,19 +484,10 @@ def _forms_from_csv(path: str) -> tuple[PrescribedForms, tuple[int, int]]:
         gaps = [b - a for a, b in zip(axis, axis[1:])]
         if max(gaps) - min(gaps) > 1e-9 * (axis[-1] - axis[0]):
             raise CliError(EXIT_INPUT, "--forms-csv: spacing is not uniform")
-    h11 = np.empty((nu, nv))
-    h12 = np.empty((nu, nv))
-    h22 = np.empty((nu, nv))
-    for i, u in enumerate(us):
-        for j, v in enumerate(vs):
-            try:
-                h11[i, j], h12[i, j], h22[i, j] = table[(u, v)]
-            except KeyError:
-                raise CliError(EXIT_INPUT,
-                               f"--forms-csv: missing node ({u}, {v})"
-                               ) from None
+    # nu * nv distinct nodes drawn from us x vs cover the whole lattice
+    h = np.array([[table[(u, v)] for v in vs] for u in us]).transpose(2, 0, 1)
     domain = Rect(us[0], us[-1], vs[0], vs[-1])
-    return PrescribedForms.from_grid(h11, h12, h22, domain), (nu, nv)
+    return PrescribedForms.from_grid(*h, domain), (nu, nv)
 
 
 def cmd_reconstruct(cfg: RunConfig) -> int:
@@ -770,8 +766,13 @@ def main(argv: list[str] | None = None) -> int:
         cfg = _config_from_args(ns)
         return _COMMANDS[cfg.command](cfg)
     except CliError as err:
-        sys.stderr.write(f"isomin {ns.command}: {err}\n")
-        return err.code
+        failure = err
+    except IntegrationError as err:
+        failure = CliError(EXIT_INTEGRATION, f"integration failed: {err}")
+    except EvalError as err:
+        failure = CliError(EXIT_INPUT, f"evaluation failed: {err}")
+    sys.stderr.write(f"isomin {ns.command}: {failure}\n")
+    return failure.code
 
 
 if __name__ == "__main__":

@@ -304,16 +304,24 @@ def compile_expr(ast: Expr, variables: tuple[str, ...] = ("z",)
         try:
             val = complex(raw(*[complex(a) for a in args]))
         except ZeroDivisionError:
-            raise EvalError("division by zero") from None
+            raise _failed("division by zero", variables, args) from None
         except OverflowError:
-            raise EvalError("overflow") from None
-        except ValueError as exc:
-            raise EvalError(str(exc)) from None
+            raise _failed("overflow", variables, args) from None
+        except (ValueError, EvalError) as exc:
+            raise _failed(str(exc), variables, args) from None
         if not cmath.isfinite(val):
-            raise EvalError("overflow: result is not finite")
+            raise _failed("overflow: result is not finite", variables, args)
         return val
 
     return run
+
+
+def _failed(message: str, variables: tuple[str, ...], args) -> EvalError:
+    """EvalError whose message ends with the bindings it failed at."""
+    bound = ", ".join(
+        f"{name}={(complex(a) if isinstance(a, complex) else float(a))!r}"
+        for name, a in zip(variables, args))
+    return EvalError(f"{message} at {bound}" if bound else message)
 
 
 def compile_real(ast: Expr, variables: tuple[str, ...] = ("u", "v")
@@ -324,7 +332,8 @@ def compile_real(ast: Expr, variables: tuple[str, ...] = ("u", "v")
     def run(*args: float) -> float:
         val = fn(*args)
         if abs(val.imag) > 1e-9 * (1.0 + abs(val.real)):
-            raise EvalError("expression does not evaluate to a real value")
+            raise _failed("expression does not evaluate to a real value",
+                          variables, args)
         return val.real
 
     return run

@@ -418,6 +418,39 @@ class TestEmbed:
         assert "1 non-spacelike samples, first at (0, 0)" in err
 
 
+class TestLibraryErrors:
+    @pytest.mark.parametrize("args, code, text", [
+        (["embed", "--F", "1/z", "--G", "1", "--grid", "3,3"], 2,
+         "evaluation failed: division by zero at z="),
+        (["embed", "--graph", "log(u)", "--grid", "3,3"], 2,
+         "evaluation failed: expression does not evaluate to a real value "
+         "at u="),
+        (["embed", "--x1", "0", "--x2", "u", "--x3", "v", "--x4", "1/u",
+          "--grid", "3,3"], 2, "evaluation failed: division by zero at u="),
+        (["reconstruct", "--h11", "1/u", "--h12", "0", "--h22", "0",
+          "--grid", "5,5"], 3, "integration failed: "),
+    ], ids=["embed-pole", "embed-graph-log", "embed-chart-pole",
+            "reconstruct-pole"])
+    def test_documented_exit_code(self, capsys, args, code, text):
+        rc, _, err = run(capsys, args)
+        assert rc == code
+        assert err.startswith(f"isomin {args[0]}: {text}")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("args", [
+        ["gen", "--F", "z", "--G", "1", "--theta", "nan"],
+        ["analyze", "--F", "z", "--G", "1", "--tol", "nan"],
+        ["gen", "--F", "z", "--G", "1", "--domain", "-inf,1,-1,1"],
+        ["analyze", "--catalog", "helicoid2", "--lam", "inf"],
+        ["gen", "--F", "z", "--G", "1", "--base", "nan,0"],
+    ], ids=["theta", "tol", "domain", "lam", "base"])
+    def test_non_finite_number_exits_2(self, capsys, args):
+        rc, out, err = run(capsys, args)
+        assert rc == 2
+        assert "must be finite" in err
+        assert out == ""
+
+
 class TestListAndConfig:
     def test_list_names(self, capsys):
         rc, out, _ = run(capsys, ["list"])

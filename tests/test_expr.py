@@ -105,6 +105,14 @@ class TestEval:
     def test_log_zero_is_domain_error(self):
         with pytest.raises(EvalError):
             ev("log(z)", 0)
+        with pytest.raises(EvalError, match=r"^math domain error at z=0j$"):
+            ev("log(z)", 0)
+
+    def test_error_names_the_real_bindings(self):
+        fn = compile_real(parse_real_expr("u/(v - 0.5)"))
+        with pytest.raises(EvalError,
+                           match=r"^division by zero at u=0\.0, v=0\.5$"):
+            fn(0.0, 0.5)
 
     def test_division_by_zero(self):
         with pytest.raises(EvalError):

@@ -150,10 +150,7 @@ class SurfacePatch:
 def graph_patch(height: Callable[[float, float], float] | Expr,
                 domain: Rect) -> SurfacePatch:
     """Patch (u, v, F(u, v)) from a callable or a real expression tree."""
-    if callable(height):
-        h = height
-    else:
-        h = compile_real(height, ("u", "v"))
+    h = height if callable(height) else compile_real(height, ("u", "v"))
 
     def ev(u: float, v: float) -> Vec021:
         return Vec021(u, v, float(h(u, v)))
@@ -396,12 +393,8 @@ class AffineIsometry:
 
 
 def apply_isometry(iso: AffineIsometry, s: SurfacePatch) -> SurfacePatch:
-    ev = s.evaluator
-
-    def moved(u: float, v: float) -> Vec021:
-        return iso.apply(ev(u, v))
-
-    return SurfacePatch(moved, s.domain, kind="closed-form")
+    return SurfacePatch(lambda u, v: iso.apply(s(u, v)), s.domain,
+                        kind="closed-form")
 
 
 # curves --------------------------------------------------------------------

@@ -269,9 +269,7 @@ def vanishing_h_locus(forms_at: Callable[[float, float], FundamentalForms],
             min(max(abs(a - c), abs(b - d))
                 for a, b in nodes for c, d in other) <= 5
             for other in clusters if other is not nodes)
-        nearest_i = int(round(ci))
-        nearest_j = int(round(cj))
-        point = (float(us[nearest_i]), float(vs[nearest_j]))
+        point = (float(us[int(round(ci))]), float(vs[int(round(cj))]))
         out.append(LocusCluster(point, len(nodes), isolated))
     out.sort(key=lambda c: (c.point[0] ** 2 + c.point[1] ** 2, c.point))
     return out

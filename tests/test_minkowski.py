@@ -4,12 +4,14 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from isomin.catalog import entries as catalog_entries
 from isomin.expr import parse_expr
 from isomin.geometry import (Rect, Vec021, deg_inner, fundamental_forms,
                              graph_patch)
 from isomin.minkowski import (FlatZmcReport, MinkSurface, NonSpacelikeError,
+                              _curvatures,
                               NotInSliceError, Vec4M, gaussian_curvature_induced,
                               iota_embed, iota_lift, lorentz_inner,
                               mean_curvature_vector, mink_surface_from_exprs,
@@ -171,6 +173,50 @@ class TestVerifyFlatZmc:
         report = verify_flat_zmc(s, grid=(3, 3))
         assert not report.passed
         assert len(report.spacelike_violations) == 9
+
+    def test_one_stencil_per_sample(self):
+        chart = mink_surface_from_exprs("0.3*u*v", "u", "v", "u^2 - v^2",
+                                        SQUARE)
+        calls = []
+
+        def counted(u, v):
+            calls.append((u, v))
+            return chart(u, v)
+
+        verify_flat_zmc(MinkSurface(counted, SQUARE), grid=(3, 3))
+        assert len(calls) == 9 * 17
+
+    def test_slice_lifts_are_flat_to_rounding(self):
+        """The Gauss equation cancels x1 against x4 exactly in the slice."""
+        for entry in catalog_entries():
+            if not entry.is_minimal:
+                continue
+            report = verify_flat_zmc(iota_lift(entry.patch))
+            assert report.max_abs_curvature < 1e-20, \
+                f"{entry.name}: K={report.max_abs_curvature:.2e}"
+
+
+# off the null slice, where the induced metric is curved
+OFF_SLICE_CHARTS = {
+    "sphere": (("0", "1.3*cos(u)*cos(v)", "1.3*cos(u)*sin(v)",
+                "1.3*sin(u)"), Rect(-0.5, 0.5, -0.5, 0.5)),
+    "paraboloid": (("0", "u", "v", "u^2 + v^2"), SQUARE),
+    "tilted": (("0.3*u*v", "u", "v", "u^2 - v^2"), SQUARE),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(sorted(OFF_SLICE_CHARTS)),
+       s=st.floats(-0.8, 0.8), t=st.floats(-0.8, 0.8))
+def test_gauss_equation_matches_brioschi(name, s, t):
+    coords, dom = OFF_SLICE_CHARTS[name]
+    chart = mink_surface_from_exprs(*coords, dom)
+    u = 0.5 * (dom.u0 + dom.u1) + 0.5 * s * (dom.u1 - dom.u0)
+    v = 0.5 * (dom.v0 + dom.v1) + 0.5 * t * (dom.v1 - dom.v0)
+    _, k = _curvatures(chart, u, v)
+    oracle = gaussian_curvature_induced(chart, u, v)
+    assert abs(oracle) > 0.1
+    assert abs(k - oracle) < 1e-6
 
 
 class TestVanishingHLocus:

@@ -393,7 +393,7 @@ class AffineIsometry:
 
 
 def apply_isometry(iso: AffineIsometry, s: SurfacePatch) -> SurfacePatch:
-    return SurfacePatch(lambda u, v: iso.apply(s(u, v)), s.domain,
+    return SurfacePatch(lambda u, v: iso.apply(s.evaluator(u, v)), s.domain,
                         kind="closed-form")
 
 

@@ -203,7 +203,7 @@ def verify_flat_zmc(s: MinkSurface, grid: tuple[int, int] = (9, 9),
 
     Verdict passes only when the worst sampled mean curvature vector
     norm and the worst sampled intrinsic curvature are both below tol
-    and the induced metric stayed positive definite everywhere.  Both
+    and the induced metric stayed positive definite everywhere.  H and K
     come from one stencil per sample; K is zero up to rounding in the slice.
     """
     dom = s.domain

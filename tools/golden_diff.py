@@ -22,6 +22,7 @@ it.  pytest does not collect this file.
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import re
@@ -171,17 +172,14 @@ def compare_case(ra: dict, rb: dict) -> str:
 
 
 def run_revision(rev: str, workdir: Path) -> dict:
-    """Export rev's tree under workdir and run every golden case on it."""
-    tree = workdir / "tree"
-    tree.mkdir()
+    """Export rev's src tree into workdir and run every golden case on it."""
+    workdir.mkdir()
     archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev, "src"],
                              check=True, capture_output=True).stdout
-    tar_path = workdir / "src.tar"
-    tar_path.write_bytes(archive)
-    with tarfile.open(tar_path) as tar:
-        tar.extractall(tree, filter="data")
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(workdir, filter="data")
     dest = workdir / "results.json"
-    subprocess.run([sys.executable, "-c", _RUNNER, str(tree / "src"),
+    subprocess.run([sys.executable, "-c", _RUNNER, str(workdir / "src"),
                     str(ROOT / "tests"), str(dest)], check=True)
     return json.loads(dest.read_text())
 
@@ -190,15 +188,10 @@ def main(argv: list[str]) -> int:
     if len(argv) != 2:
         sys.stderr.write(__doc__)
         return 2
-    rev_a, rev_b = argv
     with tempfile.TemporaryDirectory() as tmp:
-        results = []
-        for k, rev in enumerate((rev_a, rev_b)):
-            workdir = Path(tmp) / f"rev{k}"
-            workdir.mkdir()
-            results.append(run_revision(rev, workdir))
-    res_a, res_b = results
-    print(f"golden cases, {rev_a} -> {rev_b}")
+        res_a, res_b = (run_revision(rev, Path(tmp) / f"rev{k}")
+                        for k, rev in enumerate(argv))
+    print(f"golden cases, {argv[0]} -> {argv[1]}")
     for name in sorted(res_a):
         print(f"{name}: {compare_case(res_a[name], res_b[name])}")
     return 0

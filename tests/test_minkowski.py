@@ -11,12 +11,11 @@ from isomin.expr import parse_expr
 from isomin.geometry import (Rect, Vec021, deg_inner, fundamental_forms,
                              graph_patch)
 from isomin.minkowski import (FlatZmcReport, MinkSurface, NonSpacelikeError,
-                              _curvatures,
                               NotInSliceError, Vec4M, gaussian_curvature_induced,
                               iota_embed, iota_lift, lorentz_inner,
                               mean_curvature_vector, mink_surface_from_exprs,
                               normal_second_form, slice_project,
-                              vanishing_h_locus, verify_flat_zmc)
+                              vanishing_h_locus, verify_flat_zmc, _curvatures)
 
 SQUARE = Rect(-1.0, 1.0, -1.0, 1.0)
 
@@ -215,7 +214,7 @@ def test_gauss_equation_matches_brioschi(name, s, t):
     v = 0.5 * (dom.v0 + dom.v1) + 0.5 * t * (dom.v1 - dom.v0)
     _, k = _curvatures(chart, u, v)
     oracle = gaussian_curvature_induced(chart, u, v)
-    assert abs(oracle) > 0.1
+    assert abs(oracle) > 0.05   # |K| >= 0.1 on these charts
     assert abs(k - oracle) < 1e-6
 
 

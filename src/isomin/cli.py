@@ -513,15 +513,15 @@ def cmd_reconstruct(cfg: RunConfig) -> int:
         tol = cfg.tol if cfg.tol is not None else 1e-8
 
     report = codazzi_check(forms, tol=tol, grid=grid)
-    sys.stdout.write(f"codazzi_residual_max: {_fmt(report.max_residual)}\n")
-    sys.stdout.write(
-        f"verdict: {'compatible' if report.passed else 'incompatible'}\n")
+    residual = f"codazzi_residual_max: {_fmt(report.max_residual)}\n"
     if not report.passed:
+        sys.stdout.write(residual + "verdict: incompatible\n")
         return EXIT_CODAZZI
 
     try:
         patch = surface_from_forms(forms, grid=grid, base=cfg.base, tol=tol)
     except CodazziViolationError as err:
+        sys.stdout.write(residual + "verdict: incompatible\n")
         sys.stderr.write(f"{err}\n")
         return EXIT_CODAZZI
     except ValueError as err:
@@ -531,6 +531,9 @@ def cmd_reconstruct(cfg: RunConfig) -> int:
     us = [dom.u0 + (dom.u1 - dom.u0) * k / (nu - 1) for k in range(nu)]
     vs = [dom.v0 + (dom.v1 - dom.v0) * k / (nv - 1) for k in range(nv)]
     samples = [(u, v, patch(u, v).z) for v in vs for u in us]
+    # the verdict goes out only once the surface exists: an integration
+    # failure while sampling must not leave "compatible" on stdout
+    sys.stdout.write(residual + "verdict: compatible\n")
 
     fmt = cfg.fmt or "csv"
     if fmt == "csv":

@@ -264,21 +264,106 @@ def eval_expr(ast: Expr, env: complex | float | Mapping[str, complex]) -> comple
         raise EvalError(f"unbound variable {exc.name!r}") from None
 
 
-def _emit(node: Expr) -> str:
-    if isinstance(node, Lit):
-        return repr(node.value) if node.value.imag else repr(node.value.real)
-    if isinstance(node, Var):
-        return node.name
+def _small_int(node: Expr) -> int | None:
+    """n when the node is a literal integer exponent with |n| <= 100."""
+    sign = 1
     if isinstance(node, Neg):
-        return f"(-{_emit(node.arg)})"
+        sign, node = -1, node.arg
+    if isinstance(node, Lit) and node.value.imag == 0:
+        x = node.value.real
+        if x.is_integer() and abs(x) <= 100:
+            return sign * int(x)
+    return None
+
+
+def _emit(node: Expr, names: Mapping[str, str], consts: list) -> str:
+    """Python source of the tree.  names maps variables to local names;
+    each non-real literal is appended to consts and read as _k<index>,
+    because its repr can lose the sign of a zero real part."""
+    if isinstance(node, Lit):
+        if not node.value.imag:
+            return repr(node.value.real)
+        consts.append(node.value)
+        return f"_k{len(consts) - 1}"
+    if isinstance(node, Var):
+        return names.get(node.name, node.name)
+    if isinstance(node, Neg):
+        return f"(-{_emit(node.arg, names, consts)})"
     if isinstance(node, BinOp):
-        l, r = _emit(node.lhs), _emit(node.rhs)
+        l = _emit(node.lhs, names, consts)
+        r = _emit(node.rhs, names, consts)
         if node.op == "^":
-            return f"_pow({l}, {r})"
+            # a ** n takes the same complex power as _pow_value's
+            # a ** int(b.real); the base keeps its parentheses because a
+            # negative literal is printed bare
+            n = _small_int(node.rhs)
+            return f"_pow({l}, {r})" if n is None else f"(({l}) ** {n})"
         return f"({l} {node.op} {r})"
     if isinstance(node, Call):
-        return f"_{node.fn}({_emit(node.arg)})"
+        return f"_{node.fn}({_emit(node.arg, names, consts)})"
     raise TypeError(f"not an expression node: {node!r}")
+
+
+def _failed(message: str, variables: tuple[str, ...], args) -> EvalError:
+    """EvalError whose message ends with the bindings it failed at."""
+    bound = ", ".join(
+        f"{name}={(complex(a) if isinstance(a, complex) else float(a))!r}"
+        for name, a in zip(variables, args))
+    return EvalError(f"{message} at {bound}" if bound else message)
+
+
+# names the generated functions see; no builtins, so an unbound variable
+# cannot resolve to one, and inf stands for a literal that overflowed
+# while parsing
+_NAMESPACE = {
+    "__builtins__": {}, "inf": math.inf, "_pow": _pow_value,
+    "_complex": complex, "_abs": abs, "_str": str,
+    "_isfinite": cmath.isfinite, "_failed": _failed,
+    "_ZeroDivisionError": ZeroDivisionError, "_OverflowError": OverflowError,
+    "_ValueError": ValueError, "_EvalError": EvalError,
+    **{"_" + name: fn for name, fn in _FUNC_IMPL.items()},
+}
+
+_TEMPLATE = """\
+def _f({params}):
+    try:
+{converts}        _r = _complex({body})
+    except _ZeroDivisionError:
+        raise _failed("division by zero", _names, {args}) from None
+    except _OverflowError:
+        raise _failed("overflow", _names, {args}) from None
+    except (_ValueError, _EvalError) as _exc:
+        raise _failed(_str(_exc), _names, {args}) from None
+    if not _isfinite(_r):
+        raise _failed("overflow: result is not finite", _names, {args})
+{tail}"""
+
+_REAL_TAIL = """\
+    if _abs(_r.imag) > 1e-9 * (1.0 + _abs(_r.real)):
+        raise _failed("expression does not evaluate to a real value",
+                      _names, {args})
+    return _r.real
+"""
+
+
+def _generate(ast: Expr, variables: tuple[str, ...], real: bool) -> Callable:
+    """One python function that converts its arguments with complex(),
+    evaluates the tree inline and raises EvalError naming the arguments
+    it was called with."""
+    names = {name: f"_x{k}" for k, name in enumerate(variables)}
+    consts: list[complex] = []
+    body = _emit(ast, names, consts)
+    args = f"({', '.join(variables)},)" if variables else "()"
+    code = _TEMPLATE.format(
+        params=", ".join(variables),
+        converts="".join(f"        {names[v]} = _complex({v})\n"
+                         for v in variables),
+        body=body, args=args,
+        tail=_REAL_TAIL.format(args=args) if real else "    return _r\n")
+    ns = dict(_NAMESPACE, _names=variables)
+    ns.update((f"_k{k}", c) for k, c in enumerate(consts))
+    exec(code, ns)  # noqa: S102 - codegen from our own AST only
+    return ns["_f"]
 
 
 @lru_cache(maxsize=512)
@@ -291,52 +376,14 @@ def compile_expr(ast: Expr, variables: tuple[str, ...] = ("z",)
     non-finite results raise :class:`EvalError`.  A name that is not
     among ``variables`` raises ``NameError`` when called.
     """
-    # no builtins, so an unbound variable cannot resolve to one; inf
-    # stands for a literal that overflowed while parsing
-    ns = {"__builtins__": {}, "inf": math.inf, "_pow": _pow_value}
-    for name, fn in _FUNC_IMPL.items():
-        ns["_" + name] = fn
-    code = f"def _f({', '.join(variables)}): return {_emit(ast)}"
-    exec(code, ns)  # noqa: S102 - codegen from our own AST only
-    raw = ns["_f"]
-
-    def run(*args: complex) -> complex:
-        try:
-            val = complex(raw(*[complex(a) for a in args]))
-        except ZeroDivisionError:
-            raise _failed("division by zero", variables, args) from None
-        except OverflowError:
-            raise _failed("overflow", variables, args) from None
-        except (ValueError, EvalError) as exc:
-            raise _failed(str(exc), variables, args) from None
-        if not cmath.isfinite(val):
-            raise _failed("overflow: result is not finite", variables, args)
-        return val
-
-    return run
+    return _generate(ast, variables, real=False)
 
 
-def _failed(message: str, variables: tuple[str, ...], args) -> EvalError:
-    """EvalError whose message ends with the bindings it failed at."""
-    bound = ", ".join(
-        f"{name}={(complex(a) if isinstance(a, complex) else float(a))!r}"
-        for name, a in zip(variables, args))
-    return EvalError(f"{message} at {bound}" if bound else message)
-
-
+@lru_cache(maxsize=512)
 def compile_real(ast: Expr, variables: tuple[str, ...] = ("u", "v")
                  ) -> Callable[..., float]:
     """Compile a real-variable tree; rejects non-real values at runtime."""
-    fn = compile_expr(ast, variables)
-
-    def run(*args: float) -> float:
-        val = fn(*args)
-        if abs(val.imag) > 1e-9 * (1.0 + abs(val.real)):
-            raise _failed("expression does not evaluate to a real value",
-                          variables, args)
-        return val.real
-
-    return run
+    return _generate(ast, variables, real=True)
 
 
 # differentiation ----------------------------------------------------------

@@ -5,8 +5,9 @@ non-degenerate for this product is transversal to the constant field
 XI = (0, 0, 1), so XI plays the role the unit normal plays in Euclidean
 geometry: second derivatives of a parametrisation split into a tangential
 part plus a multiple of XI, and that multiple is the second fundamental
-form.  All derivatives here are Richardson-extrapolated central
-differences; nothing assumes closed-form patches.
+form.  Derivatives are Richardson-extrapolated central differences,
+except on graphs of expression trees, which carry exact jets from
+symbolic differentiation.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-from .expr import Expr, compile_real
+from .expr import Expr, compile_real, differentiate
 
 
 class DegenerateMetricError(Exception):
@@ -137,11 +138,14 @@ class SurfacePatch:
 
     kind is "closed-form", "weierstrass" or "graph"; a few operations
     (graph Hessians, Codazzi residuals) are only meaningful for graphs.
+    jets, when given, returns the exact (f_u, f_v, f_uu, f_uv, f_vv) at
+    a point and replaces the finite-difference stencil in patch_jets.
     """
 
     evaluator: Callable[[float, float], Vec021]
     domain: Rect
     kind: str = "closed-form"
+    jets: Callable[[float, float], tuple] | None = None
 
     def __call__(self, u: float, v: float) -> Vec021:
         return self.evaluator(u, v)
@@ -149,13 +153,31 @@ class SurfacePatch:
 
 def graph_patch(height: Callable[[float, float], float] | Expr,
                 domain: Rect) -> SurfacePatch:
-    """Patch (u, v, F(u, v)) from a callable or a real expression tree."""
-    h = height if callable(height) else compile_real(height, ("u", "v"))
+    """Patch (u, v, F(u, v)) from a callable or a real expression tree.
+
+    A tree also gives the patch exact jets: the first and second partial
+    derivatives of F come from symbolic differentiation, and F itself is
+    still evaluated at the point so a height that is undefined there
+    fails as it would under a stencil.
+    """
+    if callable(height):
+        h, jets = height, None
+    else:
+        h_u, h_v = differentiate(height, "u"), differentiate(height, "v")
+        h, d_u, d_v, d_uu, d_uv, d_vv = (compile_real(e, ("u", "v")) for e in (
+            height, h_u, h_v, differentiate(h_u, "u"),
+            differentiate(h_u, "v"), differentiate(h_v, "v")))
+
+        def jets(u: float, v: float):
+            h(u, v)
+            return (Vec021(1.0, 0.0, d_u(u, v)), Vec021(0.0, 1.0, d_v(u, v)),
+                    Vec021(0.0, 0.0, d_uu(u, v)), Vec021(0.0, 0.0, d_uv(u, v)),
+                    Vec021(0.0, 0.0, d_vv(u, v)))
 
     def ev(u: float, v: float) -> Vec021:
         return Vec021(u, v, float(h(u, v)))
 
-    return SurfacePatch(ev, domain, kind="graph")
+    return SurfacePatch(ev, domain, kind="graph", jets=jets)
 
 
 @dataclass(frozen=True, slots=True)
@@ -229,13 +251,17 @@ def _stencil(ev: Callable, u: float, v: float, h: float):
 def patch_jets(s: SurfacePatch, u: float, v: float, step: float | None = None):
     """First and second partial derivatives of the patch at (u, v).
 
-    Returns (f_u, f_v, f_uu, f_uv, f_vv).  The caller must keep (u, v)
-    at parameter distance >= 2 * step from the domain boundary.
+    Returns (f_u, f_v, f_uu, f_uv, f_vv): the patch's exact jets when it
+    has them, else the finite-difference stencil.  Either way the caller
+    must keep (u, v) at parameter distance >= 2 * step from the domain
+    boundary.
     """
     h = default_step(s.domain) if step is None else step
     if s.domain.margin(u, v) < 2.0 * h - 1e-12 * s.domain.extent:
         raise ValueError(
             f"({u}, {v}) closer than 2*step={2 * h} to the domain boundary")
+    if s.jets is not None:
+        return s.jets(u, v)
     return _stencil(s.evaluator, u, v, h)[1:]
 
 

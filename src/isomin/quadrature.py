@@ -56,9 +56,18 @@ def adaptive_quad(f: Callable[[float], complex], a: float, b: float,
 def integrate_segment(f: Callable[[complex], complex], w0: complex,
                       w1: complex, tol: float = 1e-10,
                       max_depth: int = 30) -> complex:
-    """Line integral of f along the straight segment from w0 to w1."""
+    """Line integral of f along the straight segment from w0 to w1.
+
+    An IntegrationError names the segment's end points in the (u, v)
+    plane ahead of the sub-interval of [0, 1] that failed.
+    """
     dw = w1 - w0
     if dw == 0:
         return 0j
-    return dw * adaptive_quad(lambda t: f(w0 + t * dw), 0.0, 1.0,
-                              tol, max_depth)
+    try:
+        return dw * adaptive_quad(lambda t: f(w0 + t * dw), 0.0, 1.0,
+                                  tol, max_depth)
+    except IntegrationError as err:
+        raise IntegrationError(
+            f"segment ({w0.real!r}, {w0.imag!r}) -> ({w1.real!r}, "
+            f"{w1.imag!r}): {err}") from None

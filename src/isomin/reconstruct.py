@@ -26,7 +26,7 @@ import numpy as np
 
 from .expr import Expr, parse_real_expr, compile_real, differentiate
 from .geometry import Rect, SurfacePatch, graph_patch
-from .quadrature import adaptive_quad
+from .quadrature import IntegrationError, adaptive_quad
 
 
 class CodazziViolationError(Exception):
@@ -312,12 +312,17 @@ def surface_from_forms(forms: PrescribedForms,
         h11f, h12f, h22f = (compile_real(e) for e in forms.exprs)
 
         def height(u: float, v: float) -> float:
-            bend_u = adaptive_quad(
-                lambda s: (u - s) * h11f(s, v0), u0, u, tol=quad_tol)
-            shear = adaptive_quad(
-                lambda s: h12f(s, v0), u0, u, tol=quad_tol)
-            bend_v = adaptive_quad(
-                lambda t: (v - t) * h22f(u, t), v0, v, tol=quad_tol)
+            try:
+                bend_u = adaptive_quad(
+                    lambda s: (u - s) * h11f(s, v0), u0, u, tol=quad_tol)
+                shear = adaptive_quad(
+                    lambda s: h12f(s, v0), u0, u, tol=quad_tol)
+                bend_v = adaptive_quad(
+                    lambda t: (v - t) * h22f(u, t), v0, v, tol=quad_tol)
+            except IntegrationError as err:
+                raise IntegrationError(
+                    f"height at ({u!r}, {v!r}) from base ({u0!r}, {v0!r}): "
+                    f"{err}") from None
             return (f0 + (u - u0) * fu0 + float(bend_u.real)
                     + (v - v0) * (fv0 + float(shear.real))
                     + float(bend_v.real))

@@ -78,6 +78,22 @@ def _newton(fn, dfn, w: complex, tol: float, domain: Rect,
         return w, False
 
 
+def _seed_cells(mod: np.ndarray) -> list[tuple[int, int]]:
+    """Interior cells, in row-major order, whose finite value is the
+    minimum of their 3x3 window and below a quarter of the largest finite
+    value (or exactly zero); mod holds at least one finite value."""
+    gmax = float(mod[np.isfinite(mod)].max())
+    nu, nv = mod.shape
+    inner = mod[1:-1, 1:-1]
+    low = inner
+    for di in (0, 1, 2):
+        for dj in (0, 1, 2):
+            low = np.minimum(low, mod[di:nu - 2 + di, dj:nv - 2 + dj])
+    keep = (np.isfinite(inner) & (inner <= low)
+            & ((inner < 0.25 * gmax) | (inner == 0.0)))
+    return [(int(i) + 1, int(j) + 1) for i, j in zip(*np.nonzero(keep))]
+
+
 def find_zeros(ast: Expr, domain: Rect, grid: tuple[int, int] = (64, 64),
                tol: float = 1e-10, with_diagnostics: bool = False):
     """Zeros of the expression inside the rectangle.
@@ -102,20 +118,10 @@ def find_zeros(ast: Expr, domain: Rect, grid: tuple[int, int] = (64, 64),
             except EvalError:
                 pass
 
-    finite = mod[np.isfinite(mod)]
-    if finite.size == 0:
+    if not np.isfinite(mod).any():
         return ([], []) if with_diagnostics else []
-    gmax = float(finite.max())
-
-    seeds = []
-    for i in range(1, nu - 1):
-        for j in range(1, nv - 1):
-            val = mod[i, j]
-            if not math.isfinite(val):
-                continue
-            window = mod[i - 1:i + 2, j - 1:j + 2]
-            if val <= window.min() and (val < 0.25 * gmax or val == 0.0):
-                seeds.append(complex(domain.u0 + i * du, domain.v0 + j * dv))
+    seeds = [complex(domain.u0 + i * du, domain.v0 + j * dv)
+             for i, j in _seed_cells(mod)]
 
     zeros: list[complex] = []
     unconverged: list[complex] = []
@@ -220,8 +226,8 @@ def jacobian_rank_at(data: WeierstrassData, w: complex,
     finite-difference 2x3 Jacobian of the actual surface; a disagreement
     raises, because it means the generator and the data drifted apart.
     """
-    f_val = compile_expr(data.F)(w)
-    g_val = compile_expr(data.G)(w)
+    f_val = data.compiled.f(w)
+    g_val = data.compiled.g(w)
     if abs(f_val) > tol:
         analytic = 2
     elif abs(g_val) > tol:
@@ -260,8 +266,7 @@ def singular_report(data: WeierstrassData, grid: tuple[int, int] = (64, 64),
     """
     zeros, unconverged = find_zeros(data.F, data.domain, grid, tol,
                                     with_diagnostics=True)
-    g_fn = compile_expr(data.G)
-    g_dfn = compile_expr(differentiate(data.G))
+    f_fn, g_fn, f_dfn, g_dfn = data.compiled
     dom = data.domain
     points: list[SingularPoint] = []
 
@@ -269,8 +274,6 @@ def singular_report(data: WeierstrassData, grid: tuple[int, int] = (64, 64),
         return min(w.real - dom.u0, dom.u1 - w.real,
                    w.imag - dom.v0, dom.v1 - w.imag)
 
-    f_fn = compile_expr(data.F)
-    f_dfn = compile_expr(differentiate(data.F))
     for w in zeros:
         others = [abs(w - z) for z in zeros if z != w]
         radius = 0.5 * min([boundary_distance(w)] + others)

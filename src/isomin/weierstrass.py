@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -45,24 +46,40 @@ class FamilyAngle:
         return cmath.exp(-1j * self.theta)
 
 
+class CompiledData(NamedTuple):
+    """F, G, F' and G' compiled to functions of z."""
+
+    f: Callable[[complex], complex]
+    g: Callable[[complex], complex]
+    df: Callable[[complex], complex]
+    dg: Callable[[complex], complex]
+
+
 @dataclass(frozen=True, slots=True)
 class WeierstrassData:
     """Holomorphic pair with its base point and parameter rectangle.
 
     The rectangle is convex, so every straight segment from the base
     point stays inside it and the path integrals below are well defined
-    without any path bookkeeping.
+    without any path bookkeeping.  ``compiled`` holds F, G and their
+    derivatives compiled once, so per-point callers never hash the
+    expression trees again.
     """
 
     F: Expr
     G: Expr
     base: complex = 0j
     domain: Rect = Rect(-1.0, 1.0, -1.0, 1.0)
+    compiled: CompiledData = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.domain.contains(self.base.real, self.base.imag):
             raise ValueError(
                 f"base point {self.base} outside domain {self.domain}")
+        object.__setattr__(self, "compiled", CompiledData(
+            compile_expr(self.F), compile_expr(self.G),
+            compile_expr(differentiate(self.F)),
+            compile_expr(differentiate(self.G))))
 
 
 @dataclass(frozen=True, slots=True)
@@ -111,8 +128,8 @@ def surface_from_data(data: WeierstrassData,
         zf = rot * int_f
         return Vec021(zf.real, zf.imag, (rot * int_g).real)
 
-    return _integral_patch((compile_expr(data.F), compile_expr(data.G)),
-                           data.base, data.domain, quad_tol, point)
+    return _integral_patch(data.compiled[:2], data.base, data.domain,
+                           quad_tol, point)
 
 
 def grid_eval(data: WeierstrassData, theta: float | FamilyAngle = 0.0,
@@ -124,8 +141,7 @@ def grid_eval(data: WeierstrassData, theta: float | FamilyAngle = 0.0,
     path.  Returns (us, vs, X, Y, Z) with X[i, j] at (us[i], vs[j]).
     """
     rot = _angle(theta).rotor
-    f_fn = compile_expr(data.F)
-    g_fn = compile_expr(data.G)
+    f_fn, g_fn = data.compiled[:2]
     dom = data.domain
     us = np.linspace(dom.u0, dom.u1, nu)
     vs = np.linspace(dom.v0, dom.v1, nv)
@@ -214,9 +230,7 @@ def validate_data(data: WeierstrassData, grid: tuple[int, int] = (33, 33),
     the base point are sampled so branch-cut crossings surface here
     rather than as mysterious integration failures later.
     """
-    f_fn = compile_expr(data.F)
-    g_fn = compile_expr(data.G)
-    fp_fn = compile_expr(differentiate(data.F))
+    f_fn, g_fn, fp_fn, _ = data.compiled
     dom = data.domain
     nu, nv = grid
     du = (dom.u1 - dom.u0) / (nu - 1)
@@ -286,14 +300,13 @@ def validate_data(data: WeierstrassData, grid: tuple[int, int] = (33, 33),
 
 def metric_at(data: WeierstrassData, w: complex) -> float:
     """Conformal factor of the pullback metric, |F(w)|^2."""
-    return abs(compile_expr(data.F)(w)) ** 2
+    return abs(data.compiled.f(w)) ** 2
 
 
 def _data_values(data: WeierstrassData, w: complex):
     """F, G, F' and G' at w."""
-    return (compile_expr(data.F)(w), compile_expr(data.G)(w),
-            compile_expr(differentiate(data.F))(w),
-            compile_expr(differentiate(data.G))(w))
+    c = data.compiled
+    return c.f(w), c.g(w), c.df(w), c.dg(w)
 
 
 def second_form_from_data(data: WeierstrassData, w: complex,

@@ -437,6 +437,23 @@ class TestLibraryErrors:
         assert err.startswith(f"isomin {args[0]}: {text}")
         assert "Traceback" not in err
 
+    def test_unbuildable_form_is_not_called_compatible(self, capsys):
+        # the symbolic Codazzi residual of h11 = 1/u vanishes, so the
+        # pole first shows while the surface is integrated
+        rc, out, err = run(capsys, ["reconstruct", "--h11", "1/u",
+                                    "--h12", "0", "--h22", "0",
+                                    "--grid", "5,5"])
+        assert rc == 3
+        assert "compatible" not in out
+        assert "height at (-1.0, -1.0)" in err
+
+    def test_integration_error_names_its_segment(self, capsys):
+        rc, _, err = run(capsys, ["gen", "--F", "1/z", "--G", "1",
+                                  "--grid", "3,3"])
+        assert rc == 3
+        assert err.startswith("isomin gen: integration failed: segment "
+                              "(0.0, 0.0) -> (-1.0, -1.0): no convergence on [")
+
     @pytest.mark.parametrize("args", [
         ["gen", "--F", "z", "--G", "1", "--theta", "nan"],
         ["analyze", "--F", "z", "--G", "1", "--tol", "nan"],

@@ -5,8 +5,10 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from isomin.expr import (
+    FUNCTIONS,
     BinOp,
     Call,
     EvalError,
@@ -365,3 +367,102 @@ def test_compile_real_rejects_complex_values():
     assert f(4.0, 0.0) == 2.0
     with pytest.raises(EvalError):
         f(-4.0, 0.0)
+
+
+# one-frame compiled functions against a tree walk ---------------------------
+
+def _walk(node, z):
+    """The evaluator's contract in plain cmath: a literal with zero
+    imaginary part is a float, integer exponents go through a ** n, any
+    other power through the principal branch."""
+    if isinstance(node, Lit):
+        return node.value if node.value.imag else node.value.real
+    if isinstance(node, Var):
+        return z
+    if isinstance(node, Neg):
+        return -_walk(node.arg, z)
+    if isinstance(node, Call):
+        return getattr(cmath, node.fn)(_walk(node.arg, z))
+    a, b = _walk(node.lhs, z), _walk(node.rhs, z)
+    if node.op == "+":
+        return a + b
+    if node.op == "-":
+        return a - b
+    if node.op == "*":
+        return a * b
+    if node.op == "/":
+        return a / b
+    if b.imag == 0 and float(b.real).is_integer():
+        return a ** int(b.real)
+    if a == 0:
+        raise EvalError("zero raised to a non-integer power")
+    return cmath.exp(b * cmath.log(a))
+
+
+def _walk_value(node, z: complex):
+    """Value of the walk at z, or the EvalError message it must give."""
+    try:
+        val = complex(_walk(node, complex(z)))
+    except ZeroDivisionError:
+        return f"division by zero at z={z!r}"
+    except OverflowError:
+        return f"overflow at z={z!r}"
+    except (ValueError, EvalError) as exc:
+        return f"{exc} at z={z!r}"
+    if not cmath.isfinite(val):
+        return f"overflow: result is not finite at z={z!r}"
+    return val
+
+
+_REALS = st.sampled_from([0.0, -0.0, 1.0, 2.0, 0.5, -1.289, -2.0, -3.5,
+                          1e-3, 1e150, -1e200, 710.0])
+_LITERALS = st.one_of(
+    _REALS.map(lambda x: Lit(complex(x, 0.0))),
+    st.tuples(_REALS, _REALS.filter(bool)).map(lambda p: Lit(complex(*p))))
+_EXPONENTS = st.one_of(
+    st.integers(-6, 6).map(lambda n: Lit(complex(n))),
+    st.integers(1, 6).map(lambda n: Neg(Lit(complex(n)))),
+    st.sampled_from([Lit(101 + 0j), Lit(-150 + 0j), Lit(0.5 + 0j),
+                     Lit(-1.5 + 0j), Lit(2 + 1j)]))
+
+
+def _trees(leaves):
+    return st.recursive(leaves, lambda sub: st.one_of(
+        sub.map(Neg),
+        st.builds(BinOp, st.sampled_from("+-*/"), sub, sub),
+        st.builds(BinOp, st.just("^"), sub, st.one_of(_EXPONENTS, sub)),
+        st.builds(Call, st.sampled_from(FUNCTIONS), sub)), max_leaves=8)
+
+
+_POINTS = st.one_of(
+    st.sampled_from([0j, 1 + 0j, -1 + 0j, -1.289 + 0j, 0.3 - 0.2j, 1j,
+                     700 + 0j, -2.5 + 1e-300j, 1e200 + 0j]),
+    st.complex_numbers(max_magnitude=5.0, allow_nan=False,
+                       allow_infinity=False))
+
+
+@settings(max_examples=400, deadline=None)
+@given(tree=_trees(st.one_of(st.just(Var("z")), _LITERALS)), z=_POINTS)
+def test_compiled_matches_tree_walk_bit_for_bit(tree, z):
+    want = _walk_value(tree, z)
+    try:
+        got = compile_expr(tree)(z)
+    except EvalError as exc:
+        got = str(exc)
+    assert type(got) is type(want)
+    assert got == want, to_source(tree)
+
+
+def test_negative_literal_base_keeps_its_parentheses():
+    ast = BinOp("^", Lit(-1.289 + 0j), Lit(2 + 0j))
+    assert compile_expr(ast)(0) == (-1.289) ** 2
+    assert compile_expr(BinOp("^", Lit(-2 + 0j), Neg(Lit(3 + 0j))))(0) \
+        == -0.125
+
+
+def test_non_real_literals_keep_signed_zeros():
+    # repr(complex(0.0, -1.0)) is '-1j', which reads back as (-0-1j);
+    # the sign of that zero decides the side of log's branch cut
+    k = complex(0.0, -1.0)
+    ast = Call("log", BinOp("*", Lit(k), Lit(k)))
+    assert compile_expr(ast)(0) == cmath.log(k * k) == -math.pi * 1j

@@ -5,7 +5,8 @@ import random
 
 import pytest
 
-from isomin.expr import parse_real_expr
+import isomin.geometry as geometry
+from isomin.expr import compile_real, differentiate, parse_real_expr
 from isomin.geometry import (
     XI,
     AffineIsometry,
@@ -305,3 +306,59 @@ def test_graph_patch_from_expression():
     assert s.kind == "graph"
     p = s(1.0, 2.0)
     assert p == Vec021(1.0, 2.0, -3.0)
+
+
+class TestExactGraphJets:
+    HEIGHTS = ["u^3-3*u*v^2+u*v", "exp(0.5*u)*sin(v)", "log(3+u)*v^2",
+               "0.1*u^4-0.05*u^2+0.02*v^2", "u*v/(4+u^2)"]
+
+    @pytest.mark.parametrize("src", HEIGHTS)
+    def test_forms_match_finite_differences(self, src):
+        ast = parse_real_expr(src)
+        exact = graph_patch(ast, SQ2)
+        fd = graph_patch(compile_real(ast), SQ2)
+        assert exact.jets is not None and fd.jets is None
+        d_u = compile_real(differentiate(ast, "u"))
+        d_v = compile_real(differentiate(ast, "v"))
+        for u, v in grid_points(SQ2, 5, 5, margin=0.3):
+            a, b = fundamental_forms(exact, u, v), fundamental_forms(fd, u, v)
+            for name in ("g11", "g12", "g22", "h11", "h12", "h22"):
+                assert abs(getattr(a, name) - getattr(b, name)) < 1e-6
+            assert (a.g11, a.g12, a.g22) == (1.0, 0.0, 1.0)
+            # sigma(f_u) = 1 + F_u and sigma(f_v) = 1 + F_v on a graph
+            lam = h_lambda(exact, 0.7, u, v)
+            assert lam.h12 == a.h12 + 0.7 * (1 + d_u(u, v)) * (1 + d_v(u, v))
+
+    def test_codazzi_residual_at_rounding_level_on_a_cubic(self):
+        # h is linear, so the outer central differences are exact and
+        # only the finite-difference jets left a residual
+        ast = parse_real_expr("u^3-3*u*v^2+u*v")
+        fd = graph_patch(compile_real(ast), SQ2)
+        for u, v in grid_points(SQ2, 4, 4, margin=0.3):
+            assert codazzi_residual(graph_patch(ast, SQ2), u, v) < 1e-11
+        assert codazzi_residual(fd, 0.5, 0.5) > 1e-9
+
+    def test_one_height_evaluation_per_forms_call(self, monkeypatch):
+        ast = parse_real_expr("u^3-3*u*v^2+u*v")
+        calls = []
+
+        def counted(tree, variables=("u", "v")):
+            fn = compile_real(tree, variables)
+            if tree != ast:
+                return fn
+            return lambda u, v: calls.append((u, v)) or fn(u, v)
+
+        monkeypatch.setattr(geometry, "compile_real", counted)
+        exact = graph_patch(ast, SQ2)
+        fd = graph_patch(counted(ast), SQ2)
+        fundamental_forms(exact, 0.3, -0.2)
+        assert calls == [(0.3, -0.2)]
+        calls.clear()
+        fundamental_forms(fd, 0.3, -0.2)
+        assert len(calls) == 17
+
+    def test_boundary_margin_still_checked(self):
+        s = graph_patch(parse_real_expr("u*v"), Rect(-1, 1, -1, 1))
+        with pytest.raises(ValueError, match="domain boundary"):
+            fundamental_forms(s, 0.99999, 0.0)
+

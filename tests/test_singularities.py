@@ -1,12 +1,15 @@
 """Locating and classifying the zeros of the conformal factor."""
 
+import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from isomin.expr import BinOp, Lit, Var, parse_expr
 from isomin.geometry import Rect
-from isomin.singularities import (ContourError, MultiplicityError,
+from isomin.singularities import (ContourError, _seed_cells, MultiplicityError,
                                   RankDisagreementError, find_zeros,
                                   jacobian_rank_at, singular_report,
                                   zero_multiplicity)
@@ -177,3 +180,36 @@ class TestSingularReport:
         assert double.multiplicity == 2
         assert abs(simple.w - (-0.6 + 0.1j)) < 1e-8
         assert simple.multiplicity == 1
+
+
+def loop_seed_cells(mod):
+    """The scalar scan find_zeros used before its seed scan was
+    vectorised: one 3x3 window minimum per interior cell."""
+    finite = mod[np.isfinite(mod)]
+    gmax = float(finite.max())
+    nu, nv = mod.shape
+    seeds = []
+    for i in range(1, nu - 1):
+        for j in range(1, nv - 1):
+            val = mod[i, j]
+            if not math.isfinite(val):
+                continue
+            window = mod[i - 1:i + 2, j - 1:j + 2]
+            if val <= window.min() and (val < 0.25 * gmax or val == 0.0):
+                seeds.append((i, j))
+    return seeds
+
+
+@settings(max_examples=300, deadline=None)
+@given(shape=st.tuples(st.integers(2, 9), st.integers(2, 9)),
+       data=st.data())
+def test_vectorised_seed_scan_matches_loop(shape, data):
+    # few distinct values, so ties and plateaus are common; inf marks
+    # cells where F failed to evaluate
+    cells = data.draw(st.lists(
+        st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0, 8.0, math.inf]),
+        min_size=shape[0] * shape[1], max_size=shape[0] * shape[1]))
+    mod = np.array(cells).reshape(shape)
+    if not np.isfinite(mod).any():
+        mod[0, 0] = 1.0
+    assert _seed_cells(mod) == loop_seed_cells(mod)

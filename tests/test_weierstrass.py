@@ -13,7 +13,8 @@ import random
 
 import pytest
 
-from isomin.expr import parse_expr
+import isomin.weierstrass as weierstrass
+from isomin.expr import compile_expr, differentiate, parse_expr
 from isomin.geometry import (Rect, fundamental_forms, mean_curvature,
                              patch_jets)
 from isomin.weierstrass import (Data2ViolationError, FamilyAngle, PhiTriple,
@@ -326,6 +327,42 @@ class TestSecondFormFromData:
                     assert abs(fd.h12 - cf.h12) < 1e-5, (theta, u, v)
                     assert abs(fd.h22 - cf.h22) < 1e-5, (theta, u, v)
                     assert abs(fd.g11 - cf.g11) < 1e-6, (theta, u, v)
+
+
+class TestCompiledView:
+    PAIRS = [("exp(z)", "z^2"), ("1.2*exp(-0.5*z)", "(z+0.3-0.2*i)^2+0.02*i"),
+             ("z", "z^2+1"), ("cosh(z)", "sin(z)/(z-3)")]
+
+    @staticmethod
+    def recompiled(d, w):
+        return (compile_expr(d.F)(w), compile_expr(d.G)(w),
+                compile_expr(differentiate(d.F))(w),
+                compile_expr(differentiate(d.G))(w))
+
+    @pytest.mark.parametrize("f_src, g_src", PAIRS)
+    @pytest.mark.parametrize("theta", [0.0, 0.7])
+    def test_closed_forms_bit_identical(self, f_src, g_src, theta,
+                                        monkeypatch):
+        member = family_data(data(f_src, g_src), theta)
+        rng = random.Random(11)
+        points = [complex(rng.uniform(-0.9, 0.9), rng.uniform(-0.9, 0.9))
+                  for _ in range(25)]
+        viewed = [(weierstrass._data_values(member, w),
+                   second_form_from_data(member, w),
+                   det_h_from_data(member, w), metric_at(member, w))
+                  for w in points]
+        monkeypatch.setattr(weierstrass, "_data_values", self.recompiled)
+        for w, (values, forms, det_h, metric) in zip(points, viewed):
+            assert values == self.recompiled(member, w)
+            assert forms == second_form_from_data(member, w)
+            assert det_h == det_h_from_data(member, w)
+            assert metric == abs(compile_expr(member.F)(w)) ** 2
+
+    def test_view_is_outside_equality_and_repr(self):
+        a, b = data("exp(z)", "z^2"), data("exp(z)", "z^2")
+        assert a == b and hash(a) == hash(b)
+        assert a.compiled is not None and "compiled" not in repr(a)
+        assert a.compiled.df(0.5) == compile_expr(differentiate(a.F))(0.5)
 
 
 class TestDetH:

@@ -350,14 +350,15 @@ def _generate(ast: Expr, variables: tuple[str, ...], real: bool) -> Callable:
     """One python function that converts its arguments with complex(),
     evaluates the tree inline and raises EvalError naming the arguments
     it was called with."""
-    names = {name: f"_x{k}" for k, name in enumerate(variables)}
+    # positional names only, so no variable can shadow a helper
+    params = [f"_a{k}" for k in range(len(variables))]
     consts: list[complex] = []
-    body = _emit(ast, names, consts)
-    args = f"({', '.join(variables)},)" if variables else "()"
+    body = _emit(ast, {v: f"_x{k}" for k, v in enumerate(variables)}, consts)
+    args = f"({', '.join(params)},)" if params else "()"
     code = _TEMPLATE.format(
-        params=", ".join(variables),
-        converts="".join(f"        {names[v]} = _complex({v})\n"
-                         for v in variables),
+        params=", ".join(params),
+        converts="".join(f"        _x{k} = _complex({a})\n"
+                         for k, a in enumerate(params)),
         body=body, args=args,
         tail=_REAL_TAIL.format(args=args) if real else "    return _r\n")
     ns = dict(_NAMESPACE, _names=variables)

@@ -452,7 +452,8 @@ class TestLibraryErrors:
                                   "--grid", "3,3"])
         assert rc == 3
         assert err.startswith("isomin gen: integration failed: segment "
-                              "(0.0, 0.0) -> (-1.0, -1.0): no convergence on [")
+                              "(0.0, 0.0) -> (-1.0, -1.0): "
+                              "no convergence on [")
 
     @pytest.mark.parametrize("args", [
         ["gen", "--F", "z", "--G", "1", "--theta", "nan"],

@@ -147,6 +147,11 @@ class TestEval:
         with pytest.raises(EvalError, match="unbound variable 'abs'"):
             eval_expr(Var("abs"), {})
 
+    def test_variables_named_like_generated_helpers(self):
+        ast = parse_expr("_pow^2 + exp(_complex) + inf",
+                         variables=("_pow", "_complex", "inf"))
+        assert eval_expr(ast, {"_pow": 2, "_complex": 0, "inf": 1}) == 6
+
     def test_matches_handwritten_cmath(self):
         rng = random.Random(7)
         corpus = {

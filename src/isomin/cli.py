@@ -61,16 +61,13 @@ class CliError(Exception):
 
 
 def _fmt(x: float) -> str:
-    if math.isnan(x):
-        return "nan"
+    # a nan of either sign prints as "nan"
     return format(float(x), ".12e")
 
 
 def _jround(x: float) -> float:
     # floats pass through the same 12-digit format as the text outputs,
     # so JSON reports are reproducible byte for byte as well
-    if math.isnan(x):
-        return float("nan")
     return float(_fmt(x))
 
 
@@ -214,8 +211,9 @@ def cmd_gen(cfg: RunConfig) -> int:
     us, vs, X, Y, Z = grid_eval(data, theta=cfg.theta, nu=nu, nv=nv,
                                 quad_tol=quad_tol)
 
-    verts = [(float(X[i, j]), float(Y[i, j]), float(Z[i, j]))
-             for j in range(nv) for i in range(nu)]
+    # vertex j * nu + i is (X, Y, Z)[i, j]
+    verts = list(zip(X.T.ravel().tolist(), Y.T.ravel().tolist(),
+                     Z.T.ravel().tolist()))
     fmt = cfg.fmt or "obj"
     if fmt == "obj":
         _emit(cfg, _obj_mesh(verts, nu, nv))

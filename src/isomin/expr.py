@@ -279,29 +279,60 @@ def _small_int(node: Expr) -> int | None:
 def _emit(node: Expr, names: Mapping[str, str], consts: list) -> str:
     """Python source of the tree.  names maps variables to local names;
     each non-real literal is appended to consts and read as _k<index>,
-    because its repr can lose the sign of a zero real part."""
-    if isinstance(node, Lit):
-        if not node.value.imag:
-            return repr(node.value.real)
-        consts.append(node.value)
+    because its repr can lose the sign of a zero real part.  A largest
+    subtree without variables is evaluated here, with the code the
+    function would run, and read as a _k constant of the value's own
+    type; one that raises stays in the code, so the call raises as
+    before."""
+
+    def fold(node: Expr, src: str) -> str:
+        if isinstance(node, Lit):
+            return src
+        ns = dict(_NAMESPACE)
+        ns.update((f"_k{k}", c) for k, c in enumerate(consts))
+        try:
+            value = eval(src, ns)  # noqa: S307 - our own emitted code
+        except Exception:  # whatever it raises, the call must raise
+            return src
+        consts.append(value)
         return f"_k{len(consts) - 1}"
-    if isinstance(node, Var):
-        return names.get(node.name, node.name)
-    if isinstance(node, Neg):
-        return f"(-{_emit(node.arg, names, consts)})"
-    if isinstance(node, BinOp):
-        l = _emit(node.lhs, names, consts)
-        r = _emit(node.rhs, names, consts)
-        if node.op == "^":
-            # a ** n takes the same complex power as _pow_value's
-            # a ** int(b.real); the base keeps its parentheses because a
-            # negative literal is printed bare
-            n = _small_int(node.rhs)
-            return f"_pow({l}, {r})" if n is None else f"(({l}) ** {n})"
-        return f"({l} {node.op} {r})"
-    if isinstance(node, Call):
-        return f"_{node.fn}({_emit(node.arg, names, consts)})"
-    raise TypeError(f"not an expression node: {node!r}")
+
+    def rec(node: Expr) -> tuple[str, bool]:
+        """(source, whether the subtree has no variable)"""
+        if isinstance(node, Lit):
+            if not node.value.imag:
+                return repr(node.value.real), True
+            consts.append(node.value)
+            return f"_k{len(consts) - 1}", True
+        if isinstance(node, Var):
+            return names.get(node.name, node.name), False
+        if isinstance(node, Neg):
+            a, const = rec(node.arg)
+            return f"(-{a})", const
+        if isinstance(node, Call):
+            a, const = rec(node.arg)
+            return f"_{node.fn}({a})", const
+        if not isinstance(node, BinOp):
+            raise TypeError(f"not an expression node: {node!r}")
+        n = _small_int(node.rhs) if node.op == "^" else None
+        (l, lconst), (r, rconst) = rec(node.lhs), (
+            (str(n), True) if n is not None else rec(node.rhs))
+        if not (lconst and rconst):
+            if lconst:
+                l = fold(node.lhs, l)
+            if rconst and n is None:
+                r = fold(node.rhs, r)
+        if node.op != "^":
+            return f"({l} {node.op} {r})", lconst and rconst
+        if n is None:
+            return f"_pow({l}, {r})", lconst and rconst
+        # a ** n takes the same complex power as _pow_value's
+        # a ** int(b.real); the base keeps its parentheses because a
+        # negative literal is printed bare
+        return f"(({l}) ** {n})", lconst
+
+    src, const = rec(node)
+    return fold(node, src) if const else src
 
 
 def _failed(message: str, variables: tuple[str, ...], args) -> EvalError:
@@ -317,7 +348,7 @@ def _failed(message: str, variables: tuple[str, ...], args) -> EvalError:
 # while parsing
 _NAMESPACE = {
     "__builtins__": {}, "inf": math.inf, "_pow": _pow_value,
-    "_complex": complex, "_abs": abs, "_str": str,
+    "_complex": complex, "_type": type, "_abs": abs, "_str": str,
     "_isfinite": cmath.isfinite, "_failed": _failed,
     "_ZeroDivisionError": ZeroDivisionError, "_OverflowError": OverflowError,
     "_ValueError": ValueError, "_EvalError": EvalError,
@@ -327,7 +358,9 @@ _NAMESPACE = {
 _TEMPLATE = """\
 def _f({params}):
     try:
-{converts}        _r = _complex({body})
+{converts}        _r = {body}
+        if _type(_r) is not _complex:
+            _r = _complex(_r)
     except _ZeroDivisionError:
         raise _failed("division by zero", _names, {args}) from None
     except _OverflowError:
@@ -347,9 +380,9 @@ _REAL_TAIL = """\
 
 
 def _generate(ast: Expr, variables: tuple[str, ...], real: bool) -> Callable:
-    """One python function that converts its arguments with complex(),
-    evaluates the tree inline and raises EvalError naming the arguments
-    it was called with."""
+    """One python function that converts its arguments with complex()
+    unless they are complex already, evaluates the tree inline and
+    raises EvalError naming the arguments it was called with."""
     # positional names only, so no variable can shadow a helper
     params = [f"_a{k}" for k in range(len(variables))]
     consts: list[complex] = []
@@ -357,8 +390,9 @@ def _generate(ast: Expr, variables: tuple[str, ...], real: bool) -> Callable:
     args = f"({', '.join(params)},)" if params else "()"
     code = _TEMPLATE.format(
         params=", ".join(params),
-        converts="".join(f"        _x{k} = _complex({a})\n"
-                         for k, a in enumerate(params)),
+        converts="".join(
+            f"        _x{k} = {a} if _type({a}) is _complex else _complex({a})\n"
+            for k, a in enumerate(params)),
         body=body, args=args,
         tail=_REAL_TAIL.format(args=args) if real else "    return _r\n")
     ns = dict(_NAMESPACE, _names=variables)
@@ -367,7 +401,14 @@ def _generate(ast: Expr, variables: tuple[str, ...], real: bool) -> Callable:
     return ns["_f"]
 
 
-@lru_cache(maxsize=512)
+@lru_cache(maxsize=1024)
+def _compiled(ast: Expr, variables: tuple[str, ...], real: bool,
+              key: str) -> Callable:
+    # key is repr(ast): Lit equality (complex ==) does not tell -0.0 from
+    # 0.0, and the sign of a zero can change a value
+    return _generate(ast, variables, real)
+
+
 def compile_expr(ast: Expr, variables: tuple[str, ...] = ("z",)
                  ) -> Callable[..., complex]:
     """Compile the tree to a python function of the given variables.
@@ -377,14 +418,13 @@ def compile_expr(ast: Expr, variables: tuple[str, ...] = ("z",)
     non-finite results raise :class:`EvalError`.  A name that is not
     among ``variables`` raises ``NameError`` when called.
     """
-    return _generate(ast, variables, real=False)
+    return _compiled(ast, variables, False, repr(ast))
 
 
-@lru_cache(maxsize=512)
 def compile_real(ast: Expr, variables: tuple[str, ...] = ("u", "v")
                  ) -> Callable[..., float]:
     """Compile a real-variable tree; rejects non-real values at runtime."""
-    return _generate(ast, variables, real=True)
+    return _compiled(ast, variables, True, repr(ast))
 
 
 # differentiation ----------------------------------------------------------

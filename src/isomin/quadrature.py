@@ -12,45 +12,51 @@ from typing import Callable
 
 import numpy as np
 
-_NODES, _WEIGHTS = np.polynomial.legendre.leggauss(16)
-_NODES = tuple(float(x) for x in _NODES)
-_WEIGHTS = tuple(float(w) for w in _WEIGHTS)
+# (node, weight) pairs of the 16-point rule on [-1, 1]
+_RULE = tuple((float(x), float(w))
+              for x, w in zip(*np.polynomial.legendre.leggauss(16)))
 
 
 class IntegrationError(Exception):
     """Quadrature failed to converge within the subdivision budget."""
 
 
-def _panel(f: Callable[[float], complex], a: float, b: float) -> complex:
+def _panel(f, a: float, b: float, origin, step) -> complex:
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
     acc = 0j
-    for x, w in zip(_NODES, _WEIGHTS):
-        acc += w * f(mid + half * x)
+    for x, w in _RULE:
+        acc += w * f(origin + (mid + half * x) * step)
     return half * acc
 
 
 def _refine(f, a: float, b: float, whole: complex, tol: float,
-            depth: int) -> complex:
+            depth: int, origin, step) -> complex:
     mid = 0.5 * (a + b)
-    left = _panel(f, a, mid)
-    right = _panel(f, mid, b)
+    left = _panel(f, a, mid, origin, step)
+    right = _panel(f, mid, b, origin, step)
     if abs(left + right - whole) <= tol:
         return left + right
     if depth <= 0:
         raise IntegrationError(
             f"no convergence on [{a}, {b}] (residual "
             f"{abs(left + right - whole):.3e} > {tol:.3e})")
-    return (_refine(f, a, mid, left, 0.5 * tol, depth - 1)
-            + _refine(f, mid, b, right, 0.5 * tol, depth - 1))
+    return (_refine(f, a, mid, left, 0.5 * tol, depth - 1, origin, step)
+            + _refine(f, mid, b, right, 0.5 * tol, depth - 1, origin, step))
 
 
-def adaptive_quad(f: Callable[[float], complex], a: float, b: float,
-                  tol: float = 1e-10, max_depth: int = 30) -> complex:
-    """Integrate f over [a, b] to absolute tolerance tol."""
+def adaptive_quad(f: Callable, a: float, b: float, tol: float = 1e-10,
+                  max_depth: int = 30, origin=-0.0, step=1.0) -> complex:
+    """Integrate t -> f(origin + t * step) over [a, b] to absolute
+    tolerance tol.
+
+    The defaults integrate f itself: -0.0 + t * 1.0 is t for every
+    float t, the sign of a zero included.
+    """
     if a == b:
         return 0j
-    return _refine(f, a, b, _panel(f, a, b), tol, max_depth)
+    return _refine(f, a, b, _panel(f, a, b, origin, step), tol, max_depth,
+                   origin, step)
 
 
 def integrate_segment(f: Callable[[complex], complex], w0: complex,
@@ -65,8 +71,7 @@ def integrate_segment(f: Callable[[complex], complex], w0: complex,
     if dw == 0:
         return 0j
     try:
-        return dw * adaptive_quad(lambda t: f(w0 + t * dw), 0.0, 1.0,
-                                  tol, max_depth)
+        return dw * adaptive_quad(f, 0.0, 1.0, tol, max_depth, w0, dw)
     except IntegrationError as err:
         raise IntegrationError(
             f"segment ({w0.real!r}, {w0.imag!r}) -> ({w1.real!r}, "

@@ -4,6 +4,7 @@ import cmath
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -376,19 +377,19 @@ def test_compile_real_rejects_complex_values():
 
 # one-frame compiled functions against a tree walk ---------------------------
 
-def _walk(node, z):
+def _walk(node, env):
     """The evaluator's contract in plain cmath: a literal with zero
     imaginary part is a float, integer exponents go through a ** n, any
     other power through the principal branch."""
     if isinstance(node, Lit):
         return node.value if node.value.imag else node.value.real
     if isinstance(node, Var):
-        return z
+        return env[node.name]
     if isinstance(node, Neg):
-        return -_walk(node.arg, z)
+        return -_walk(node.arg, env)
     if isinstance(node, Call):
-        return getattr(cmath, node.fn)(_walk(node.arg, z))
-    a, b = _walk(node.lhs, z), _walk(node.rhs, z)
+        return getattr(cmath, node.fn)(_walk(node.arg, env))
+    a, b = _walk(node.lhs, env), _walk(node.rhs, env)
     if node.op == "+":
         return a + b
     if node.op == "-":
@@ -404,19 +405,34 @@ def _walk(node, z):
     return cmath.exp(b * cmath.log(a))
 
 
-def _walk_value(node, z: complex):
-    """Value of the walk at z, or the EvalError message it must give."""
+def _walk_value(node, args: dict, real: bool = False):
+    """repr of the walk's value at args, or the EvalError message it must
+    give; a binding is named by its complex or float value."""
+    at = "at " + ", ".join(
+        f"{k}={(complex(a) if isinstance(a, complex) else float(a))!r}"
+        for k, a in args.items())
     try:
-        val = complex(_walk(node, complex(z)))
+        val = complex(_walk(node, {k: complex(a) for k, a in args.items()}))
     except ZeroDivisionError:
-        return f"division by zero at z={z!r}"
+        return f"division by zero {at}"
     except OverflowError:
-        return f"overflow at z={z!r}"
+        return f"overflow {at}"
     except (ValueError, EvalError) as exc:
-        return f"{exc} at z={z!r}"
+        return f"{exc} {at}"
     if not cmath.isfinite(val):
-        return f"overflow: result is not finite at z={z!r}"
-    return val
+        return f"overflow: result is not finite {at}"
+    if real:
+        if abs(val.imag) > 1e-9 * (1.0 + abs(val.real)):
+            return f"expression does not evaluate to a real value {at}"
+        return repr(val.real)
+    return repr(val)
+
+
+def _compiled_value(fn, *args):
+    try:
+        return repr(fn(*args))
+    except EvalError as exc:
+        return str(exc)
 
 
 _REALS = st.sampled_from([0.0, -0.0, 1.0, 2.0, 0.5, -1.289, -2.0, -3.5,
@@ -439,9 +455,18 @@ def _trees(leaves):
         st.builds(Call, st.sampled_from(FUNCTIONS), sub)), max_leaves=8)
 
 
+# every kind of number a caller passes: ints, bools, signed zeros, numpy
+# scalars and complex values with signed-zero parts
+_SCALARS = st.one_of(
+    st.sampled_from([0, 3, -2, True, False, 0.0, -0.0, np.float64(-0.0),
+                     np.float64(1.5), np.float64(-2.25)]),
+    st.floats(-5.0, 5.0))
 _POINTS = st.one_of(
-    st.sampled_from([0j, 1 + 0j, -1 + 0j, -1.289 + 0j, 0.3 - 0.2j, 1j,
-                     700 + 0j, -2.5 + 1e-300j, 1e200 + 0j]),
+    _SCALARS,
+    st.sampled_from([0j, complex(0.0, -0.0), complex(-0.0, 0.0),
+                     complex(-0.0, -0.0), complex(-1.5, -0.0),
+                     complex(-0.0, 2.0), 1 + 0j, -1 + 0j, -1.289 + 0j,
+                     0.3 - 0.2j, 1j, 700 + 0j, -2.5 + 1e-300j, 1e200 + 0j]),
     st.complex_numbers(max_magnitude=5.0, allow_nan=False,
                        allow_infinity=False))
 
@@ -449,12 +474,17 @@ _POINTS = st.one_of(
 @settings(max_examples=400, deadline=None)
 @given(tree=_trees(st.one_of(st.just(Var("z")), _LITERALS)), z=_POINTS)
 def test_compiled_matches_tree_walk_bit_for_bit(tree, z):
-    want = _walk_value(tree, z)
-    try:
-        got = compile_expr(tree)(z)
-    except EvalError as exc:
-        got = str(exc)
-    assert type(got) is type(want)
+    want = _walk_value(tree, {"z": z})
+    assert _compiled_value(compile_expr(tree), z) == want, to_source(tree)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tree=_trees(st.one_of(st.sampled_from([Var("u"), Var("v")]),
+                             _REALS.map(lambda x: Lit(complex(x, 0.0))))),
+       u=_SCALARS, v=_SCALARS)
+def test_compiled_real_matches_tree_walk_bit_for_bit(tree, u, v):
+    want = _walk_value(tree, {"u": u, "v": v}, real=True)
+    got = _compiled_value(compile_real(tree, ("u", "v")), u, v)
     assert got == want, to_source(tree)
 
 
@@ -471,3 +501,39 @@ def test_non_real_literals_keep_signed_zeros():
     k = complex(0.0, -1.0)
     ast = Call("log", BinOp("*", Lit(k), Lit(k)))
     assert compile_expr(ast)(0) == cmath.log(k * k) == -math.pi * 1j
+
+
+# constant subtrees are folded when compiling ---------------------------------
+
+@pytest.mark.parametrize("src, message", [
+    ("log(0)*z", "math domain error"),
+    ("(1/0)+z", "division by zero"),
+    ("exp(1000)*z", "overflow"),
+    ("0^(-1)*z", "division by zero"),
+    ("z*(1e200*1e200-1e200*1e200)", "overflow: result is not finite"),
+])
+def test_constant_subtree_that_fails_still_fails_at_call_time(src, message):
+    fn = compile_expr(parse_expr(src))  # compiling does not raise
+    with pytest.raises(EvalError) as exc:
+        fn(0.5 - 1j)
+    assert str(exc.value) == f"{message} at z=(0.5-1j)"
+
+
+@pytest.mark.parametrize("src, want", [
+    ("2*3", "(6+0j)"),
+    ("exp(1)", "(2.718281828459045+0j)"),
+    ("(0.871+0.07*i)", "(0.871+0.07j)"),
+    ("-0*i", "(-0+0j)"),
+    ("-(0*i)", "(-0-0j)"),
+    ("log(-1)", "3.141592653589793j"),
+    ("2^0.5", "(1.414213562373095+0j)"),
+])
+def test_constants_only_tree_keeps_its_value_and_type(src, want):
+    assert repr(compile_expr(parse_expr(src), ())()) == want
+
+
+def test_constant_subtree_is_evaluated_once():
+    fn = compile_expr(parse_expr("exp(1)*z + cos((0.435+0.005*i))"))
+    assert "_exp" not in fn.__code__.co_names
+    assert "_cos" not in fn.__code__.co_names
+    assert repr(compile_real(parse_real_expr("sinh(-0)*u"))(1.0, 0.0)) == "-0.0"

@@ -32,10 +32,10 @@ import numpy as np
 
 from .catalog import UnknownSurfaceError, entries, get
 from .expr import EvalError, ParseError, parse_expr, parse_real_expr
-from .geometry import (DegenerateMetricError, FundamentalForms, Rect,
+from .geometry import (DegenerateMetricError, FundamentalForms, Rect, _axis,
                        classify_point, fundamental_forms, graph_patch,
                        mean_curvature, relative_gauss_curvature)
-from .minkowski import (MinkSurface, iota_lift, mink_surface_from_exprs,
+from .minkowski import (iota_lift, mink_surface_from_exprs,
                         vanishing_h_locus, verify_flat_zmc)
 from .quadrature import IntegrationError
 from .reconstruct import (CodazziViolationError, PrescribedForms,
@@ -290,13 +290,6 @@ def _forms_sampler(cfg: RunConfig, kind: str, src, tol: float):
     return forms_at
 
 
-def _inset_axis(lo: float, hi: float, n: int) -> list[float]:
-    # finite-difference jets need breathing room near the boundary
-    m = 0.02 * (hi - lo)
-    a, b = lo + m, hi - m
-    return [a + (b - a) * k / (n - 1) for k in range(n)]
-
-
 def cmd_analyze(cfg: RunConfig) -> int:
     kind = _single_source(cfg)
     nu, nv = cfg.grid or (33, 33)
@@ -320,8 +313,9 @@ def cmd_analyze(cfg: RunConfig) -> int:
                 return nan, nan, nan
             return forms.g11, forms.g12, forms.g22
 
-    us = _inset_axis(dom.u0, dom.u1, nu)
-    vs = _inset_axis(dom.v0, dom.v1, nv)
+    # finite-difference jets need breathing room near the boundary
+    us = _axis(dom.u0, dom.u1, nu, 0.02 * (dom.u1 - dom.u0))
+    vs = _axis(dom.v0, dom.v1, nv, 0.02 * (dom.v1 - dom.v0))
 
     rows = []           # (u, v, g11, g12, g22, h11, h12, h22, H, K, cls)
     h_grid = {}         # (i, j) -> (h11, h12, h22) for the Codazzi sweep
@@ -526,8 +520,8 @@ def cmd_reconstruct(cfg: RunConfig) -> int:
         raise CliError(EXIT_INPUT, str(err)) from None
 
     nu, nv = grid
-    us = [dom.u0 + (dom.u1 - dom.u0) * k / (nu - 1) for k in range(nu)]
-    vs = [dom.v0 + (dom.v1 - dom.v0) * k / (nv - 1) for k in range(nv)]
+    us = _axis(dom.u0, dom.u1, nu)
+    vs = _axis(dom.v0, dom.v1, nv)
     samples = [(u, v, patch(u, v).z) for v in vs for u in us]
     # the verdict goes out only once the surface exists: an integration
     # failure while sampling must not leave "compatible" on stdout

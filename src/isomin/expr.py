@@ -496,9 +496,15 @@ def _pow_node(a: Expr, b: Expr) -> Expr:
     return BinOp("^", a, b)
 
 
-@lru_cache(maxsize=512)
 def differentiate(ast: Expr, var: str = "z") -> Expr:
     """Symbolic derivative with respect to ``var``, lightly simplified."""
+    return _derive(ast, var, repr(ast))
+
+
+@lru_cache(maxsize=512)
+def _derive(ast: Expr, var: str, key: str) -> Expr:
+    # key is repr(ast), as in _compiled: Lit equality does not tell -0.0
+    # from 0.0, so trees differing only there would share a derivative
     if isinstance(ast, Lit):
         return _ZERO
     if isinstance(ast, Var):

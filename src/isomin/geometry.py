@@ -14,7 +14,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
+
+import numpy as np
 
 from .expr import Expr, compile_real, differentiate
 
@@ -89,17 +91,19 @@ class Rect:
         return min(u - self.u0, self.u1 - u, v - self.v0, self.v1 - v)
 
 
+def _axis(lo: float, hi: float, n: int, inset: float = 0.0) -> list[float]:
+    """The lattice of every grid sweep: n nodes from lo + inset to hi - inset."""
+    if n < 2:
+        raise ValueError(f"need at least 2 nodes per axis, got {n}")
+    return np.linspace(lo + inset, hi - inset, n).tolist()
+
+
 def grid_points(rect: Rect, nu: int, nv: int, margin: float = 0.0
                 ) -> list[tuple[float, float]]:
     """Row-major (u, v) samples, optionally inset from the boundary."""
-    if nu < 2 or nv < 2:
-        raise ValueError("need at least a 2x2 grid")
-    u0, u1 = rect.u0 + margin, rect.u1 - margin
-    v0, v1 = rect.v0 + margin, rect.v1 - margin
-    du = (u1 - u0) / (nu - 1)
-    dv = (v1 - v0) / (nv - 1)
-    return [(u0 + i * du, v0 + j * dv)
-            for i in range(nu) for j in range(nv)]
+    us = _axis(rect.u0, rect.u1, nu, margin)
+    vs = _axis(rect.v0, rect.v1, nv, margin)
+    return [(u, v) for u in us for v in vs]
 
 
 def _clusters(mask) -> list[list[tuple[int, int]]]:
@@ -462,8 +466,7 @@ def is_null_curve(c: Curve, samples: int = 100, tol: float = 1e-8
     of being absorbed silently.
     """
     h = 1e-5 * max(c.t1 - c.t0, 1.0)
-    span = (c.t1 - c.t0) - 4.0 * h
-    ts = [c.t0 + 2.0 * h + span * k / (samples - 1) for k in range(samples)]
+    ts = _axis(c.t0, c.t1, samples, 2.0 * h)
     max_speed = max(deg_norm(_velocity(c, t, h)) for t in ts)
     if max_speed > tol:
         return NullCurveReport(False, max_speed, None)
@@ -484,8 +487,7 @@ def arc_length_admissible(c: Curve, samples: int = 100, tol: float = 1e-7
     is sharpened by a ternary search before comparing against tol.
     """
     h = 1e-5 * max(c.t1 - c.t0, 1.0)
-    lo, hi = c.t0 + 2.0 * h, c.t1 - 2.0 * h
-    ts = [lo + (hi - lo) * k / (samples - 1) for k in range(samples)]
+    ts = _axis(c.t0, c.t1, samples, 2.0 * h)
 
     def speed(t: float) -> float:
         return deg_norm(_velocity(c, t, h))

@@ -22,7 +22,7 @@ import numpy as np
 from .expr import parse_real_expr, compile_real
 from .geometry import (DegenerateMetricError, FundamentalForms, Rect,
                        SurfacePatch, Vec021, brioschi_curvature, default_step,
-                       _OFFSETS, _clusters, _rich1, _stencil)
+                       _OFFSETS, _axis, _clusters, _rich1, _stencil)
 
 
 class NonSpacelikeError(Exception):
@@ -209,16 +209,16 @@ def verify_flat_zmc(s: MinkSurface, grid: tuple[int, int] = (9, 9),
     dom = s.domain
     margin = 0.05 * max(dom.extent, 1.0)
     nu, nv = grid
-    us = np.linspace(dom.u0 + margin, dom.u1 - margin, nu)
-    vs = np.linspace(dom.v0 + margin, dom.v1 - margin, nv)
+    us = _axis(dom.u0, dom.u1, nu, margin)
+    vs = _axis(dom.v0, dom.v1, nv, margin)
     worst_h = worst_k = 0.0
     violations: list[tuple[float, float]] = []
     for u in us:
         for v in vs:
             try:
-                hvec, kval = _curvatures(s, float(u), float(v))
+                hvec, kval = _curvatures(s, u, v)
             except NonSpacelikeError:
-                violations.append((float(u), float(v)))
+                violations.append((u, v))
                 continue
             worst_h = max(worst_h, hvec.sup_norm)
             worst_k = max(worst_k, abs(kval))
@@ -245,13 +245,13 @@ def vanishing_h_locus(forms_at: Callable[[float, float], FundamentalForms],
     """
     nu, nv = grid
     margin = 0.02 * max(domain.extent, 1.0)
-    us = np.linspace(domain.u0 + margin, domain.u1 - margin, nu)
-    vs = np.linspace(domain.v0 + margin, domain.v1 - margin, nv)
+    us = _axis(domain.u0, domain.u1, nu, margin)
+    vs = _axis(domain.v0, domain.v1, nv, margin)
     hit = np.zeros((nu, nv), dtype=bool)
     for i, u in enumerate(us):
         for j, v in enumerate(vs):
             try:
-                forms = forms_at(float(u), float(v))
+                forms = forms_at(u, v)
             except (ZeroDivisionError, DegenerateMetricError):
                 continue
             norm = max(abs(forms.h11), abs(forms.h12), abs(forms.h22))
@@ -269,7 +269,7 @@ def vanishing_h_locus(forms_at: Callable[[float, float], FundamentalForms],
             min(max(abs(a - c), abs(b - d))
                 for a, b in nodes for c, d in other) <= 5
             for other in clusters if other is not nodes)
-        point = (float(us[int(round(ci))]), float(vs[int(round(cj))]))
+        point = (us[int(round(ci))], vs[int(round(cj))])
         out.append(LocusCluster(point, len(nodes), isolated))
     out.sort(key=lambda c: (c.point[0] ** 2 + c.point[1] ** 2, c.point))
     return out
@@ -285,15 +285,15 @@ def slice_project(s: MinkSurface, tol: float = 1e-9,
     """
     dom = s.domain
     nu, nv = grid
-    us = np.linspace(dom.u0, dom.u1, nu)
-    vs = np.linspace(dom.v0, dom.v1, nv)
+    us = _axis(dom.u0, dom.u1, nu)
+    vs = _axis(dom.v0, dom.v1, nv)
     worst, where = 0.0, (dom.u0, dom.v0)
     for u in us:
         for v in vs:
-            p = s(float(u), float(v))
+            p = s(u, v)
             gap = abs(p.x1 - p.x4)
             if gap > worst:
-                worst, where = gap, (float(u), float(v))
+                worst, where = gap, (u, v)
     if worst > tol:
         raise NotInSliceError(
             f"|x1 - x4| = {worst:.3e} at {where} exceeds tol {tol:.1e}")

@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .expr import Expr, parse_real_expr, compile_real, differentiate
-from .geometry import Rect, SurfacePatch, graph_patch
+from .geometry import Rect, SurfacePatch, _axis, graph_patch
 from .quadrature import IntegrationError, adaptive_quad
 
 
@@ -136,12 +136,10 @@ def codazzi_check(forms: PrescribedForms, tol: float = 1e-8,
         r2 = _diff_pair(h12, "v", h22, "u")
         worst, where = 0.0, (forms.domain.u0, forms.domain.v0)
         nu, nv = grid
-        du = (forms.domain.u1 - forms.domain.u0) / (nu - 1)
-        dv = (forms.domain.v1 - forms.domain.v0) / (nv - 1)
-        for i in range(nu):
-            for j in range(nv):
-                u = forms.domain.u0 + i * du
-                v = forms.domain.v0 + j * dv
+        us = _axis(forms.domain.u0, forms.domain.u1, nu)
+        vs = _axis(forms.domain.v0, forms.domain.v1, nv)
+        for u in us:
+            for v in vs:
                 res = abs(r1(u, v)) + abs(r2(u, v))
                 if res > worst:
                     worst, where = res, (u, v)
@@ -161,7 +159,8 @@ def codazzi_check(forms: PrescribedForms, tol: float = 1e-8,
                              "grid-fd", tol)
     flat = int(np.argmax(res))
     i, j = np.unravel_index(flat, res.shape)
-    where = (forms.domain.u0 + (i + 1) * du, forms.domain.v0 + (j + 1) * dv)
+    where = (_axis(forms.domain.u0, forms.domain.u1, nu)[i + 1],
+             _axis(forms.domain.v0, forms.domain.v1, nv)[j + 1])
     return CodazziReport(float(res.max()), where, "grid-fd", tol)
 
 
@@ -194,17 +193,10 @@ def _sample_grids(forms: PrescribedForms, grid: tuple[int, int]
         return forms.grids
     nu, nv = grid
     dom = forms.domain
-    us = np.linspace(dom.u0, dom.u1, nu)
-    vs = np.linspace(dom.v0, dom.v1, nv)
+    us = _axis(dom.u0, dom.u1, nu)
+    vs = _axis(dom.v0, dom.v1, nv)
     fns = [compile_real(e) for e in forms.exprs]
-    out = []
-    for fn in fns:
-        arr = np.empty((nu, nv))
-        for i, u in enumerate(us):
-            for j, v in enumerate(vs):
-                arr[i, j] = fn(float(u), float(v))
-        out.append(arr)
-    return tuple(out)
+    return tuple(np.array([[fn(u, v) for v in vs] for u in us]) for fn in fns)
 
 
 def integrate_hessian(forms: PrescribedForms,

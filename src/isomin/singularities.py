@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expr import Expr, EvalError, compile_expr, differentiate
-from .geometry import Rect
+from .geometry import Rect, _axis
 from .weierstrass import WeierstrassData, surface_from_data
 
 
@@ -107,24 +107,24 @@ def find_zeros(ast: Expr, domain: Rect, grid: tuple[int, int] = (64, 64),
     fn = compile_expr(ast)
     dfn = compile_expr(differentiate(ast))
     nu, nv = grid
-    du = (domain.u1 - domain.u0) / (nu - 1)
-    dv = (domain.v1 - domain.v0) / (nv - 1)
+    us = _axis(domain.u0, domain.u1, nu)
+    vs = _axis(domain.v0, domain.v1, nv)
     mod = np.full((nu, nv), np.inf)
-    for i in range(nu):
-        for j in range(nv):
+    for i, u in enumerate(us):
+        for j, v in enumerate(vs):
             try:
-                mod[i, j] = abs(fn(complex(domain.u0 + i * du,
-                                           domain.v0 + j * dv)))
+                mod[i, j] = abs(fn(complex(u, v)))
             except EvalError:
                 pass
 
     if not np.isfinite(mod).any():
         return ([], []) if with_diagnostics else []
-    seeds = [complex(domain.u0 + i * du, domain.v0 + j * dv)
-             for i, j in _seed_cells(mod)]
+    seeds = [complex(us[i], vs[j]) for i, j in _seed_cells(mod)]
 
     zeros: list[complex] = []
     unconverged: list[complex] = []
+    du = (domain.u1 - domain.u0) / (nu - 1)
+    dv = (domain.v1 - domain.v0) / (nv - 1)
     merge_radius = max(10.0 * tol, 0.25 * min(du, dv))
     for seed in seeds:
         w, ok = _newton(fn, dfn, seed, tol, domain)

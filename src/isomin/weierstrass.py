@@ -24,7 +24,7 @@ import numpy as np
 
 from .expr import BinOp, Expr, EvalError, Lit, compile_expr, differentiate
 from .geometry import (FundamentalForms, Rect, SurfacePatch, Vec021,
-                       _clusters)
+                       _axis, _clusters)
 from .quadrature import integrate_segment
 
 
@@ -143,8 +143,8 @@ def grid_eval(data: WeierstrassData, theta: float | FamilyAngle = 0.0,
     rot = _angle(theta).rotor
     f_fn, g_fn = data.compiled[:2]
     dom = data.domain
-    us = np.linspace(dom.u0, dom.u1, nu)
-    vs = np.linspace(dom.v0, dom.v1, nv)
+    us = _axis(dom.u0, dom.u1, nu)
+    vs = _axis(dom.v0, dom.v1, nv)
     X = np.empty((nu, nv))
     Y = np.empty((nu, nv))
     Z = np.empty((nu, nv))
@@ -181,10 +181,10 @@ def surface_from_phi(phi: PhiTriple, base: complex, domain: Rect,
     worst_at = complex(domain.u0, domain.v0)
     max_energy = 0.0
     nu, nv = grid
-    for i in range(nu):
-        for j in range(nv):
-            u = domain.u0 + (domain.u1 - domain.u0) * i / (nu - 1)
-            v = domain.v0 + (domain.v1 - domain.v0) * j / (nv - 1)
+    us = _axis(domain.u0, domain.u1, nu)
+    vs = _axis(domain.v0, domain.v1, nv)
+    for u in us:
+        for v in vs:
             w = complex(u, v)
             p1, p2 = fns[0](w), fns[1](w)
             energy = abs(p1) ** 2 + abs(p2) ** 2
@@ -233,16 +233,16 @@ def validate_data(data: WeierstrassData, grid: tuple[int, int] = (33, 33),
     f_fn, g_fn, fp_fn, _ = data.compiled
     dom = data.domain
     nu, nv = grid
-    du = (dom.u1 - dom.u0) / (nu - 1)
-    dv = (dom.v1 - dom.v0) / (nv - 1)
+    us = _axis(dom.u0, dom.u1, nu)
+    vs = _axis(dom.v0, dom.v1, nv)
     failures: list[str] = []
 
     absf = [[math.inf] * nv for _ in range(nu)]
     slopes = []
     min_val, min_at = math.inf, complex(dom.u0, dom.v0)
-    for i in range(nu):
-        for j in range(nv):
-            w = complex(dom.u0 + i * du, dom.v0 + j * dv)
+    for i, u in enumerate(us):
+        for j, v in enumerate(vs):
+            w = complex(u, v)
             try:
                 val = abs(f_fn(w))
             except EvalError as exc:
@@ -259,6 +259,8 @@ def validate_data(data: WeierstrassData, grid: tuple[int, int] = (33, 33),
     if tol is None:
         slopes.sort()
         slope = slopes[len(slopes) // 2] if slopes else 1.0
+        du = (dom.u1 - dom.u0) / (nu - 1)
+        dv = (dom.v1 - dom.v0) / (nv - 1)
         tol = 2.0 * math.hypot(du, dv) * max(slope, 1e-12)
 
     def cell_min(i: int, j: int) -> float:
@@ -273,12 +275,12 @@ def validate_data(data: WeierstrassData, grid: tuple[int, int] = (33, 33),
         corners = [(best[0], best[1]), (best[0] + 1, best[1]),
                    (best[0], best[1] + 1), (best[0] + 1, best[1] + 1)]
         bi, bj = min(corners, key=lambda c: absf[c[0]][c[1]])
-        regions.append(complex(dom.u0 + bi * du, dom.v0 + bj * dv))
+        regions.append(complex(us[bi], vs[bj]))
 
     # sample the hull of integration segments for evaluation failures
-    for i in range(0, nu, 4):
-        for j in range(0, nv, 4):
-            w_end = complex(dom.u0 + i * du, dom.v0 + j * dv)
+    for u in us[::4]:
+        for v in vs[::4]:
+            w_end = complex(u, v)
             for t in (0.25, 0.5, 0.75):
                 w = data.base + t * (w_end - data.base)
                 for name, fn in (("F", f_fn), ("G", g_fn)):

@@ -184,6 +184,16 @@ class TestAnalyze:
         assert len(flagged) == 1
         assert flagged[0][8] == "nan"
 
+    def test_helicoid_centre_node_is_exactly_zero(self, capsys, tmp_path):
+        # the inset lattice is np.linspace between exact ends, which
+        # puts the middle of the symmetric u axis (-pi, pi) on 0
+        out = tmp_path / "grid.csv"
+        rc = main(["analyze", "--catalog", "helicoid2", "--grid", "7,7",
+                   "--format", "csv", "--out", str(out)])
+        assert rc == 0
+        _, rows = parse_csv(out.read_text())
+        assert rows[3][0] == "0.000000000000e+00"
+
     def test_obj_format_rejected(self, capsys):
         rc, _, err = run(capsys, ["analyze", "--graph", "u*v",
                                   "--format", "obj"])

@@ -235,6 +235,24 @@ class TestDifferentiate:
         assert eval_expr(du, env) == 9  # 3u^2 - 3v^2
         assert eval_expr(dv, env) == -12  # -6uv
 
+    @pytest.mark.parametrize("first, then", [(1j, complex(-0.0, 1.0)),
+                                             (complex(-0.0, 1.0), 1j)])
+    @pytest.mark.parametrize("nested", [False, True])
+    def test_cache_tells_signed_zeros_apart(self, first, then, nested):
+        # Lit equality (complex ==) does not tell -0.0 from 0.0; the
+        # derivative must be the tree a cold cache builds from `then`
+        def tree(k):
+            cos = Call("cos", BinOp("*", Lit(k), Var("z")))
+            return Call("exp", cos) if nested else cos
+
+        def cold(k):
+            kz = BinOp("*", Lit(k), Var("z"))
+            d = BinOp("*", Neg(Call("sin", kz)), Lit(k))
+            return BinOp("*", Call("exp", Call("cos", kz)), d) if nested else d
+
+        differentiate(tree(first))
+        assert repr(differentiate(tree(then))) == repr(cold(then))
+
     def test_derivative_source_reparses_to_same_values(self):
         for src in ["z^3*exp(z)", "log(z + 2)/z", "cos(z)^3"]:
             d = differentiate(parse_expr(src))

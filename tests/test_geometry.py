@@ -3,10 +3,13 @@
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import isomin.geometry as geometry
-from isomin.expr import compile_real, differentiate, parse_real_expr
+from isomin.expr import (compile_real, differentiate, parse_expr,
+                         parse_real_expr)
 from isomin.geometry import (
     XI,
     AffineIsometry,
@@ -34,6 +37,9 @@ from isomin.geometry import (
     mean_curvature,
     relative_gauss_curvature,
 )
+from isomin.minkowski import iota_lift, verify_flat_zmc
+from isomin.singularities import find_zeros
+from isomin.weierstrass import WeierstrassData, grid_eval, validate_data
 
 SQ2 = Rect(-2.0, 2.0, -2.0, 2.0)
 
@@ -294,6 +300,36 @@ class TestGrid:
         assert len(pts) == 15
         assert pts[0] == (0.1, 0.1)
         assert pts[-1] == (0.9, 1.9)
+
+    @settings(max_examples=200, deadline=None)
+    @given(lo=st.floats(-1e3, 1e3), width=st.floats(1e-6, 1e3),
+           frac=st.floats(0.0, 0.45), n=st.integers(2, 300))
+    def test_axis_is_linspace_with_exact_ends(self, lo, width, frac, n):
+        hi = lo + width
+        inset = frac * (hi - lo)
+        xs = geometry._axis(lo, hi, n, inset)
+        assert repr(xs) == repr(
+            np.linspace(lo + inset, hi - inset, n).tolist())
+        assert all(type(x) is float for x in xs)
+        assert xs[0] == lo + inset and xs[-1] == hi - inset
+
+    @pytest.mark.parametrize("sweep", [
+        lambda n: grid_points(SQ2, n, 3),
+        lambda n: grid_eval(WeierstrassData(parse_expr("exp(z)"),
+                                            parse_expr("z"), domain=SQ2),
+                            nu=3, nv=n),
+        lambda n: validate_data(WeierstrassData(parse_expr("exp(z)"),
+                                                parse_expr("z"), domain=SQ2),
+                                grid=(n, 3)),
+        lambda n: find_zeros(parse_expr("z"), SQ2, grid=(3, n)),
+        lambda n: verify_flat_zmc(
+            iota_lift(graph_patch(lambda u, v: u * v, SQ2)), grid=(n, 3)),
+    ], ids=["grid_points", "grid_eval", "validate_data", "find_zeros",
+            "verify_flat_zmc"])
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_sweeps_need_two_nodes_per_axis(self, sweep, n):
+        with pytest.raises(ValueError, match="at least 2 nodes"):
+            sweep(n)
 
     def test_rect_validation(self):
         with pytest.raises(ValueError):

@@ -28,8 +28,6 @@ import os
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
 from .catalog import UnknownSurfaceError, entries, get
 from .expr import EvalError, ParseError, parse_expr, parse_real_expr
 from .geometry import (DegenerateMetricError, FundamentalForms, Rect, _axis,
@@ -476,6 +474,7 @@ def _forms_from_csv(path: str) -> tuple[PrescribedForms, tuple[int, int]]:
         gaps = [b - a for a, b in zip(axis, axis[1:])]
         if max(gaps) - min(gaps) > 1e-9 * (axis[-1] - axis[0]):
             raise CliError(EXIT_INPUT, "--forms-csv: spacing is not uniform")
+    import numpy as np
     # nu * nv distinct nodes drawn from us x vs cover the whole lattice
     h = np.array([[table[(u, v)] for v in vs] for u in us]).transpose(2, 0, 1)
     domain = Rect(us[0], us[-1], vs[0], vs[-1])

@@ -16,8 +16,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable
 
-import numpy as np
-
 from .expr import Expr, compile_real, differentiate
 
 
@@ -92,10 +90,23 @@ class Rect:
 
 
 def _axis(lo: float, hi: float, n: int, inset: float = 0.0) -> list[float]:
-    """The lattice of every grid sweep: n nodes from lo + inset to hi - inset."""
+    """The lattice of every grid sweep: n nodes from lo + inset to hi - inset.
+
+    Bit for bit np.linspace(lo + inset, hi - inset, n).tolist(), including
+    its branch for a step that underflows to zero.
+    """
     if n < 2:
         raise ValueError(f"need at least 2 nodes per axis, got {n}")
-    return np.linspace(lo + inset, hi - inset, n).tolist()
+    lo, hi = float(lo + inset), float(hi - inset)
+    div = n - 1
+    delta = hi - lo
+    step = delta / div
+    if step == 0:
+        xs = [k / div * delta + lo for k in range(n)]
+    else:
+        xs = [k * step + lo for k in range(n)]
+    xs[-1] = hi
+    return xs
 
 
 def grid_points(rect: Rect, nu: int, nv: int, margin: float = 0.0

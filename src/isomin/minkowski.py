@@ -17,8 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
 from .expr import parse_real_expr, compile_real
 from .geometry import (DegenerateMetricError, FundamentalForms, Rect,
                        SurfacePatch, Vec021, brioschi_curvature, default_step,
@@ -247,23 +245,25 @@ def vanishing_h_locus(forms_at: Callable[[float, float], FundamentalForms],
     margin = 0.02 * max(domain.extent, 1.0)
     us = _axis(domain.u0, domain.u1, nu, margin)
     vs = _axis(domain.v0, domain.v1, nv, margin)
-    hit = np.zeros((nu, nv), dtype=bool)
-    for i, u in enumerate(us):
-        for j, v in enumerate(vs):
+    hit = []
+    for u in us:
+        row = []
+        for v in vs:
             try:
                 forms = forms_at(u, v)
             except (ZeroDivisionError, DegenerateMetricError):
+                row.append(False)
                 continue
             norm = max(abs(forms.h11), abs(forms.h12), abs(forms.h22))
-            hit[i, j] = norm < tol
+            row.append(norm < tol)
+        hit.append(row)
 
     clusters = _clusters(hit)
     out: list[LocusCluster] = []
     for nodes in clusters:
-        arr = np.array(nodes)
-        ci, cj = arr.mean(axis=0)
-        diam = max(int(arr[:, 0].max() - arr[:, 0].min()),
-                   int(arr[:, 1].max() - arr[:, 1].min()))
+        ii, jj = zip(*nodes)
+        ci, cj = sum(ii) / len(nodes), sum(jj) / len(nodes)
+        diam = max(max(ii) - min(ii), max(jj) - min(jj))
         # the gap only matters for clusters small enough to be isolated
         isolated = diam <= 2 and not any(
             min(max(abs(a - c), abs(b - d))

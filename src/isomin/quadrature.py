@@ -10,11 +10,27 @@ from __future__ import annotations
 
 from typing import Callable
 
-import numpy as np
-
-# (node, weight) pairs of the 16-point rule on [-1, 1]
-_RULE = tuple((float(x), float(w))
-              for x, w in zip(*np.polynomial.legendre.leggauss(16)))
+# (node, weight) pairs of the 16-point rule on [-1, 1]: the reprs of
+# numpy.polynomial.legendre.leggauss(16), written out so that importing
+# the integrator does not import numpy
+_RULE = (
+    (-0.9894009349916499, 0.027152459411754176),
+    (-0.9445750230732326, 0.062253523938647456),
+    (-0.8656312023878318, 0.0951585116824926),
+    (-0.755404408355003, 0.12462897125553407),
+    (-0.6178762444026438, 0.1495959888165767),
+    (-0.45801677765722737, 0.16915651939500265),
+    (-0.2816035507792589, 0.18260341504492364),
+    (-0.09501250983763744, 0.18945061045506864),
+    (0.09501250983763744, 0.18945061045506864),
+    (0.2816035507792589, 0.18260341504492364),
+    (0.45801677765722737, 0.16915651939500265),
+    (0.6178762444026438, 0.1495959888165767),
+    (0.755404408355003, 0.12462897125553407),
+    (0.8656312023878318, 0.0951585116824926),
+    (0.9445750230732326, 0.062253523938647456),
+    (0.9894009349916499, 0.027152459411754176),
+)
 
 
 class IntegrationError(Exception):

@@ -20,13 +20,14 @@ possible integration orders against each other.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .expr import Expr, parse_real_expr, compile_real, differentiate
 from .geometry import Rect, SurfacePatch, _axis, graph_patch
 from .quadrature import IntegrationError, adaptive_quad
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class CodazziViolationError(Exception):
@@ -77,6 +78,7 @@ class PrescribedForms:
 
     @staticmethod
     def from_grid(h11, h12, h22, domain: Rect) -> "PrescribedForms":
+        import numpy as np
         arrs = tuple(np.asarray(a, dtype=float) for a in (h11, h12, h22))
         return PrescribedForms(domain, grids=arrs)
 
@@ -145,6 +147,7 @@ def codazzi_check(forms: PrescribedForms, tol: float = 1e-8,
                     worst, where = res, (u, v)
         return CodazziReport(worst, where, "symbolic", tol)
 
+    import numpy as np
     h11, h12, h22 = forms.grids
     nu, nv = h11.shape
     du = (forms.domain.u1 - forms.domain.u0) / (nu - 1)
@@ -191,6 +194,7 @@ def _sample_grids(forms: PrescribedForms, grid: tuple[int, int]
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if forms.grids is not None:
         return forms.grids
+    import numpy as np
     nu, nv = grid
     dom = forms.domain
     us = _axis(dom.u0, dom.u1, nu)
@@ -217,6 +221,7 @@ def integrate_hessian(forms: PrescribedForms,
     The base defaults to the domain center and must sit on a grid node
     (odd sample counts put the center of a symmetric domain on one).
     """
+    import numpy as np
     h11, h12, h22 = _sample_grids(forms, grid)
     nu, nv = h11.shape
     dom = forms.domain

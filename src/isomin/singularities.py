@@ -12,8 +12,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import Sequence
 
 from .expr import Expr, EvalError, compile_expr, differentiate
 from .geometry import Rect, _axis
@@ -78,20 +77,28 @@ def _newton(fn, dfn, w: complex, tol: float, domain: Rect,
         return w, False
 
 
-def _seed_cells(mod: np.ndarray) -> list[tuple[int, int]]:
+def _seed_cells(mod: Sequence[Sequence[float]]) -> list[tuple[int, int]]:
     """Interior cells, in row-major order, whose finite value is the
     minimum of their 3x3 window and below a quarter of the largest finite
-    value (or exactly zero); mod holds at least one finite value."""
-    gmax = float(mod[np.isfinite(mod)].max())
-    nu, nv = mod.shape
-    inner = mod[1:-1, 1:-1]
-    low = inner
-    for di in (0, 1, 2):
-        for dj in (0, 1, 2):
-            low = np.minimum(low, mod[di:nu - 2 + di, dj:nv - 2 + dj])
-    keep = (np.isfinite(inner) & (inner <= low)
-            & ((inner < 0.25 * gmax) | (inner == 0.0)))
-    return [(int(i) + 1, int(j) + 1) for i, j in zip(*np.nonzero(keep))]
+    value (or exactly zero).
+
+    mod is any sequence of equal-length rows (a list of lists or a 2-D
+    array) holding at least one finite value; inf marks a failed sample.
+    """
+    gmax = max(x for row in mod for x in row if math.isfinite(x))
+    # separable window minimum: across each row, then down each column
+    across = [[min(row[j - 1], row[j], row[j + 1])
+               for j in range(1, len(row) - 1)] for row in mod]
+    seeds = []
+    for i in range(1, len(mod) - 1):
+        row = mod[i]
+        for j, (a, b, c) in enumerate(
+                zip(across[i - 1], across[i], across[i + 1]), 1):
+            x = row[j]
+            if (math.isfinite(x) and x <= min(a, b, c)
+                    and (x < 0.25 * gmax or x == 0.0)):
+                seeds.append((i, j))
+    return seeds
 
 
 def find_zeros(ast: Expr, domain: Rect, grid: tuple[int, int] = (64, 64),
@@ -102,22 +109,26 @@ def find_zeros(ast: Expr, domain: Rect, grid: tuple[int, int] = (64, 64),
     the minimum-modulus principle a holomorphic function has no interior
     modulus minima other than zeros).  Zeros closer than half a grid cell
     to each other can merge; callers who expect clusters should scan
-    finer.  Duplicates within 10*tol collapse to one zero.
+    finer.  Duplicates within 10*tol collapse to one zero.  The scan
+    keeps |F| as a list of rows, inf where F fails to evaluate; the seed
+    search reads any sequence of equal-length rows.
     """
     fn = compile_expr(ast)
     dfn = compile_expr(differentiate(ast))
     nu, nv = grid
     us = _axis(domain.u0, domain.u1, nu)
     vs = _axis(domain.v0, domain.v1, nv)
-    mod = np.full((nu, nv), np.inf)
-    for i, u in enumerate(us):
-        for j, v in enumerate(vs):
+    mod = []
+    for u in us:
+        row = []
+        for v in vs:
             try:
-                mod[i, j] = abs(fn(complex(u, v)))
+                row.append(abs(fn(complex(u, v))))
             except EvalError:
-                pass
+                row.append(math.inf)
+        mod.append(row)
 
-    if not np.isfinite(mod).any():
+    if not any(math.isfinite(x) for row in mod for x in row):
         return ([], []) if with_diagnostics else []
     seeds = [complex(us[i], vs[j]) for i, j in _seed_cells(mod)]
 
@@ -217,6 +228,30 @@ def zero_multiplicity(ast: Expr, center: complex, radius: float,
     return int(nearest)
 
 
+def _singular_values(r1: Sequence[float], r2: Sequence[float]
+                     ) -> tuple[float, float]:
+    """Singular values s1 >= s2 of the 2x3 matrix with rows r1 and r2.
+
+    s1 is the root of the larger Gram eigenvalue; s2 = |r1 x r2| / s1,
+    which stays accurate for nearly parallel rows, where the smaller
+    eigenvalue cancels.  Exact power-of-two scaling keeps the squares
+    from underflowing or overflowing.
+    """
+    top = max(map(abs, (*r1, *r2)))
+    if top == 0.0:
+        return 0.0, 0.0
+    exp = math.frexp(top)[1]
+    x1, y1, z1 = (math.ldexp(x, -exp) for x in r1)
+    x2, y2, z2 = (math.ldexp(x, -exp) for x in r2)
+    a = x1 * x1 + y1 * y1 + z1 * z1
+    b = x1 * x2 + y1 * y2 + z1 * z2
+    c = x2 * x2 + y2 * y2 + z2 * z2
+    s1 = math.sqrt(0.5 * (a + c) + math.hypot(0.5 * (a - c), b))
+    cross = math.hypot(y1 * z2 - z1 * y2, z1 * x2 - x1 * z2,
+                       x1 * y2 - y1 * x2)
+    return math.ldexp(s1, exp), math.ldexp(cross / s1, exp)
+
+
 def jacobian_rank_at(data: WeierstrassData, w: complex,
                      tol: float = 1e-8) -> int:
     """Rank of the differential of the generated map at w.
@@ -245,13 +280,13 @@ def jacobian_rank_at(data: WeierstrassData, w: complex,
         return [(p.x - m.x) / (2 * h), (p.y - m.y) / (2 * h),
                 (p.z - m.z) / (2 * h)]
 
-    jac = np.array([row(h, 0.0), row(0.0, h)])
-    svals = np.linalg.svd(jac, compute_uv=False)
-    numeric = int(np.sum(svals > 1e-6 * max(1.0, float(svals[0]))))
+    s1, s2 = _singular_values(row(h, 0.0), row(0.0, h))
+    numeric = sum(s > 1e-6 * max(1.0, s1) for s in (s1, s2))
     if numeric != analytic:
         raise RankDisagreementError(
             f"rank at {w}: analytic {analytic} (|F|={abs(f_val):.2e}, "
-            f"|G|={abs(g_val):.2e}) vs SVD {numeric} (sigma={svals})")
+            f"|G|={abs(g_val):.2e}) vs SVD {numeric} "
+            f"(sigma={s1:.3e}, {s2:.3e})")
     return analytic
 
 

@@ -20,8 +20,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
-import numpy as np
-
 from .expr import BinOp, Expr, EvalError, Lit, compile_expr, differentiate
 from .geometry import (FundamentalForms, Rect, SurfacePatch, Vec021,
                        _axis, _clusters)
@@ -140,6 +138,7 @@ def grid_eval(data: WeierstrassData, theta: float | FamilyAngle = 0.0,
     it, so the work is one short segment per vertex instead of one long
     path.  Returns (us, vs, X, Y, Z) with X[i, j] at (us[i], vs[j]).
     """
+    import numpy as np
     rot = _angle(theta).rotor
     f_fn, g_fn = data.compiled[:2]
     dom = data.domain

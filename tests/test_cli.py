@@ -1,10 +1,12 @@
 """End-to-end exercises of the command line front end.
 
-Everything runs main() in-process for speed; one subprocess test checks
-the installed console script. Output files go to tmp_path.
+Everything runs main() in-process for speed; subprocess tests check the
+module entry point and the installed console script. Output files go to
+tmp_path.
 """
 
 import json
+import os
 import random
 import shutil
 import subprocess
@@ -520,3 +522,59 @@ class TestListAndConfig:
                               text=True, timeout=60)
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["schema"] == 1
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
+    __file__))), "src")
+
+
+def _numpy_imports(args):
+    """Exit code of `python -X importtime -m isomin.cli ARGS`, run from
+    the source tree, and the numpy modules its import trace lists."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (SRC, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "isomin.cli", *args],
+        capture_output=True, text=True, timeout=120, env=env)
+    loaded = [line.rsplit("|", 1)[1].strip()
+              for line in proc.stderr.splitlines()
+              if line.startswith("import time:")]
+    assert "isomin.expr" in loaded
+    return proc.returncode, [m for m in loaded
+                             if m == "numpy" or m.startswith("numpy.")]
+
+
+class TestStartup:
+    """numpy is loaded only by the commands that hold arrays."""
+
+    def test_importing_the_cli_loads_no_numpy(self):
+        env = dict(os.environ, PYTHONPATH=SRC)
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, isomin.cli; "
+             "assert 'numpy' not in sys.modules, 'numpy loaded'"],
+            capture_output=True, text=True, timeout=120, env=env)
+        assert proc.returncode == 0, proc.stderr
+
+    @pytest.mark.parametrize("args", [
+        ["analyze", "--graph", "u*v", "--grid", "5,5"],
+        ["analyze", "--catalog", "helicoid2", "--grid", "5,5"],
+        ["analyze", "--F", "z", "--G", "1", "--grid", "5,5"],
+        ["singular", "--F", "z^3-0.1", "--G", "1", "--grid", "16,16"],
+        ["embed", "--F", "exp(z)", "--G", "1", "--grid", "3,3"],
+        ["embed", "--graph", "u*v", "--grid", "3,3"],
+        ["embed", "--x1", "0", "--x2", "u", "--x3", "v", "--x4", "0",
+         "--grid", "3,3"],
+    ], ids=["analyze-graph", "analyze-catalog", "analyze-fg", "singular",
+            "embed-fg", "embed-graph", "embed-chart"])
+    def test_command_loads_no_numpy(self, args):
+        rc, numpy_modules = _numpy_imports(args)
+        assert rc == 0
+        assert numpy_modules == []
+
+    def test_gen_still_loads_numpy(self):
+        # the trace does see numpy where a command does build arrays
+        rc, numpy_modules = _numpy_imports(
+            ["gen", "--F", "z", "--G", "1", "--grid", "3,3"])
+        assert rc == 0
+        assert "numpy" in numpy_modules

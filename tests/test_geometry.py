@@ -5,7 +5,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import isomin.geometry as geometry
 from isomin.expr import (compile_real, differentiate, parse_expr,
@@ -302,8 +302,12 @@ class TestGrid:
         assert pts[-1] == (0.9, 1.9)
 
     @settings(max_examples=200, deadline=None)
-    @given(lo=st.floats(-1e3, 1e3), width=st.floats(1e-6, 1e3),
+    @given(lo=st.floats(-1e3, 1e3), width=st.floats(5e-324, 1e3),
            frac=st.floats(0.0, 0.45), n=st.integers(2, 300))
+    # a subnormal width makes the step underflow to zero, which linspace
+    # handles by scaling k / (n - 1) instead
+    @example(lo=0.0, width=5e-324, frac=0.0, n=4)
+    @example(lo=0.0, width=1e-322, frac=0.25, n=7)
     def test_axis_is_linspace_with_exact_ends(self, lo, width, frac, n):
         hi = lo + width
         inset = frac * (hi - lo)

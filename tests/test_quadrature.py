@@ -1,5 +1,6 @@
 """The fused segment map against the lambda formulation it replaced."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -146,3 +147,8 @@ def test_default_path_keeps_the_sign_of_a_zero_node():
     old = []
     _old_adaptive_quad(lambda t: old.append(repr(t)) or 1.0, -5e-324, 0.0)
     assert "-0.0" in old and seen == old
+
+
+def test_rule_is_numpys_16_point_legendre_rule():
+    nodes, weights = np.polynomial.legendre.leggauss(16)
+    assert repr(_RULE) == repr(tuple(zip(nodes.tolist(), weights.tolist())))

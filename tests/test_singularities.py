@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from isomin.expr import BinOp, Lit, Var, parse_expr
 from isomin.geometry import Rect
-from isomin.singularities import (ContourError, _seed_cells, MultiplicityError,
+from isomin.singularities import (ContourError, _seed_cells,
+                                  _singular_values, MultiplicityError,
                                   RankDisagreementError, find_zeros,
                                   jacobian_rank_at, singular_report,
                                   zero_multiplicity)
@@ -126,6 +127,59 @@ class TestJacobianRank:
     def test_both_zero_rank_zero(self):
         assert jacobian_rank_at(pair("z", "z^2"), 0j) == 0
         assert jacobian_rank_at(pair("z^2", "z"), 0j) == 0
+
+    def test_disagreement_raises_with_both_ranks(self):
+        # |F| = 1e-7 passes the analytic test (rank 2), while the second
+        # singular value, about |F| too, falls below the 1e-6 cut
+        with pytest.raises(RankDisagreementError) as err:
+            jacobian_rank_at(pair("z", "1"), 1e-7 + 0j)
+        msg = str(err.value)
+        assert "analytic 2" in msg and "SVD 1" in msg
+        assert "sigma=1.000e+00, 1.000e-07" in msg
+
+
+def _svd_rank(svals):
+    return sum(s > 1e-6 * max(1.0, svals[0]) for s in svals)
+
+
+_unit = st.floats(-1.0, 1.0)
+_row = st.tuples(_unit, _unit, _unit)
+
+
+@st.composite
+def jacobians(draw):
+    """2x3 matrices: random rows, nearly parallel rows (the second row a
+    multiple of the first plus a perturbation down to rounding level), or
+    one zero row; every entry scaled by 1e-8 .. 1e3."""
+    r1 = draw(_row)
+    kind = draw(st.sampled_from(["random", "parallel", "zero"]))
+    if kind == "random":
+        r2 = draw(_row)
+    elif kind == "parallel":
+        c = draw(_unit)
+        eps = 10.0 ** draw(st.floats(-17.0, -2.0))
+        d = draw(_row)
+        r2 = tuple(c * a + eps * b for a, b in zip(r1, d))
+    else:
+        r2 = (0.0, 0.0, 0.0)
+        if draw(st.booleans()):
+            r1, r2 = r2, r1
+    scale = 10.0 ** draw(st.floats(-8.0, 3.0))
+    return (tuple(scale * x for x in r1), tuple(scale * x for x in r2))
+
+
+@settings(max_examples=500, deadline=None)
+@given(jac=jacobians())
+def test_closed_form_singular_values_match_svd(jac):
+    s1, s2 = _singular_values(*jac)
+    ref = np.linalg.svd(np.array(jac), compute_uv=False)
+    assert abs(s1 - ref[0]) <= 1e-14 * ref[0]
+    assert abs(s2 - ref[1]) <= 1e-14 * ref[0]
+    # the rank cut agrees wherever no singular value sits within the
+    # error bound of it
+    cut = 1e-6 * max(1.0, ref[0])
+    if all(abs(s - cut) > 2e-14 * ref[0] for s in ref):
+        assert _svd_rank((s1, s2)) == _svd_rank(ref)
 
 
 MONOMIAL_DATA = [

@@ -12,6 +12,8 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from itertools import chain, compress
+from operator import le
 from typing import Sequence
 
 from .expr import Expr, EvalError, compile_expr, differentiate
@@ -85,18 +87,18 @@ def _seed_cells(mod: Sequence[Sequence[float]]) -> list[tuple[int, int]]:
     mod is any sequence of equal-length rows (a list of lists or a 2-D
     array) holding at least one finite value; inf marks a failed sample.
     """
-    gmax = max(x for row in mod for x in row if math.isfinite(x))
-    # separable window minimum: across each row, then down each column
-    across = [[min(row[j - 1], row[j], row[j + 1])
-               for j in range(1, len(row) - 1)] for row in mod]
+    cut = 0.25 * max(filter(math.isfinite, chain.from_iterable(mod)))
     seeds = []
     for i in range(1, len(mod) - 1):
-        row = mod[i]
-        for j, (a, b, c) in enumerate(
-                zip(across[i - 1], across[i], across[i + 1]), 1):
+        above, row, below = mod[i - 1], mod[i], mod[i + 1]
+        # a C-level pass keeps the cells no larger than their left
+        # neighbour; the other seven neighbours are compared for those alone
+        for j in compress(range(1, len(row) - 1), map(le, row[1:-1], row)):
             x = row[j]
-            if (math.isfinite(x) and x <= min(a, b, c)
-                    and (x < 0.25 * gmax or x == 0.0)):
+            if (x <= row[j + 1] and math.isfinite(x)
+                    and (x < cut or x == 0.0)
+                    and x <= min(above[j - 1], above[j], above[j + 1],
+                                 below[j - 1], below[j], below[j + 1])):
                 seeds.append((i, j))
     return seeds
 

@@ -528,15 +528,19 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
     __file__))), "src")
 
 
-def _numpy_imports(args):
-    """Exit code of `python -X importtime -m isomin.cli ARGS`, run from
-    the source tree, and the numpy modules its import trace lists."""
+def _python(*args):
+    """`python ARGS` in a fresh process that imports isomin from src/."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (SRC, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-X", "importtime", "-m", "isomin.cli", *args],
-        capture_output=True, text=True, timeout=120, env=env)
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, timeout=120, env=env)
+
+
+def _numpy_imports(args):
+    """Exit code of `python -X importtime -m isomin.cli ARGS` and the
+    numpy modules its import trace lists."""
+    proc = _python("-X", "importtime", "-m", "isomin.cli", *args)
     loaded = [line.rsplit("|", 1)[1].strip()
               for line in proc.stderr.splitlines()
               if line.startswith("import time:")]
@@ -549,11 +553,8 @@ class TestStartup:
     """numpy is loaded only by the commands that hold arrays."""
 
     def test_importing_the_cli_loads_no_numpy(self):
-        env = dict(os.environ, PYTHONPATH=SRC)
-        proc = subprocess.run(
-            [sys.executable, "-c", "import sys, isomin.cli; "
-             "assert 'numpy' not in sys.modules, 'numpy loaded'"],
-            capture_output=True, text=True, timeout=120, env=env)
+        proc = _python("-c", "import sys, isomin.cli; "
+                       "assert 'numpy' not in sys.modules, 'numpy loaded'")
         assert proc.returncode == 0, proc.stderr
 
     @pytest.mark.parametrize("args", [

@@ -85,9 +85,10 @@ def _seed_cells(mod: Sequence[Sequence[float]]) -> list[tuple[int, int]]:
     value (or exactly zero).
 
     mod is any sequence of equal-length rows (a list of lists or a 2-D
-    array) holding at least one finite value; inf marks a failed sample.
+    array); inf marks a failed sample.
     """
-    cut = 0.25 * max(filter(math.isfinite, chain.from_iterable(mod)))
+    cut = 0.25 * max(filter(math.isfinite, chain.from_iterable(mod)),
+                     default=math.inf)
     seeds = []
     for i in range(1, len(mod) - 1):
         above, row, below = mod[i - 1], mod[i], mod[i + 1]
@@ -112,8 +113,7 @@ def find_zeros(ast: Expr, domain: Rect, grid: tuple[int, int] = (64, 64),
     modulus minima other than zeros).  Zeros closer than half a grid cell
     to each other can merge; callers who expect clusters should scan
     finer.  Duplicates within 10*tol collapse to one zero.  The scan
-    keeps |F| as a list of rows, inf where F fails to evaluate; the seed
-    search reads any sequence of equal-length rows.
+    keeps |F| as a list of rows, inf where F fails to evaluate.
     """
     fn = compile_expr(ast)
     dfn = compile_expr(differentiate(ast))
@@ -129,9 +129,6 @@ def find_zeros(ast: Expr, domain: Rect, grid: tuple[int, int] = (64, 64),
             except EvalError:
                 row.append(math.inf)
         mod.append(row)
-
-    if not any(math.isfinite(x) for row in mod for x in row):
-        return ([], []) if with_diagnostics else []
     seeds = [complex(us[i], vs[j]) for i, j in _seed_cells(mod)]
 
     zeros: list[complex] = []

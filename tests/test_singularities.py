@@ -41,6 +41,11 @@ class TestFindZeros:
     def test_no_zeros_for_exponential(self):
         assert find_zeros(parse_expr("exp(z)"), SQUARE) == []
 
+    def test_nowhere_evaluable_has_no_zeros(self):
+        # log(0*z) fails at every node: no seeds, and no error
+        assert find_zeros(parse_expr("log(0*z)"), SQUARE, grid=(8, 8),
+                          with_diagnostics=True) == ([], [])
+
     def test_two_symmetric_zeros(self):
         zeros = find_zeros(parse_expr("z^2 - 0.25"), SQUARE)
         assert len(zeros) == 2

@@ -630,22 +630,3 @@ def to_source(ast: Expr) -> str:
         raise TypeError(f"not an expression node: {node!r}")
 
     return rec(ast)
-
-
-def cauchy_riemann_residual(ast: Expr, w: complex, step: float = 1e-5) -> float:
-    """Central-difference check that the tree behaves holomorphically at w.
-
-    Writes f = x + i*y and returns |x_u - y_v| + |x_v + y_u| from the
-    four-point stencil.  Near a branch cut the stencil straddles the jump
-    and the residual blows up, which is exactly the intended signal.
-    """
-    fn = compile_expr(ast)
-    fe = fn(w + step)
-    fw = fn(w - step)
-    fn_ = fn(w + 1j * step)
-    fs = fn(w - 1j * step)
-    xu = (fe.real - fw.real) / (2 * step)
-    yu = (fe.imag - fw.imag) / (2 * step)
-    xv = (fn_.real - fs.real) / (2 * step)
-    yv = (fn_.imag - fs.imag) / (2 * step)
-    return abs(xu - yv) + abs(xv + yu)

@@ -12,8 +12,7 @@ symbolic differentiation.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from .expr import Expr, compile_real, differentiate
@@ -21,10 +20,6 @@ from .expr import Expr, compile_real, differentiate
 
 class DegenerateMetricError(Exception):
     """The induced metric is singular at the requested point."""
-
-
-class InvalidIsometryError(Exception):
-    """Linear part fails T^T T = I or the z-scale c vanishes."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -54,10 +49,6 @@ XI = Vec021(0.0, 0.0, 1.0)
 def deg_inner(a: Vec021, b: Vec021) -> float:
     """Degenerate inner product; the z-components do not contribute."""
     return a.x * b.x + a.y * b.y
-
-
-def deg_norm(a: Vec021) -> float:
-    return math.hypot(a.x, a.y)
 
 
 def sigma(a: Vec021) -> float:
@@ -109,14 +100,6 @@ def _axis(lo: float, hi: float, n: int, inset: float = 0.0) -> list[float]:
     return xs
 
 
-def grid_points(rect: Rect, nu: int, nv: int, margin: float = 0.0
-                ) -> list[tuple[float, float]]:
-    """Row-major (u, v) samples, optionally inset from the boundary."""
-    us = _axis(rect.u0, rect.u1, nu, margin)
-    vs = _axis(rect.v0, rect.v1, nv, margin)
-    return [(u, v) for u in us for v in vs]
-
-
 def _clusters(mask) -> list[list[tuple[int, int]]]:
     """8-connected components of the True entries of a 2-D mask.
 
@@ -151,8 +134,9 @@ def _clusters(mask) -> list[list[tuple[int, int]]]:
 class SurfacePatch:
     """A parametrised piece of surface.
 
-    kind is "closed-form", "weierstrass" or "graph"; a few operations
-    (graph Hessians, Codazzi residuals) are only meaningful for graphs.
+    kind is "closed-form", "weierstrass" or "graph"; the parameters of a
+    graph or a Weierstrass patch are flat coordinates, which analyze's
+    Codazzi check needs.
     jets, when given, returns the exact (f_u, f_v, f_uu, f_uv, f_vv) at
     a point and replaces the finite-difference stencil in patch_jets.
     """
@@ -360,165 +344,6 @@ def h_lambda(s: SurfacePatch, lam: float, u: float, v: float,
     )
 
 
-def codazzi_residual(s: SurfacePatch, u: float, v: float,
-                     step: float | None = None,
-                     outer_step: float | None = None) -> float:
-    """max(|d_v h11 - d_u h12|, |d_u h22 - d_v h12|) for a graph patch.
-
-    Vanishes identically for genuine surfaces; the residual measures
-    numerical self-consistency of the sampled h field.
-    """
-    if s.kind != "graph":
-        raise ValueError("Codazzi residual is defined for graph patches")
-    h = default_step(s.domain) if step is None else step
-    d = 50.0 * h if outer_step is None else outer_step
-
-    def forms_at(uu: float, vv: float) -> FundamentalForms:
-        return fundamental_forms(s, uu, vv, h)
-
-    fe, fw = forms_at(u + d, v), forms_at(u - d, v)
-    fn_, fs = forms_at(u, v + d), forms_at(u, v - d)
-    h11_v = (fn_.h11 - fs.h11) / (2.0 * d)
-    h12_u = (fe.h12 - fw.h12) / (2.0 * d)
-    h22_u = (fe.h22 - fw.h22) / (2.0 * d)
-    h12_v = (fn_.h12 - fs.h12) / (2.0 * d)
-    return max(abs(h11_v - h12_u), abs(h22_u - h12_v))
-
-
-# rigid motions -------------------------------------------------------------
-
-Matrix2 = tuple[tuple[float, float], tuple[float, float]]
-
-
-@dataclass(frozen=True, slots=True)
-class AffineIsometry:
-    """(x, y, z) -> (T (x, y), a x + b y + c z) + t with T^T T = I, c != 0.
-
-    Preserves the degenerate product exactly; the second fundamental form
-    of an image surface is c times the original.
-    """
-
-    t_matrix: Matrix2 = ((1.0, 0.0), (0.0, 1.0))
-    a: float = 0.0
-    b: float = 0.0
-    c: float = 1.0
-    translation: Vec021 = field(default=Vec021(0.0, 0.0, 0.0))
-
-    def __post_init__(self):
-        (t11, t12), (t21, t22) = self.t_matrix
-        gram = (t11 * t11 + t21 * t21, t11 * t12 + t21 * t22,
-                t12 * t12 + t22 * t22)
-        if (abs(gram[0] - 1.0) > 1e-12 or abs(gram[1]) > 1e-12
-                or abs(gram[2] - 1.0) > 1e-12):
-            raise InvalidIsometryError(f"T^T T != I for {self.t_matrix}")
-        if self.c == 0.0:
-            raise InvalidIsometryError("z-scale c must be nonzero")
-
-    def apply(self, p: Vec021) -> Vec021:
-        (t11, t12), (t21, t22) = self.t_matrix
-        return Vec021(
-            t11 * p.x + t12 * p.y + self.translation.x,
-            t21 * p.x + t22 * p.y + self.translation.y,
-            self.a * p.x + self.b * p.y + self.c * p.z + self.translation.z,
-        )
-
-    @staticmethod
-    def rotation(angle: float) -> Matrix2:
-        ca, sa = math.cos(angle), math.sin(angle)
-        return ((ca, -sa), (sa, ca))
-
-    @staticmethod
-    def reflection(angle: float) -> Matrix2:
-        ca, sa = math.cos(2 * angle), math.sin(2 * angle)
-        return ((ca, sa), (sa, -ca))
-
-
-def apply_isometry(iso: AffineIsometry, s: SurfacePatch) -> SurfacePatch:
-    return SurfacePatch(lambda u, v: iso.apply(s.evaluator(u, v)), s.domain,
-                        kind="closed-form")
-
-
-# curves --------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Curve:
-    evaluator: Callable[[float], Vec021]
-    t0: float
-    t1: float
-
-    def __call__(self, t: float) -> Vec021:
-        return self.evaluator(t)
-
-
-@dataclass(frozen=True, slots=True)
-class NullCurveReport:
-    is_null: bool
-    max_speed: float
-    xy_constant: bool | None
-    alarm: str | None = None
-
-
-def _velocity(c: Curve, t: float, h: float) -> Vec021:
-    return _rich1(c(t - h), c(t - h / 2), c(t + h / 2), c(t + h), h)
-
-
-def curve_speed(c: Curve, t: float, step: float | None = None) -> float:
-    h = step if step is not None else 1e-5 * max(c.t1 - c.t0, 1.0)
-    return deg_norm(_velocity(c, t, h))
-
-
-def is_null_curve(c: Curve, samples: int = 100, tol: float = 1e-8
-                  ) -> NullCurveReport:
-    """A null curve has identically vanishing speed.
-
-    Such a curve can only move in the z-direction, so when the speed test
-    passes the x and y coordinates are checked for constancy as an
-    internal cross-validation; a mismatch flags an inconsistency instead
-    of being absorbed silently.
-    """
-    h = 1e-5 * max(c.t1 - c.t0, 1.0)
-    ts = _axis(c.t0, c.t1, samples, 2.0 * h)
-    max_speed = max(deg_norm(_velocity(c, t, h)) for t in ts)
-    if max_speed > tol:
-        return NullCurveReport(False, max_speed, None)
-    p0 = c(ts[0])
-    drift = max(max(abs(c(t).x - p0.x), abs(c(t).y - p0.y)) for t in ts)
-    if drift > 100.0 * tol * max(1.0, abs(p0.x), abs(p0.y)):
-        return NullCurveReport(True, max_speed, False,
-                               alarm=f"xy drift {drift:.3e} on a null curve")
-    return NullCurveReport(True, max_speed, True)
-
-
-def arc_length_admissible(c: Curve, samples: int = 100, tol: float = 1e-7
-                          ) -> bool:
-    """True when the degenerate speed stays bounded away from zero, so
-    arc length gives a legitimate parameter.
-
-    A zero of the speed can hide between samples, so the sampled minimum
-    is sharpened by a ternary search before comparing against tol.
-    """
-    h = 1e-5 * max(c.t1 - c.t0, 1.0)
-    ts = _axis(c.t0, c.t1, samples, 2.0 * h)
-
-    def speed(t: float) -> float:
-        return deg_norm(_velocity(c, t, h))
-
-    speeds = [speed(t) for t in ts]
-    k_min = min(range(samples), key=speeds.__getitem__)
-    if speeds[k_min] <= tol:
-        return False
-    a = ts[max(0, k_min - 1)]
-    b = ts[min(samples - 1, k_min + 1)]
-    for _ in range(60):
-        m1 = a + (b - a) / 3.0
-        m2 = b - (b - a) / 3.0
-        if speed(m1) < speed(m2):
-            b = m2
-        else:
-            a = m1
-    return speed(0.5 * (a + b)) > tol
-
-
 # intrinsic curvature --------------------------------------------------------
 
 MetricFn = Callable[[float, float], tuple[float, float, float]]
@@ -528,9 +353,9 @@ def brioschi_curvature(metric: MetricFn, u: float, v: float,
                        step: float = 0.02) -> float:
     """Gaussian curvature of an abstract metric via the Brioschi formula.
 
-    Only metric samples are consumed, so this is usable both for the
-    degenerate pullback (where it must vanish) and for Lorentzian induced
-    metrics on spacelike surfaces.
+    Only metric samples are consumed; the caller is
+    minkowski.gaussian_curvature_induced, on the Lorentzian induced
+    metric of a spacelike surface.
     """
     def triple(uu: float, vv: float) -> Vec021:
         return Vec021(*metric(uu, vv))
@@ -554,19 +379,3 @@ def brioschi_curvature(metric: MetricFn, u: float, v: float,
     if abs(den) < 1e-300:
         raise DegenerateMetricError("Brioschi denominator vanished")
     return (det3(m1) - det3(m2)) / (den * den)
-
-
-def intrinsic_curvature(s: SurfacePatch, u: float, v: float,
-                        step: float | None = None,
-                        metric_step: float | None = None) -> float:
-    """Intrinsic curvature of the pullback metric (zero for immersions,
-    because the degenerate product only sees the flat xy-projection)."""
-    h = default_step(s.domain) if step is None else step
-    hm = 0.01 * max(s.domain.extent, 1.0) if metric_step is None else metric_step
-
-    def metric(uu: float, vv: float):
-        f_u, f_v, *_ = patch_jets(s, uu, vv, h)
-        return (deg_inner(f_u, f_u), deg_inner(f_u, f_v),
-                deg_inner(f_v, f_v))
-
-    return brioschi_curvature(metric, u, v, hm)

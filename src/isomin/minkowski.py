@@ -166,7 +166,10 @@ def mean_curvature_vector(s: MinkSurface, u: float, v: float,
 def gaussian_curvature_induced(s: MinkSurface, u: float, v: float,
                                step: float | None = None) -> float:
     """Brioschi curvature of metric samples taken by first differences,
-    independent of the Gauss equation that verify_flat_zmc uses."""
+    independent of the Gauss equation that verify_flat_zmc uses.
+
+    This is the one Brioschi test oracle; no command calls it.
+    """
     h = default_step(s.domain)
 
     def metric(uu: float, vv: float) -> tuple[float, float, float]:

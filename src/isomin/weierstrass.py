@@ -26,10 +26,6 @@ from .geometry import (FundamentalForms, Rect, SurfacePatch, Vec021,
 from .quadrature import integrate_segment
 
 
-class Data2ViolationError(Exception):
-    """The triple phi fails phi1^2 + phi2^2 = 0 beyond tolerance."""
-
-
 @dataclass(frozen=True, slots=True)
 class FamilyAngle:
     """Angle along the associated family, normalised to [0, 2*pi)."""
@@ -80,13 +76,6 @@ class WeierstrassData:
             compile_expr(differentiate(self.G))))
 
 
-@dataclass(frozen=True, slots=True)
-class PhiTriple:
-    phi1: Expr
-    phi2: Expr
-    phi3: Expr
-
-
 def integrate_holomorphic(ast: Expr, w0: complex, w1: complex,
                           tol: float = 1e-10, max_depth: int = 30) -> complex:
     """Integral of the expression along the straight segment [w0, w1]."""
@@ -95,21 +84,6 @@ def integrate_holomorphic(ast: Expr, w0: complex, w1: complex,
 
 def _angle(theta: float | FamilyAngle) -> FamilyAngle:
     return theta if isinstance(theta, FamilyAngle) else FamilyAngle(theta)
-
-
-def _integral_patch(fns, base: complex, domain: Rect, quad_tol: float,
-                    point) -> SurfacePatch:
-    """Patch whose value at w is point(*integrals of fns from base to w)."""
-    slack = 1e-9 * max(domain.extent, 1.0)
-
-    def ev(u: float, v: float) -> Vec021:
-        if not domain.contains(u, v, slack):
-            raise ValueError(f"({u}, {v}) outside parameter domain {domain}")
-        w = complex(u, v)
-        return point(*(integrate_segment(fn, base, w, quad_tol)
-                       for fn in fns))
-
-    return SurfacePatch(ev, domain, kind="weierstrass")
 
 
 def surface_from_data(data: WeierstrassData,
@@ -121,13 +95,19 @@ def surface_from_data(data: WeierstrassData,
     applied to the integral values instead of the integrands.
     """
     rot = _angle(theta).rotor
+    f_fn, g_fn = data.compiled[:2]
+    base, domain = data.base, data.domain
+    slack = 1e-9 * max(domain.extent, 1.0)
 
-    def point(int_f: complex, int_g: complex) -> Vec021:
-        zf = rot * int_f
-        return Vec021(zf.real, zf.imag, (rot * int_g).real)
+    def ev(u: float, v: float) -> Vec021:
+        if not domain.contains(u, v, slack):
+            raise ValueError(f"({u}, {v}) outside parameter domain {domain}")
+        w = complex(u, v)
+        zf = rot * integrate_segment(f_fn, base, w, quad_tol)
+        zg = rot * integrate_segment(g_fn, base, w, quad_tol)
+        return Vec021(zf.real, zf.imag, zg.real)
 
-    return _integral_patch(data.compiled[:2], data.base, data.domain,
-                           quad_tol, point)
+    return SurfacePatch(ev, domain, kind="weierstrass")
 
 
 def grid_eval(data: WeierstrassData, theta: float | FamilyAngle = 0.0,
@@ -162,45 +142,6 @@ def grid_eval(data: WeierstrassData, theta: float | FamilyAngle = 0.0,
             Y[i, j] = zf.imag
             Z[i, j] = zg.real
     return us, vs, X, Y, Z
-
-
-def surface_from_phi(phi: PhiTriple, base: complex, domain: Rect,
-                     grid: tuple[int, int] = (16, 16),
-                     tol: float = 1e-8,
-                     quad_tol: float = 1e-10) -> SurfacePatch:
-    """Surface from a raw holomorphic triple.
-
-    Checks the isotropy condition phi1^2 + phi2^2 = 0 on a grid before
-    integrating; the immersion condition |phi1|^2 + |phi2|^2 > 0 is only
-    enforced in the aggregate (isolated zeros are legitimate singular
-    data and are the singularities module's business).
-    """
-    fns = [compile_expr(p) for p in (phi.phi1, phi.phi2, phi.phi3)]
-    worst = 0.0
-    worst_at = complex(domain.u0, domain.v0)
-    max_energy = 0.0
-    nu, nv = grid
-    us = _axis(domain.u0, domain.u1, nu)
-    vs = _axis(domain.v0, domain.v1, nv)
-    for u in us:
-        for v in vs:
-            w = complex(u, v)
-            p1, p2 = fns[0](w), fns[1](w)
-            energy = abs(p1) ** 2 + abs(p2) ** 2
-            max_energy = max(max_energy, energy)
-            bad = abs(p1 * p1 + p2 * p2)
-            if bad > worst:
-                worst, worst_at = bad, w
-    if worst > tol * max(1.0, max_energy):
-        raise Data2ViolationError(
-            f"phi1^2 + phi2^2 = {worst:.3e} at {worst_at} "
-            f"(tolerance {tol:.1e})")
-    if max_energy <= tol:
-        raise Data2ViolationError(
-            "|phi1|^2 + |phi2|^2 vanishes on the whole grid")
-
-    return _integral_patch(fns, base, domain, quad_tol,
-                           lambda a, b, c: Vec021(a.real, b.real, c.real))
 
 
 @dataclass(frozen=True, slots=True)
@@ -379,12 +320,3 @@ def family_data(data: WeierstrassData,
     theta member of the family; theta = 0 returns data itself."""
     angle = _angle(theta)
     return data if angle.theta == 0.0 else _scaled(data, angle.rotor)
-
-
-def conjugate(data: WeierstrassData) -> WeierstrassData:
-    """Data of the conjugate surface: both functions times -i.
-
-    Applying it twice multiplies the data by -1, which is the theta = pi
-    member of the associated family.
-    """
-    return _scaled(data, -1j)

@@ -1,7 +1,7 @@
-"""Degenerate-metric kernel: forms, curvatures, isometries, curves."""
+"""Degenerate-metric kernel: forms, curvatures, the grid lattice."""
 
 import math
-import random
+from itertools import product
 
 import numpy as np
 import pytest
@@ -12,29 +12,19 @@ from isomin.expr import (compile_real, differentiate, parse_expr,
                          parse_real_expr)
 from isomin.geometry import (
     XI,
-    AffineIsometry,
-    Curve,
     DegenerateMetricError,
     FundamentalForms,
-    InvalidIsometryError,
     Rect,
     SurfacePatch,
     Vec021,
-    apply_isometry,
-    arc_length_admissible,
     brioschi_curvature,
     classify_point,
-    codazzi_residual,
-    curve_speed,
     deg_inner,
-    deg_norm,
     fundamental_forms,
     graph_patch,
-    grid_points,
     h_lambda,
-    intrinsic_curvature,
-    is_null_curve,
     mean_curvature,
+    patch_jets,
     relative_gauss_curvature,
 )
 from isomin.minkowski import iota_lift, verify_flat_zmc
@@ -55,10 +45,6 @@ class TestInnerProduct:
     def test_z_is_invisible(self):
         assert deg_inner(Vec021(1, 2, 7), Vec021(3, -1, 100)) == 1
         assert deg_inner(XI, XI) == 0
-
-    def test_norm(self):
-        assert deg_norm(Vec021(3, 4, -17)) == 5
-
 
 class TestFundamentalForms:
     def test_graph_uv_at_3_5(self):
@@ -120,7 +106,7 @@ class TestCurvature:
 
     def test_minimal_graphs_have_nonpositive_k(self):
         s = graph_patch(lambda u, v: u ** 3 - 3 * u * v * v, SQ2)
-        for (u, v) in grid_points(SQ2, 7, 7, margin=0.2):
+        for u, v in product(geometry._axis(SQ2.u0, SQ2.u1, 7, 0.2), repeat=2):
             f = fundamental_forms(s, u, v)
             k = relative_gauss_curvature(f)
             assert k <= 1e-8
@@ -135,99 +121,6 @@ class TestCurvature:
     def test_umbilical_k_is_lambda_squared(self):
         f = FundamentalForms(1.0, 0.0, 1.0, 3.0, 0.0, 3.0)
         assert relative_gauss_curvature(f) == 9.0
-
-
-class TestCodazzi:
-    def test_uv_graph_residual_zero(self):
-        s = graph_patch(lambda u, v: u * v, SQ2)
-        assert codazzi_residual(s, 0.3, -0.4) < 1e-5
-
-    def test_cubic_graph_residual_small(self):
-        s = graph_patch(lambda u, v: u ** 3 - 3 * u * v * v, SQ2)
-        assert codazzi_residual(s, 0.5, 0.5) < 1e-5
-
-    def test_requires_graph_kind(self):
-        with pytest.raises(ValueError):
-            codazzi_residual(helicoid(), 0.0, 1.0)
-
-
-class TestIsometry:
-    def test_validation(self):
-        with pytest.raises(InvalidIsometryError):
-            AffineIsometry(t_matrix=((1.0, 0.1), (0.0, 1.0)))
-        with pytest.raises(InvalidIsometryError):
-            AffineIsometry(c=0.0)
-
-    def test_inner_product_preserved_random(self):
-        rng = random.Random(11)
-        for _ in range(20):
-            mat = (AffineIsometry.rotation(rng.uniform(0, 6.3))
-                   if rng.random() < 0.5
-                   else AffineIsometry.reflection(rng.uniform(0, 6.3)))
-            iso = AffineIsometry(
-                t_matrix=mat,
-                a=rng.uniform(-2, 2), b=rng.uniform(-2, 2),
-                c=rng.choice([-1.5, 0.7, 2.0]),
-                translation=Vec021(rng.uniform(-1, 1), rng.uniform(-1, 1),
-                                   rng.uniform(-1, 1)),
-            )
-            p = Vec021(rng.uniform(-3, 3), rng.uniform(-3, 3),
-                       rng.uniform(-3, 3))
-            q = Vec021(rng.uniform(-3, 3), rng.uniform(-3, 3),
-                       rng.uniform(-3, 3))
-            lhs = deg_inner(iso.apply(p) - iso.apply(q),
-                            iso.apply(p) - iso.apply(q))
-            rhs = deg_inner(p - q, p - q)
-            assert abs(lhs - rhs) < 1e-9 * max(1.0, abs(rhs))
-
-    def test_h_scales_by_c_and_g_invariant(self):
-        s = graph_patch(lambda u, v: u * u + v * v, SQ2)
-        iso = AffineIsometry(t_matrix=AffineIsometry.rotation(0.9),
-                             a=0.3, b=-1.1, c=2.0,
-                             translation=Vec021(1.0, 2.0, 3.0))
-        moved = apply_isometry(iso, s)
-        f0 = fundamental_forms(s, 0.4, -0.2)
-        f1 = fundamental_forms(moved, 0.4, -0.2)
-        assert abs(f1.g11 - f0.g11) < 1e-6
-        assert abs(f1.g12 - f0.g12) < 1e-6
-        assert abs(f1.g22 - f0.g22) < 1e-6
-        for a, b in [(f1.h11, f0.h11), (f1.h12, f0.h12), (f1.h22, f0.h22)]:
-            assert abs(a - 2.0 * b) < 1e-5
-        # mean curvature ratio equals c
-        assert abs(mean_curvature(f1) / mean_curvature(f0) - 2.0) < 1e-4
-
-    def test_minimality_preserved(self):
-        s = graph_patch(lambda u, v: u * v, SQ2)
-        iso = AffineIsometry(t_matrix=AffineIsometry.rotation(-0.4),
-                             a=1.0, b=1.0, c=-0.8,
-                             translation=Vec021(0.0, 0.0, 5.0))
-        moved = apply_isometry(iso, s)
-        for (u, v) in [(0.0, 0.0), (0.8, -1.1)]:
-            f = fundamental_forms(moved, u, v)
-            assert abs(mean_curvature(f)) < 1e-6
-
-
-class TestCurves:
-    def test_speed(self):
-        c = Curve(lambda t: Vec021(math.cos(t), math.sin(t), 3 * t), 0.0, 6.0)
-        assert abs(curve_speed(c, 1.0) - 1.0) < 1e-9
-
-    def test_vertical_line_is_null(self):
-        c = Curve(lambda t: Vec021(0.0, 0.0, t), 0.0, 1.0)
-        rep = is_null_curve(c)
-        assert rep.is_null and rep.xy_constant and rep.alarm is None
-
-    def test_circle_not_null(self):
-        c = Curve(lambda t: Vec021(math.cos(t), math.sin(t), 0.0), 0.0, 6.0)
-        rep = is_null_curve(c)
-        assert not rep.is_null
-        assert abs(rep.max_speed - 1.0) < 1e-6
-
-    def test_arc_length_admissible(self):
-        good = Curve(lambda t: Vec021(math.cos(t), math.sin(t), t), 0.0, 3.0)
-        assert arc_length_admissible(good)
-        bad = Curve(lambda t: Vec021(t * t, 0.0, t), -1.0, 1.0)
-        assert not arc_length_admissible(bad)
 
 
 class TestHLambda:
@@ -290,17 +183,21 @@ class TestIntrinsicCurvature:
                          Rect(-1.0, 1.0, -math.pi, math.pi)),
         ]:
             dom = s.domain
-            for (u, v) in grid_points(dom, 4, 4, margin=0.3 * dom.extent / 2):
-                assert abs(intrinsic_curvature(s, u, v)) < 1e-5
+
+            def metric(uu, vv):
+                f_u, f_v, *_ = patch_jets(s, uu, vv)
+                return (deg_inner(f_u, f_u), deg_inner(f_u, f_v),
+                        deg_inner(f_v, f_v))
+
+            margin = 0.3 * dom.extent / 2
+            for u, v in product(geometry._axis(dom.u0, dom.u1, 4, margin),
+                                geometry._axis(dom.v0, dom.v1, 4, margin)):
+                k = brioschi_curvature(metric, u, v,
+                                       step=0.01 * max(dom.extent, 1.0))
+                assert abs(k) < 1e-5
 
 
 class TestGrid:
-    def test_grid_points_shape_and_margin(self):
-        pts = grid_points(Rect(0, 1, 0, 2), 3, 5, margin=0.1)
-        assert len(pts) == 15
-        assert pts[0] == (0.1, 0.1)
-        assert pts[-1] == (0.9, 1.9)
-
     @settings(max_examples=200, deadline=None)
     @given(lo=st.floats(-1e3, 1e3), width=st.floats(5e-324, 1e3),
            frac=st.floats(0.0, 0.45), n=st.integers(2, 300))
@@ -318,7 +215,7 @@ class TestGrid:
         assert xs[0] == lo + inset and xs[-1] == hi - inset
 
     @pytest.mark.parametrize("sweep", [
-        lambda n: grid_points(SQ2, n, 3),
+        lambda n: geometry._axis(SQ2.u0, SQ2.u1, n),
         lambda n: grid_eval(WeierstrassData(parse_expr("exp(z)"),
                                             parse_expr("z"), domain=SQ2),
                             nu=3, nv=n),
@@ -328,7 +225,7 @@ class TestGrid:
         lambda n: find_zeros(parse_expr("z"), SQ2, grid=(3, n)),
         lambda n: verify_flat_zmc(
             iota_lift(graph_patch(lambda u, v: u * v, SQ2)), grid=(n, 3)),
-    ], ids=["grid_points", "grid_eval", "validate_data", "find_zeros",
+    ], ids=["axis", "grid_eval", "validate_data", "find_zeros",
             "verify_flat_zmc"])
     @pytest.mark.parametrize("n", [0, 1])
     def test_sweeps_need_two_nodes_per_axis(self, sweep, n):
@@ -360,7 +257,7 @@ class TestExactGraphJets:
         assert exact.jets is not None and fd.jets is None
         d_u = compile_real(differentiate(ast, "u"))
         d_v = compile_real(differentiate(ast, "v"))
-        for u, v in grid_points(SQ2, 5, 5, margin=0.3):
+        for u, v in product(geometry._axis(SQ2.u0, SQ2.u1, 5, 0.3), repeat=2):
             a, b = fundamental_forms(exact, u, v), fundamental_forms(fd, u, v)
             for name in ("g11", "g12", "g22", "h11", "h12", "h22"):
                 assert abs(getattr(a, name) - getattr(b, name)) < 1e-6
@@ -368,15 +265,6 @@ class TestExactGraphJets:
             # sigma(f_u) = 1 + F_u and sigma(f_v) = 1 + F_v on a graph
             lam = h_lambda(exact, 0.7, u, v)
             assert lam.h12 == a.h12 + 0.7 * (1 + d_u(u, v)) * (1 + d_v(u, v))
-
-    def test_codazzi_residual_at_rounding_level_on_a_cubic(self):
-        # h is linear, so the outer central differences are exact and
-        # only the finite-difference jets left a residual
-        ast = parse_real_expr("u^3-3*u*v^2+u*v")
-        fd = graph_patch(compile_real(ast), SQ2)
-        for u, v in grid_points(SQ2, 4, 4, margin=0.3):
-            assert codazzi_residual(graph_patch(ast, SQ2), u, v) < 1e-11
-        assert codazzi_residual(fd, 0.5, 0.5) > 1e-9
 
     def test_one_height_evaluation_per_forms_call(self, monkeypatch):
         ast = parse_real_expr("u^3-3*u*v^2+u*v")

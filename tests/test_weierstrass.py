@@ -17,12 +17,10 @@ import isomin.weierstrass as weierstrass
 from isomin.expr import compile_expr, differentiate, parse_expr
 from isomin.geometry import (Rect, fundamental_forms, mean_curvature,
                              patch_jets)
-from isomin.weierstrass import (Data2ViolationError, FamilyAngle, PhiTriple,
-                                WeierstrassData, conjugate, det_h_from_data,
+from isomin.weierstrass import (FamilyAngle, WeierstrassData, det_h_from_data,
                                 family_data, grid_eval, integrate_holomorphic,
                                 metric_at, second_form_from_data,
-                                surface_from_data, surface_from_phi,
-                                validate_data)
+                                surface_from_data, validate_data)
 
 SQUARE = Rect(-1.0, 1.0, -1.0, 1.0)
 
@@ -213,37 +211,6 @@ class TestHarmonicityAndMinimality:
                 assert abs(mean_curvature(forms)) < 1e-6
 
 
-class TestPhiTriples:
-    def test_phi_reproduces_pair_surface(self):
-        phi = PhiTriple(parse_expr("z"), parse_expr("-i*z"), parse_expr("1"))
-        from_phi = surface_from_phi(phi, 0j, SQUARE)
-        from_pair = surface_from_data(data(*SADDLE[:2]))
-        for u, v in [(0.5, 0.5), (-0.3, 0.8), (1.0, -1.0)]:
-            a, b = from_phi(u, v), from_pair(u, v)
-            assert abs(a.x - b.x) < 1e-10
-            assert abs(a.y - b.y) < 1e-10
-            assert abs(a.z - b.z) < 1e-10
-
-    def test_constant_isotropic_triple(self):
-        # integrating (1, i, 0) gives the plane (u, -v, 0)
-        phi = PhiTriple(parse_expr("1"), parse_expr("i"), parse_expr("0"))
-        patch = surface_from_phi(phi, 0j, SQUARE)
-        p = patch(0.6, -0.4)
-        assert abs(p.x - 0.6) < 1e-12
-        assert abs(p.y - 0.4) < 1e-12
-        assert abs(p.z) < 1e-12
-
-    def test_non_isotropic_triple_rejected(self):
-        phi = PhiTriple(parse_expr("1"), parse_expr("1"), parse_expr("0"))
-        with pytest.raises(Data2ViolationError):
-            surface_from_phi(phi, 0j, SQUARE)
-
-    def test_identically_null_triple_rejected(self):
-        phi = PhiTriple(parse_expr("0"), parse_expr("0"), parse_expr("1"))
-        with pytest.raises(Data2ViolationError):
-            surface_from_phi(phi, 0j, SQUARE)
-
-
 class TestValidation:
     def test_nonvanishing_data_pass(self):
         report = validate_data(data(*LOG_SHEET[:2]))
@@ -398,26 +365,6 @@ class TestDetH:
 
 
 class TestConjugate:
-    def test_conjugate_data_is_quarter_turn(self):
-        d = data("exp(z)", "z")
-        conj_patch = surface_from_data(conjugate(d))
-        quarter = surface_from_data(d, math.pi / 2)
-        for u, v in [(0.5, 0.5), (-0.7, 0.1), (0.0, -0.9)]:
-            a, b = conj_patch(u, v), quarter(u, v)
-            assert abs(a.x - b.x) < 1e-10
-            assert abs(a.y - b.y) < 1e-10
-            assert abs(a.z - b.z) < 1e-10
-
-    def test_double_conjugate_is_half_turn(self):
-        d = data("z^2 + 2", "z")
-        twice = surface_from_data(conjugate(conjugate(d)))
-        half = surface_from_data(d, math.pi)
-        for u, v in [(0.3, 0.6), (-0.4, -0.8)]:
-            a, b = twice(u, v), half(u, v)
-            assert abs(a.x - b.x) < 1e-10
-            assert abs(a.y - b.y) < 1e-10
-            assert abs(a.z - b.z) < 1e-10
-
     def test_conjugate_is_imaginary_part_of_integral(self):
         """Quarter-turn surface = Im of the untwisted path integrals."""
         d = data("exp(z)", "z^2")
@@ -432,8 +379,3 @@ class TestConjugate:
             assert abs(p.x - i1.imag) < 1e-10
             assert abs(p.y - i2.imag) < 1e-10
             assert abs(p.z - i3.imag) < 1e-10
-
-    def test_conjugate_preserves_metric(self):
-        d = data("exp(z)", "z")
-        w = 0.4 + 0.7j
-        assert abs(metric_at(d, w) - metric_at(conjugate(d), w)) < 1e-12

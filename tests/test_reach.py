@@ -41,26 +41,23 @@ def _parse(path: Path) -> ast.Module:
 
 def unreached() -> list[str]:
     trees = {p.stem: _parse(p) for p in sorted(PACKAGE.glob("*.py"))}
-    outside = set(isomin.__all__)
-    for name in USERS:
-        outside |= _names(_parse(ROOT / "tests" / name))
+    names = {stem: _names(tree) for stem, tree in trees.items()}
+    outside = set(isomin.__all__).union(
+        *(_names(_parse(ROOT / "tests" / user)) for user in USERS))
     found = []
     for mod in LIBRARY:
-        others = set(outside)
-        for stem, tree in trees.items():
-            if stem != mod:
-                others |= _names(tree)
+        reached = outside.union(
+            *(used for stem, used in names.items() if stem != mod))
         body = trees[mod].body
         per_stmt = [_names(stmt) for stmt in body]
         for k, stmt in enumerate(body):
             if not isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) \
                     or stmt.name.startswith("_") or stmt.name in EXEMPT:
                 continue
-            if stmt.name in others or any(
-                    stmt.name in names
-                    for i, names in enumerate(per_stmt) if i != k):
-                continue
-            found.append(f"{mod}.{stmt.name}")
+            if stmt.name not in reached and not any(
+                    stmt.name in used
+                    for i, used in enumerate(per_stmt) if i != k):
+                found.append(f"{mod}.{stmt.name}")
     return found
 
 

@@ -365,6 +365,30 @@ class TestDetH:
 
 
 class TestConjugate:
+    """The conjugate surface is the theta = pi/2 member; its data are
+    family_data(d, pi/2) = (-i F, -i G) up to rounding."""
+
+    def test_conjugate_data_is_quarter_turn(self):
+        d = data("exp(z)", "z")
+        conj_patch = surface_from_data(family_data(d, math.pi / 2))
+        quarter = surface_from_data(d, math.pi / 2)
+        for u, v in [(0.5, 0.5), (-0.7, 0.1), (0.0, -0.9)]:
+            a, b = conj_patch(u, v), quarter(u, v)
+            assert abs(a.x - b.x) < 1e-10
+            assert abs(a.y - b.y) < 1e-10
+            assert abs(a.z - b.z) < 1e-10
+
+    def test_double_conjugate_is_half_turn(self):
+        d = data("z^2 + 2", "z")
+        twice = surface_from_data(
+            family_data(family_data(d, math.pi / 2), math.pi / 2))
+        half = surface_from_data(d, math.pi)
+        for u, v in [(0.3, 0.6), (-0.4, -0.8)]:
+            a, b = twice(u, v), half(u, v)
+            assert abs(a.x - b.x) < 1e-10
+            assert abs(a.y - b.y) < 1e-10
+            assert abs(a.z - b.z) < 1e-10
+
     def test_conjugate_is_imaginary_part_of_integral(self):
         """Quarter-turn surface = Im of the untwisted path integrals."""
         d = data("exp(z)", "z^2")
@@ -379,3 +403,9 @@ class TestConjugate:
             assert abs(p.x - i1.imag) < 1e-10
             assert abs(p.y - i2.imag) < 1e-10
             assert abs(p.z - i3.imag) < 1e-10
+
+    def test_conjugate_preserves_metric(self):
+        d = data("exp(z)", "z")
+        w = 0.4 + 0.7j
+        conj = family_data(d, math.pi / 2)
+        assert abs(metric_at(d, w) - metric_at(conj, w)) < 1e-12

@@ -63,6 +63,8 @@ CASES = {
     "embed-weierstrass-theta": (["embed", "--F", "1.2*exp(-0.5*z)",
                                  "--G", "(z+0.3-0.2*i)^2+0.02*i",
                                  "--theta", "0.7", "--grid", "3,3"], False),
+    # names, flags, domains and notes of the catalog
+    "list": (["list"], False),
 }
 
 GOLDEN = {
@@ -92,6 +94,8 @@ GOLDEN = {
         "75815bb4b2a56998de734735006c7aeffdde860e91a045ad9287222ba53cd45b",
     "embed-weierstrass-theta":
         "6b8828e103b36bcb8d74983cf22fb3949b75e54a5cda4f49967d3cf09ccf9a46",
+    "list":
+        "783d79e03b55633d91c93e6ea427a87bcfb3a37d5517132fdc29a4ed1cbbf20c",
     "validate-two-clusters":
         "b4aec4ab1289d374a9bc5fb8aebf22b12b69f0c335a2b5864cf8d6ba95a54242",
 }

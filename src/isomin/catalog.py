@@ -3,7 +3,9 @@
 Each entry records what the analysis modules should find (minimality,
 umbilicity, the sign of the relative Gaussian curvature), so the test
 suite can sweep the whole table through the geometry kernel and catch
-regressions in either side.
+regressions in either side.  Every surface is built from expression
+trees, as a graph height or a three-component chart, so each patch
+carries exact jets.
 """
 
 from __future__ import annotations
@@ -12,7 +14,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
-from .geometry import Rect, SurfacePatch, Vec021, graph_patch
+from .expr import BinOp, Call, Lit, Var, parse_real_expr
+from .geometry import Rect, SurfacePatch, chart_patch, graph_patch
 
 
 class UnknownSurfaceError(KeyError):
@@ -29,10 +32,18 @@ class CatalogEntry:
     note: str = ""
 
 
+def _graph(src: str, domain: Rect) -> SurfacePatch:
+    return graph_patch(parse_real_expr(src), domain)
+
+
+def _chart(srcs: tuple[str, str, str], domain: Rect) -> SurfacePatch:
+    return chart_patch(*map(parse_real_expr, srcs), domain)
+
+
 def _plane() -> CatalogEntry:
     return CatalogEntry(
         "plane",
-        graph_patch(lambda u, v: 0.0, Rect(-2.0, 2.0, -2.0, 2.0)),
+        _graph("0", Rect(-2.0, 2.0, -2.0, 2.0)),
         is_minimal=True, is_umbilical=True, k_sign=0,
         note="totally geodesic graph z = 0",
     )
@@ -41,19 +52,17 @@ def _plane() -> CatalogEntry:
 def _paraboloid() -> CatalogEntry:
     return CatalogEntry(
         "paraboloid",
-        graph_patch(lambda u, v: u * u + v * v, Rect(-1.5, 1.5, -1.5, 1.5)),
+        _graph("u^2+v^2", Rect(-1.5, 1.5, -1.5, 1.5)),
         is_minimal=False, is_umbilical=True, k_sign=1,
         note="h = 2 g everywhere, the non-planar umbilical model",
     )
 
 
 def _helicoid2() -> CatalogEntry:
-    def ev(u: float, v: float) -> Vec021:
-        return Vec021(v * math.cos(u), v * math.sin(u), u)
-
     return CatalogEntry(
         "helicoid2",
-        SurfacePatch(ev, Rect(-math.pi, math.pi, 0.5, 2.5)),
+        _chart(("v*cos(u)", "v*sin(u)", "u"),
+               Rect(-math.pi, math.pi, 0.5, 2.5)),
         is_minimal=True, is_umbilical=False, k_sign=-1,
         note="helicoid over the punctured plane; K = -1/v^4",
     )
@@ -62,7 +71,7 @@ def _helicoid2() -> CatalogEntry:
 def _hyp_paraboloid_uv() -> CatalogEntry:
     return CatalogEntry(
         "hyp_paraboloid_uv",
-        graph_patch(lambda u, v: u * v, Rect(-2.0, 2.0, -2.0, 2.0)),
+        _graph("u*v", Rect(-2.0, 2.0, -2.0, 2.0)),
         is_minimal=True, is_umbilical=False, k_sign=-1,
         note="graph z = uv, K = -1",
     )
@@ -71,21 +80,17 @@ def _hyp_paraboloid_uv() -> CatalogEntry:
 def _hyp_paraboloid_diff() -> CatalogEntry:
     return CatalogEntry(
         "hyp_paraboloid_diff",
-        graph_patch(lambda u, v: 0.5 * (u * u - v * v),
-                    Rect(-2.0, 2.0, -2.0, 2.0)),
+        _graph("0.5*(u^2-v^2)", Rect(-2.0, 2.0, -2.0, 2.0)),
         is_minimal=True, is_umbilical=False, k_sign=-1,
         note="graph z = (u^2 - v^2)/2, conjugate in shape to z = uv",
     )
 
 
 def _rotational_log() -> CatalogEntry:
-    def ev(u: float, v: float) -> Vec021:
-        r = math.exp(u)
-        return Vec021(r * math.cos(v), r * math.sin(v), u)
-
     return CatalogEntry(
         "rotational_log",
-        SurfacePatch(ev, Rect(-1.0, 1.0, -math.pi, math.pi)),
+        _chart(("exp(u)*cos(v)", "exp(u)*sin(v)", "u"),
+               Rect(-1.0, 1.0, -math.pi, math.pi)),
         is_minimal=True, is_umbilical=False, k_sign=-1,
         note="rotational surface with logarithmic profile, K = -exp(-4u)",
     )
@@ -98,10 +103,10 @@ def _dlambda_geodesic(lam: float) -> CatalogEntry:
         dom = Rect(-1.0 / lam + 0.1, 3.0, -1.0, 1.0)
     else:
         dom = Rect(-3.0, -1.0 / lam - 0.1, -1.0, 1.0)
-
-    def height(u: float, v: float) -> float:
-        return math.log(abs(lam * u + 1.0)) / lam - u - v
-
+    # log(lam*u + 1)/lam - u - v; lam*u + 1 >= 0.1*|lam| > 0 on dom
+    lit, u, v = Lit(complex(lam)), Var("u"), Var("v")
+    arg = BinOp("+", BinOp("*", lit, u), Lit(1 + 0j))
+    height = BinOp("-", BinOp("-", BinOp("/", Call("log", arg), lit), u), v)
     return CatalogEntry(
         "dlambda_geodesic",
         graph_patch(height, dom),
@@ -114,8 +119,7 @@ def _dlambda_geodesic(lam: float) -> CatalogEntry:
 def _cubic_harmonic() -> CatalogEntry:
     return CatalogEntry(
         "cubic_harmonic",
-        graph_patch(lambda u, v: u ** 3 - 3.0 * u * v * v,
-                    Rect(-1.0, 1.0, -1.0, 1.0)),
+        _graph("u^3-3*u*v^2", Rect(-1.0, 1.0, -1.0, 1.0)),
         is_minimal=True, is_umbilical=False, k_sign=-1,
         note="harmonic cubic graph; h vanishes only at the origin",
     )

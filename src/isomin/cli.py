@@ -275,7 +275,8 @@ def _source(cfg: RunConfig, kind: str):
 
 def _forms_sampler(cfg: RunConfig, kind: str, src, tol: float):
     """forms_at(u, v): closed forms of the --theta member for Weierstrass
-    data (|F| <= max(tol, 1e-12) is a zero of F), FD forms for a patch."""
+    data (|F| <= max(tol, 1e-12) is a zero of F), the patch's exact jets
+    for a catalog or graph patch."""
     if kind == "weierstrass":
         data = family_data(src, cfg.theta)
 
@@ -311,7 +312,7 @@ def cmd_analyze(cfg: RunConfig) -> int:
                 return nan, nan, nan
             return forms.g11, forms.g12, forms.g22
 
-    # finite-difference jets need breathing room near the boundary
+    # patch_jets refuses points within two steps of the boundary
     us = _axis(dom.u0, dom.u1, nu, 0.02 * (dom.u1 - dom.u0))
     vs = _axis(dom.v0, dom.v1, nv, 0.02 * (dom.v1 - dom.v0))
 

@@ -5,17 +5,18 @@ non-degenerate for this product is transversal to the constant field
 XI = (0, 0, 1), so XI plays the role the unit normal plays in Euclidean
 geometry: second derivatives of a parametrisation split into a tangential
 part plus a multiple of XI, and that multiple is the second fundamental
-form.  Derivatives are Richardson-extrapolated central differences,
-except on graphs of expression trees, which carry exact jets from
-symbolic differentiation.
+form.  Surfaces given by expression trees (graphs and three-component
+charts) carry exact jets from symbolic differentiation; any other patch
+is differentiated by Richardson-extrapolated central differences.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .expr import Expr, compile_real, differentiate
+from .expr import Expr, Lit, Var, compile_real, differentiate
 
 
 class DegenerateMetricError(Exception):
@@ -137,8 +138,10 @@ class SurfacePatch:
     kind is "closed-form", "weierstrass" or "graph"; the parameters of a
     graph or a Weierstrass patch are flat coordinates, which analyze's
     Codazzi check needs.
-    jets, when given, returns the exact (f_u, f_v, f_uu, f_uv, f_vv) at
-    a point and replaces the finite-difference stencil in patch_jets.
+    jets, when given, returns (f_u, f_v, f_uu, f_uv, f_vv) at a point and
+    replaces the stencil on the evaluator in patch_jets: exact for
+    expression trees, a stencil on sample-anchored integrals for a
+    Weierstrass patch.
     """
 
     evaluator: Callable[[float, float], Vec021]
@@ -150,33 +153,71 @@ class SurfacePatch:
         return self.evaluator(u, v)
 
 
+_PARTIALS = ("u", "v", "uu", "uv", "vv")
+
+
+def expr_chart(trees: tuple[Expr, ...], vec: Callable
+               ) -> tuple[Callable, Callable]:
+    """Evaluator and exact jets of the chart (u, v) -> vec(*trees) of
+    real trees in u and v.
+
+    The jets function gives (f_u, f_v, f_uu, f_uv, f_vv), each a vec of
+    the component partials.  A partial that differentiates to a finite
+    literal is a constant of its generated code, every other one a
+    compiled call.  Each component that is not a literal or a variable
+    is evaluated first, so a chart undefined at the point fails there as
+    it would under a stencil.
+    """
+    fns = [compile_real(t) for t in trees]
+
+    def ev(u: float, v: float):
+        return vec(*(fn(u, v) for fn in fns))
+
+    ns: dict = {"_vec": vec}
+
+    def term(e: Expr) -> str:
+        if isinstance(e, Lit) and not e.value.imag \
+                and math.isfinite(e.value.real):
+            return repr(e.value.real)
+        name = f"_f{len(ns)}"
+        ns[name] = compile_real(e)
+        return f"{name}(u, v)"
+
+    def partial(e: Expr, path: str) -> Expr:
+        for var in path:
+            e = differentiate(e, var)
+        return e
+
+    checks = "".join(f"    {term(t)}\n" for t in trees
+                     if not isinstance(t, (Lit, Var)))
+    vecs = ", ".join(
+        f"_vec({', '.join(term(partial(t, path)) for t in trees)})"
+        for path in _PARTIALS)
+    exec(f"def jets(u, v):\n{checks}    return ({vecs})\n", ns)  # noqa: S102
+    return ev, ns["jets"]
+
+
 def graph_patch(height: Callable[[float, float], float] | Expr,
                 domain: Rect) -> SurfacePatch:
     """Patch (u, v, F(u, v)) from a callable or a real expression tree.
 
-    A tree also gives the patch exact jets: the first and second partial
-    derivatives of F come from symbolic differentiation, and F itself is
-    still evaluated at the point so a height that is undefined there
-    fails as it would under a stencil.
+    A tree makes the chart (u, v, F) of expr_chart, whose exact jets
+    take six compiled calls per point: F and its five partials.
     """
-    if callable(height):
-        h, jets = height, None
-    else:
-        h_u, h_v = differentiate(height, "u"), differentiate(height, "v")
-        h, d_u, d_v, d_uu, d_uv, d_vv = (compile_real(e, ("u", "v")) for e in (
-            height, h_u, h_v, differentiate(h_u, "u"),
-            differentiate(h_u, "v"), differentiate(h_v, "v")))
-
-        def jets(u: float, v: float):
-            h(u, v)
-            return (Vec021(1.0, 0.0, d_u(u, v)), Vec021(0.0, 1.0, d_v(u, v)),
-                    Vec021(0.0, 0.0, d_uu(u, v)), Vec021(0.0, 0.0, d_uv(u, v)),
-                    Vec021(0.0, 0.0, d_vv(u, v)))
+    if not callable(height):
+        ev, jets = expr_chart((Var("u"), Var("v"), height), Vec021)
+        return SurfacePatch(ev, domain, kind="graph", jets=jets)
 
     def ev(u: float, v: float) -> Vec021:
-        return Vec021(u, v, float(h(u, v)))
+        return Vec021(u, v, float(height(u, v)))
 
-    return SurfacePatch(ev, domain, kind="graph", jets=jets)
+    return SurfacePatch(ev, domain, kind="graph")
+
+
+def chart_patch(x: Expr, y: Expr, z: Expr, domain: Rect) -> SurfacePatch:
+    """Patch (x, y, z)(u, v) of three real expression trees, exact jets."""
+    ev, jets = expr_chart((x, y, z), Vec021)
+    return SurfacePatch(ev, domain, jets=jets)
 
 
 @dataclass(frozen=True, slots=True)
@@ -250,7 +291,7 @@ def _stencil(ev: Callable, u: float, v: float, h: float):
 def patch_jets(s: SurfacePatch, u: float, v: float, step: float | None = None):
     """First and second partial derivatives of the patch at (u, v).
 
-    Returns (f_u, f_v, f_uu, f_uv, f_vv): the patch's exact jets when it
+    Returns (f_u, f_v, f_uu, f_uv, f_vv): the patch's own jets when it
     has them, else the finite-difference stencil.  Either way the caller
     must keep (u, v) at parameter distance >= 2 * step from the domain
     boundary.

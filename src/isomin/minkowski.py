@@ -7,9 +7,11 @@ this package become spacelike surfaces that are intrinsically flat and
 have vanishing mean curvature vector, and this module checks each piece
 of that statement numerically: induced Gram matrices, mean curvature
 vectors with the tangential part removed, Gaussian curvature of the
-induced metric (by the Gauss equation, and by the Brioschi formula as an
-independent check), and the locus where the second form of the original
-patch dies.
+induced metric by the Gauss equation, and the locus where the second
+form of the original patch dies.  A surface reads its jets from its own
+jets function when it has one (expression charts and the lifts of
+patches that carry jets) and from a 17-point stencil otherwise; the
+Brioschi curvature of gaussian_curvature_induced is a test oracle only.
 """
 
 from __future__ import annotations
@@ -17,10 +19,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .expr import parse_real_expr, compile_real
+from .expr import parse_real_expr
 from .geometry import (DegenerateMetricError, FundamentalForms, Rect,
                        SurfacePatch, Vec021, brioschi_curvature, default_step,
-                       _OFFSETS, _axis, _clusters, _rich1, _stencil)
+                       expr_chart, _OFFSETS, _axis, _clusters, _rich1,
+                       _stencil)
 
 
 class NonSpacelikeError(Exception):
@@ -80,29 +83,38 @@ def iota_embed(p: Vec021) -> Vec4M:
 
 @dataclass(frozen=True, slots=True)
 class MinkSurface:
-    """Parametrized surface in Minkowski space over a rectangle."""
+    """Parametrized surface in Minkowski space over a rectangle.
+
+    jets, when given, returns (f_u, f_v, f_uu, f_uv, f_vv) at a point in
+    place of the stencil on the evaluator.
+    """
 
     evaluator: Callable[[float, float], Vec4M]
     domain: Rect
+    jets: Callable[[float, float], tuple] | None = None
 
     def __call__(self, u: float, v: float) -> Vec4M:
         return self.evaluator(u, v)
 
 
 def iota_lift(s: SurfacePatch) -> MinkSurface:
-    """Push a degenerate-product patch through the slice embedding."""
-    return MinkSurface(lambda u, v: iota_embed(s(u, v)), s.domain)
+    """Push a degenerate-product patch through the slice embedding.
+
+    The embedding is linear, so the patch's jets map through it too.
+    """
+    def jets(u: float, v: float) -> tuple:
+        return tuple(map(iota_embed, s.jets(u, v)))
+
+    return MinkSurface(lambda u, v: iota_embed(s(u, v)), s.domain,
+                       None if s.jets is None else jets)
 
 
 def mink_surface_from_exprs(x1, x2, x3, x4, domain: Rect) -> MinkSurface:
-    """Surface from four coordinate expressions in u and v."""
-    fns = [compile_real(parse_real_expr(c) if isinstance(c, str) else c)
-           for c in (x1, x2, x3, x4)]
-
-    def evaluator(u: float, v: float) -> Vec4M:
-        return Vec4M(*(fn(u, v) for fn in fns))
-
-    return MinkSurface(evaluator, domain)
+    """Surface from four coordinate expressions in u and v, exact jets."""
+    trees = tuple(parse_real_expr(c) if isinstance(c, str) else c
+                  for c in (x1, x2, x3, x4))
+    ev, jets = expr_chart(trees, Vec4M)
+    return MinkSurface(ev, domain, jets)
 
 
 def _gram(f_u: Vec4M, f_v: Vec4M) -> tuple[float, float, float]:
@@ -128,10 +140,14 @@ def normal_second_form(s: MinkSurface, u: float, v: float,
     The tangential part of each second partial is removed by solving
     the 2x2 Gram system with the ambient scalar product; what remains
     is normal to the surface whatever the causal type of the normal
-    plane is.
+    plane is.  The partials are the surface's jets when it has them,
+    else the stencil with the given step.
     """
-    h = default_step(s.domain) if step is None else step
-    _, f_u, f_v, f_uu, f_uv, f_vv = _stencil(s.evaluator, u, v, h)
+    if s.jets is not None:
+        f_u, f_v, f_uu, f_uv, f_vv = s.jets(u, v)
+    else:
+        h = default_step(s.domain) if step is None else step
+        _, f_u, f_v, f_uu, f_uv, f_vv = _stencil(s.evaluator, u, v, h)
     g11, g12, g22 = _gram(f_u, f_v)
     det = _require_spacelike(g11, g12, g22, (u, v))
 
@@ -147,8 +163,8 @@ def normal_second_form(s: MinkSurface, u: float, v: float,
 
 def _curvatures(s: MinkSurface, u: float, v: float,
                 step: float | None = None) -> tuple[Vec4M, float]:
-    """Mean curvature vector and Gaussian curvature from one stencil; the
-    ambient space is flat, so the Gauss equation gives
+    """Mean curvature vector and Gaussian curvature from one set of jets;
+    the ambient space is flat, so the Gauss equation gives
     K = (<N_uu, N_vv> - <N_uv, N_uv>) / det g."""
     (n_uu, n_uv, n_vv), (g11, g12, g22) = normal_second_form(s, u, v, step)
     det = g11 * g22 - g12 * g12
@@ -205,7 +221,8 @@ def verify_flat_zmc(s: MinkSurface, grid: tuple[int, int] = (9, 9),
     Verdict passes only when the worst sampled mean curvature vector
     norm and the worst sampled intrinsic curvature are both below tol
     and the induced metric stayed positive definite everywhere.  H and K
-    come from one stencil per sample; K is zero up to rounding in the slice.
+    come from one set of jets per sample; K is zero up to rounding in the
+    slice.
     """
     dom = s.domain
     margin = 0.05 * max(dom.extent, 1.0)

@@ -22,7 +22,7 @@ from typing import Callable, NamedTuple
 
 from .expr import BinOp, Expr, EvalError, Lit, compile_expr, differentiate
 from .geometry import (FundamentalForms, Rect, SurfacePatch, Vec021,
-                       _axis, _clusters)
+                       default_step, _axis, _clusters, _stencil)
 from .quadrature import integrate_segment
 
 
@@ -92,22 +92,34 @@ def surface_from_data(data: WeierstrassData,
     """Member of the associated family as an evaluatable patch.
 
     The rotation by exp(-i theta) commutes with integration, so it is
-    applied to the integral values instead of the integrands.
+    applied to the integral values instead of the integrands.  The
+    patch's jets are the 17-point stencil on integrals anchored at the
+    sample itself: a translation leaves every partial as it is, and the
+    rounding of each stencil value is then relative to |F| times the
+    step, not to the distance from the base point.
     """
     rot = _angle(theta).rotor
     f_fn, g_fn = data.compiled[:2]
-    base, domain = data.base, data.domain
+    domain = data.domain
     slack = 1e-9 * max(domain.extent, 1.0)
 
-    def ev(u: float, v: float) -> Vec021:
-        if not domain.contains(u, v, slack):
-            raise ValueError(f"({u}, {v}) outside parameter domain {domain}")
-        w = complex(u, v)
-        zf = rot * integrate_segment(f_fn, base, w, quad_tol)
-        zg = rot * integrate_segment(g_fn, base, w, quad_tol)
-        return Vec021(zf.real, zf.imag, zg.real)
+    def from_anchor(anchor: complex) -> Callable[[float, float], Vec021]:
+        def ev(u: float, v: float) -> Vec021:
+            if not domain.contains(u, v, slack):
+                raise ValueError(
+                    f"({u}, {v}) outside parameter domain {domain}")
+            w = complex(u, v)
+            zf = rot * integrate_segment(f_fn, anchor, w, quad_tol)
+            zg = rot * integrate_segment(g_fn, anchor, w, quad_tol)
+            return Vec021(zf.real, zf.imag, zg.real)
+        return ev
 
-    return SurfacePatch(ev, domain, kind="weierstrass")
+    def jets(u: float, v: float) -> tuple:
+        return _stencil(from_anchor(complex(u, v)), u, v,
+                        default_step(domain))[1:]
+
+    return SurfacePatch(from_anchor(data.base), domain, kind="weierstrass",
+                        jets=jets)
 
 
 def grid_eval(data: WeierstrassData, theta: float | FamilyAngle = 0.0,

@@ -1,9 +1,11 @@
 """Reference surfaces: the recorded flags must match the geometry kernel."""
 
+import dataclasses
 import random
 import zlib
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from isomin.catalog import (UnknownSurfaceError, entries, get,
                             minimal_entries, names,
@@ -71,6 +73,24 @@ class TestFlagsAgainstKernel:
                 assert k < 1e-9
             else:
                 assert abs(k) < 1e-8
+
+
+@settings(max_examples=200, deadline=None)
+@given(name=st.sampled_from(names()), lam=st.floats(0.25, 4.0),
+       sign=st.sampled_from((1.0, -1.0)), s=st.floats(0.1, 0.9),
+       t=st.floats(0.1, 0.9))
+def test_exact_forms_match_finite_differences(name, lam, sign, s, t):
+    """Every entry's exact jets against the stencil on its own evaluator;
+    lam (with its sign) only reaches dlambda_geodesic."""
+    exact = get(name, lam=sign * lam).patch
+    assert exact.jets is not None
+    fd = dataclasses.replace(exact, jets=None)
+    dom = exact.domain
+    u, v = dom.u0 + s * (dom.u1 - dom.u0), dom.v0 + t * (dom.v1 - dom.v0)
+    a, b = fundamental_forms(exact, u, v), fundamental_forms(fd, u, v)
+    for field in ("g11", "g12", "g22", "h11", "h12", "h22"):
+        x, y = getattr(a, field), getattr(b, field)
+        assert abs(x - y) <= 1e-6 * max(1.0, abs(x)), (field, x, y)
 
 
 class TestSpotValues:

@@ -367,6 +367,30 @@ class TestReconstruct:
         assert "--forms-csv" in err
 
 
+# the class of every sample of each catalog entry's analyze; no exact
+# jet may move a sample across a class threshold
+CATALOG_CLASSES = {
+    "plane": "parabolic", "paraboloid": "elliptic",
+    "helicoid2": "hyperbolic", "hyp_paraboloid_uv": "hyperbolic",
+    "hyp_paraboloid_diff": "hyperbolic", "rotational_log": "hyperbolic",
+    "dlambda_geodesic": "parabolic", "cubic_harmonic": "hyperbolic",
+}
+
+
+@pytest.mark.parametrize("n", [33, 65])
+@pytest.mark.parametrize("name, lam", [(name, "1") for name in CATALOG_CLASSES]
+                         + [("dlambda_geodesic", "-0.5")])
+def test_catalog_class_counts_pinned(capsys, name, lam, n):
+    rc, out, _ = run(capsys, ["analyze", "--catalog", name, "--lam", lam,
+                              "--grid", f"{n},{n}"])
+    assert rc == 0
+    want = {CATALOG_CLASSES[name]: n * n}
+    if name == "cubic_harmonic":
+        # the flat point at the origin is the centre node
+        want = {"hyperbolic": n * n - 1, "parabolic": 1}
+    assert json.loads(out)["class_counts"] == want
+
+
 class TestEmbed:
     def test_catalog_passes(self, capsys):
         rc, out, _ = run(capsys, ["embed", "--catalog", "rotational_log",
@@ -414,6 +438,17 @@ class TestEmbed:
         assert rc == 0
         s = json.loads(out)
         assert s["verdict"] == "pass"
+
+    @pytest.mark.parametrize("f_src, g_src", [
+        ("exp(3*z)", "1"), ("exp(6*z)", "1"), ("exp(6*z)", "z")])
+    def test_large_f_spread_passes(self, capsys, f_src, g_src):
+        # |F| varies by a factor of e^6 or e^12 over the domain; stencil
+        # values integrated from the base point gave H up to 0.16 here
+        rc, out, _ = run(capsys, ["embed", "--F", f_src, "--G", g_src])
+        assert rc == 0
+        s = json.loads(out)
+        assert s["verdict"] == "pass", s
+        assert s["max_mean_curvature"] < 1e-6
 
     def test_zero_of_f_on_locus_grid_not_a_locus_node(self, capsys):
         # F = z vanishes at the centre node of the 65^2 locus grid; the

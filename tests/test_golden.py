@@ -39,7 +39,10 @@ CASES = {
     # lattice: four of the 14 inset nodes moved by <= 1 ulp (the centre u
     # node -4.4e-16 -> 0), the FD forms there by <= 3.2e-9 (h22), k_max
     # -0.0273060934067 -> -0.02730609341242; classes and verdict
-    # unchanged (tools/golden_diff.py)
+    # unchanged (tools/golden_diff.py).  Re-recorded again when the
+    # catalog became expression trees with exact jets: g, h, H and K moved
+    # by <= 4.1e-9 (k_min), g12 from FD noise to 0; classes and verdict
+    # unchanged
     "analyze-catalog-helicoid2": (["analyze", "--catalog", "helicoid2",
                                    "--grid", "7,7", "--format", "csv"], True),
     "singular": (["singular", "--F", "z^2*(z-0.5)", "--G", "z",
@@ -47,6 +50,10 @@ CASES = {
     "reconstruct-expr": (["reconstruct", "--h11", "6*u", "--h12", "-6*v",
                           "--h22", "-6*u", "--grid", "9,9"], True),
     "reconstruct-forms-csv": (["reconstruct", "--forms-csv", "{forms}"], True),
+    # the three embed cases below were re-recorded when lifts and charts
+    # read exact jets: only max_mean_curvature moved (0.4559999999706 ->
+    # 0.456, 3.05e-8 -> 0.0 and 0.3244037053566 -> 0.3244037023852);
+    # verdicts and e_locus unchanged (tools/golden_diff.py)
     "embed-graph-two-clusters": (["embed", "--graph",
                                   "0.1*u^4-0.05*u^2+0.02*v^2",
                                   "--grid", "3,3"], False),
@@ -59,7 +66,10 @@ CASES = {
     # | |h|_inf - 0.05 | > 1e-2, and one two-node cluster is reported.
     # Re-recorded when max_abs_curvature moved from Brioschi over FD
     # metric samples (1.6e-07) to the Gauss equation (1.8e-32); no other
-    # printed token changed (tools/golden_diff.py)
+    # printed token changed (tools/golden_diff.py).  Re-recorded when the
+    # stencil values were integrated from each sample instead of the base
+    # point: max_mean_curvature 7.4e-08 -> 6.6e-12 and max_abs_curvature
+    # 1.8e-32 -> 1.4e-32, both rounding; verdict and e_locus unchanged
     "embed-weierstrass-theta": (["embed", "--F", "1.2*exp(-0.5*z)",
                                  "--G", "(z+0.3-0.2*i)^2+0.02*i",
                                  "--theta", "0.7", "--grid", "3,3"], False),
@@ -79,7 +89,7 @@ GOLDEN = {
     "analyze-weierstrass-zero-json":
         "dcc20a503b07668d36ae15d6949c305936d98b3d09e69f4edc345e23ab8571ac",
     "analyze-catalog-helicoid2":
-        "31679f8333aecaaa9c0954dd4e06bea2619ae20e4462d2b093aabb96eb94a4fd",
+        "b3be3ac976b4afd9cf5a1715125f3080f027da6e035822bcada4ee6d06f83ee0",
     "singular":
         "223a065c516a035fd9937592a40f7eecf690a47152ea3c7a592d7be1f51c97d5",
     "reconstruct-expr":
@@ -87,13 +97,13 @@ GOLDEN = {
     "reconstruct-forms-csv":
         "8fe73fb3d121c4aa5eb47d837d722ee226fd794fb19c13d084388e897f0abb3b",
     "embed-graph-two-clusters":
-        "a47f81498c80cdc8e88c3bdadddb4c63c88c4f80e17a1da3d46b14b22b39d845",
+        "902b4f96fd9880afb4e96464a64c40ae785c3601e24dd6ddd955bd3503239570",
     "embed-catalog":
-        "8db1f893b4115a817686e9fbab6c9d9a98f24ec603263cdc5a662b2720503edf",
+        "619a72f964f8f2fccaf7074eb9c1fe813091d74dad20e995b66d9e747f8601f6",
     "embed-chart":
-        "75815bb4b2a56998de734735006c7aeffdde860e91a045ad9287222ba53cd45b",
+        "5fb7c4ed9f6065a5cb3798be2241fa20829edf47b4d956ce3b3365c630617569",
     "embed-weierstrass-theta":
-        "6b8828e103b36bcb8d74983cf22fb3949b75e54a5cda4f49967d3cf09ccf9a46",
+        "78ba6122fd720e39e8c0e27e5ebad309cd5aaae311aeb1876aee4c90947b4c9c",
     "list":
         "783d79e03b55633d91c93e6ea427a87bcfb3a37d5517132fdc29a4ed1cbbf20c",
     "validate-two-clusters":

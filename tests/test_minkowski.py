@@ -6,10 +6,11 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from isomin.catalog import entries as catalog_entries
-from isomin.expr import parse_expr
-from isomin.geometry import (Rect, Vec021, deg_inner, fundamental_forms,
-                             graph_patch)
+import isomin.minkowski as minkowski
+from isomin.catalog import entries as catalog_entries, get
+from isomin.expr import EvalError, parse_expr
+from isomin.geometry import (Rect, Vec021, default_step, deg_inner,
+                             fundamental_forms, graph_patch, _stencil)
 from isomin.minkowski import (FlatZmcReport, MinkSurface, NonSpacelikeError,
                               NotInSliceError, Vec4M, gaussian_curvature_induced,
                               iota_embed, iota_lift, lorentz_inner,
@@ -216,6 +217,61 @@ def test_gauss_equation_matches_brioschi(name, s, t):
     oracle = gaussian_curvature_induced(chart, u, v)
     assert abs(oracle) > 0.05   # |K| >= 0.1 on these charts
     assert abs(k - oracle) < 1e-6
+
+
+# surfaces with exact jets: lifts of a graph and of two catalog charts,
+# and expression charts in and off the null slice
+JET_SURFACES = {
+    "graph": lambda: iota_lift(graph("u^3 - 3*u*v^2 + u*v")),
+    "helicoid2": lambda: iota_lift(get("helicoid2").patch),
+    "rotational_log": lambda: iota_lift(get("rotational_log").patch),
+    "dlambda": lambda: iota_lift(get("dlambda_geodesic", lam=-0.5).patch),
+    "tilted": lambda: mink_surface_from_exprs("0.3*u*v", "u", "v",
+                                              "u^2 - v^2", SQUARE),
+    "sphere": lambda: mink_surface_from_exprs(
+        "0", "1.3*cos(u)*cos(v)", "1.3*cos(u)*sin(v)", "1.3*sin(u)",
+        Rect(-0.5, 0.5, -0.5, 0.5)),
+    "null lift": lambda: mink_surface_from_exprs(
+        "exp(u)*sin(v)", "u", "v", "exp(u)*sin(v)", SQUARE),
+}
+
+
+class TestJets:
+    @settings(max_examples=100, deadline=None)
+    @given(name=st.sampled_from(sorted(JET_SURFACES)),
+           s=st.floats(0.1, 0.9), t=st.floats(0.1, 0.9))
+    def test_jets_match_stencil_on_evaluator(self, name, s, t):
+        surface = JET_SURFACES[name]()
+        dom = surface.domain
+        u = dom.u0 + s * (dom.u1 - dom.u0)
+        v = dom.v0 + t * (dom.v1 - dom.v0)
+        exact = surface.jets(u, v)
+        fd = _stencil(surface.evaluator, u, v, default_step(dom))[1:]
+        for a, b in zip(exact, fd):
+            assert (a - b).sup_norm <= 1e-6 * max(1.0, a.sup_norm)
+
+    def test_lift_maps_patch_jets_through_iota(self):
+        patch = get("rotational_log").patch
+        assert iota_lift(patch).jets(0.3, -0.2) == tuple(
+            iota_embed(j) for j in patch.jets(0.3, -0.2))
+        assert iota_lift(graph_patch(lambda u, v: u * v, SQUARE)).jets is None
+
+    def test_surfaces_with_jets_take_no_stencil(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("stencil called on a surface with jets")
+
+        monkeypatch.setattr(minkowski, "_stencil", refuse)
+        for entry in catalog_entries():
+            verify_flat_zmc(iota_lift(entry.patch), grid=(3, 3))
+        for make in JET_SURFACES.values():
+            verify_flat_zmc(make(), grid=(3, 3))
+
+    def test_chart_pole_raises_at_the_point(self):
+        # 0/u differentiates to 0, so only evaluating the component itself
+        # finds the pole, as the centre of a stencil would
+        s = mink_surface_from_exprs("0", "u", "v", "u*v + 0/u", SQUARE)
+        with pytest.raises(EvalError, match="division by zero at u=0.0"):
+            s.jets(0.0, 0.2)
 
 
 class TestVanishingHLocus:

@@ -8,15 +8,19 @@ without touching anything the geometry can see.
 """
 
 import cmath
+import dataclasses
 import math
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import isomin.weierstrass as weierstrass
-from isomin.expr import compile_expr, differentiate, parse_expr
-from isomin.geometry import (Rect, fundamental_forms, mean_curvature,
-                             patch_jets)
+from isomin.expr import BinOp, Call, Lit, Var, compile_expr, differentiate, \
+    parse_expr
+from isomin.geometry import (Rect, default_step, fundamental_forms,
+                             mean_curvature, patch_jets)
+from isomin.minkowski import _curvatures, iota_lift
 from isomin.weierstrass import (FamilyAngle, WeierstrassData, det_h_from_data,
                                 family_data, grid_eval, integrate_holomorphic,
                                 metric_at, second_form_from_data,
@@ -209,6 +213,41 @@ class TestHarmonicityAndMinimality:
             for u, v in [(0.3, 0.3), (-0.5, 0.2)]:
                 forms = fundamental_forms(patch, u, v)
                 assert abs(mean_curvature(forms)) < 1e-6
+
+
+_PARTS = st.floats(-1.0, 1.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=st.complex_numbers(max_magnitude=4.0),
+       c=st.complex_numbers(min_magnitude=0.5, max_magnitude=1.5),
+       g=st.tuples(_PARTS, _PARTS, _PARTS, _PARTS),
+       theta=st.floats(0.0, 2.0 * math.pi),
+       u=st.floats(-0.9, 0.9), v=st.floats(-0.9, 0.9))
+def test_sample_anchored_h_within_base_anchored_rounding(a, c, g, theta,
+                                                         u, v):
+    """The patch's jets integrate from the sample; the stencil on its
+    evaluator integrates from the base point.  Both give the same H up to
+    the base-anchored rounding floor eps |x| / (h^2 |F|^2), with |x| the
+    distance the base-anchored values carry (plus |F| h, one step)."""
+    z = Var("z")
+    f_ast = BinOp("*", Lit(c), Call("exp", BinOp("*", Lit(a), z)))
+    g_ast = BinOp("+", Lit(complex(g[0], g[1])), BinOp(
+        "*", Lit(complex(g[2], g[3])), BinOp("^", z, Lit(2 + 0j))))
+    d = WeierstrassData(f_ast, g_ast)
+    abs_f = abs(d.compiled.f(complex(u, v)))
+    assume(abs_f > 0.1)
+    patch = surface_from_data(d, theta)
+    lift = iota_lift(patch)
+    h_sample, _ = _curvatures(lift, u, v)
+    h_base, _ = _curvatures(dataclasses.replace(lift, jets=None), u, v)
+    step = default_step(d.domain)
+    x = patch(u, v)
+    scale = max(abs(x.x), abs(x.y), abs(x.z)) + abs_f * step
+    floor = 2.0 ** -52 * scale / (step * step * abs_f * abs_f)
+    # the Richardson second differences weigh each value's rounding by
+    # about 23 / h^2; 256 leaves room for the quadrature's own rounding
+    assert (h_sample - h_base).sup_norm <= 256.0 * floor
 
 
 class TestValidation:

@@ -153,9 +153,6 @@ class SurfacePatch:
         return self.evaluator(u, v)
 
 
-_PARTIALS = ("u", "v", "uu", "uv", "vv")
-
-
 def expr_chart(trees: tuple[Expr, ...], vec: Callable
                ) -> tuple[Callable, Callable]:
     """Evaluator and exact jets of the chart (u, v) -> vec(*trees) of
@@ -183,16 +180,14 @@ def expr_chart(trees: tuple[Expr, ...], vec: Callable
         ns[name] = compile_real(e)
         return f"{name}(u, v)"
 
-    def partial(e: Expr, path: str) -> Expr:
-        for var in path:
-            e = differentiate(e, var)
-        return e
-
+    d_u = [differentiate(t, "u") for t in trees]
+    d_v = [differentiate(t, "v") for t in trees]
+    rows = (d_u, d_v, [differentiate(e, "u") for e in d_u],
+            [differentiate(e, "v") for e in d_u],
+            [differentiate(e, "v") for e in d_v])
     checks = "".join(f"    {term(t)}\n" for t in trees
                      if not isinstance(t, (Lit, Var)))
-    vecs = ", ".join(
-        f"_vec({', '.join(term(partial(t, path)) for t in trees)})"
-        for path in _PARTIALS)
+    vecs = ", ".join(f"_vec({', '.join(map(term, row))})" for row in rows)
     exec(f"def jets(u, v):\n{checks}    return ({vecs})\n", ns)  # noqa: S102
     return ev, ns["jets"]
 

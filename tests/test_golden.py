@@ -41,7 +41,8 @@ CASES = {
     # -0.0273060934067 -> -0.02730609341242; classes and verdict
     # unchanged (tools/golden_diff.py).  Re-recorded again when the
     # catalog became expression trees with exact jets: g, h, H and K moved
-    # by <= 4.1e-9 (k_min), g12 from FD noise to 0; classes and verdict
+    # by <= 4.1e-9 (k_min), g12 from FD noise (1e-12) to rounding and
+    # max_abs_mean_curvature 2.9e-9 -> 8.8e-17; classes and verdict
     # unchanged
     "analyze-catalog-helicoid2": (["analyze", "--catalog", "helicoid2",
                                    "--grid", "7,7", "--format", "csv"], True),

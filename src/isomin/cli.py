@@ -10,8 +10,9 @@ Subcommands:
 
 Exit codes: 0 success (including honest "fail"/"not d-minimal" verdicts),
 2 bad input (a parse error, a non-finite number, an expression that fails
-to evaluate), 3 integration failure, 4 degenerate or non-spacelike
-samples beyond the allowed budget, 5 incompatible prescribed forms.
+to evaluate, a domain smaller than the sampling margins), 3 integration
+failure, 4 degenerate or non-spacelike samples beyond the allowed
+budget, 5 incompatible prescribed forms.
 
 Numbers in CSV/OBJ output are printed with a fixed 12-digit format and
 JSON floats are rounded the same way, so identical configurations
@@ -26,7 +27,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 from .catalog import UnknownSurfaceError, entries, get
 from .expr import EvalError, ParseError, parse_expr, parse_real_expr
@@ -67,42 +67,6 @@ def _jround(x: float) -> float:
     # floats pass through the same 12-digit format as the text outputs,
     # so JSON reports are reproducible byte for byte as well
     return float(_fmt(x))
-
-
-@dataclass(frozen=True, slots=True)
-class RunConfig:
-    """Checked bundle of everything a subcommand needs."""
-
-    command: str
-    f_src: str | None = None
-    g_src: str | None = None
-    h_srcs: tuple[str, str, str] | None = None
-    forms_csv: str | None = None
-    x_srcs: tuple[str, str, str, str] | None = None
-    graph_src: str | None = None
-    catalog: str | None = None
-    lam: float = 1.0
-    domain: Rect = Rect(-1.0, 1.0, -1.0, 1.0)
-    grid: tuple[int, int] | None = None
-    theta: float = 0.0
-    base: tuple[float, float] | None = None
-    tol: float | None = None
-    out: str | None = None
-    fmt: str = ""
-
-    def __post_init__(self):
-        d = self.domain
-        for flag, values in (("--tol", (self.tol or 0.0,)),
-                             ("--theta", (self.theta,)), ("--lam", (self.lam,)),
-                             ("--domain", (d.u0, d.u1, d.v0, d.v1)),
-                             ("--base", self.base or ())):
-            if not all(map(math.isfinite, values)):
-                raise CliError(EXIT_INPUT, f"{flag} must be finite, got "
-                               + ",".join(map(str, values)))
-        if self.grid is not None and min(self.grid) < 2:
-            raise CliError(EXIT_INPUT, f"grid must be at least 2x2, got {self.grid}")
-        if self.tol is not None and self.tol <= 0:
-            raise CliError(EXIT_INPUT, f"tol must be positive, got {self.tol}")
 
 
 def _parse_floats(text: str, count: int, flag: str) -> tuple[float, ...]:
@@ -164,17 +128,14 @@ def _parse_real(ast_src: str, flag: str):
         raise CliError(EXIT_INPUT, f"{flag}: {err}") from None
 
 
-def _weier_data(cfg: RunConfig) -> WeierstrassData:
+def _weier_data(cfg: argparse.Namespace) -> WeierstrassData:
     f_ast = _parse_complex_pair(cfg.f_src, "--F")
     g_ast = _parse_complex_pair(cfg.g_src, "--G")
     base = complex(*cfg.base) if cfg.base is not None else 0j
-    try:
-        return WeierstrassData(f_ast, g_ast, base=base, domain=cfg.domain)
-    except ValueError as err:
-        raise CliError(EXIT_INPUT, str(err)) from None
+    return WeierstrassData(f_ast, g_ast, base=base, domain=cfg.domain)
 
 
-def _emit(cfg: RunConfig, text: str) -> None:
+def _emit(cfg: argparse.Namespace, text: str) -> None:
     if cfg.out:
         with open(cfg.out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -200,7 +161,7 @@ def _json_text(payload: dict) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def cmd_gen(cfg: RunConfig) -> int:
+def cmd_gen(cfg: argparse.Namespace) -> int:
     if not cfg.f_src or not cfg.g_src:
         raise CliError(EXIT_INPUT, "gen needs --F and --G")
     data = _weier_data(cfg)
@@ -236,7 +197,7 @@ def cmd_gen(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _single_source(cfg: RunConfig, allow_x: bool = False) -> str:
+def _single_source(cfg: argparse.Namespace, allow_x: bool = False) -> str:
     picked = [name for name, val in (
         ("catalog", cfg.catalog),
         ("graph", cfg.graph_src),
@@ -253,7 +214,7 @@ def _single_source(cfg: RunConfig, allow_x: bool = False) -> str:
     return picked[0]
 
 
-def _source(cfg: RunConfig, kind: str):
+def _source(cfg: argparse.Namespace, kind: str):
     """(patch or data, label) for the source _single_source picked.
 
     Catalog and graph sources give a SurfacePatch, Weierstrass sources
@@ -262,7 +223,7 @@ def _source(cfg: RunConfig, kind: str):
     if kind == "catalog":
         try:
             patch = get(cfg.catalog, lam=cfg.lam).patch
-        except (UnknownSurfaceError, ValueError) as err:
+        except UnknownSurfaceError as err:
             raise CliError(EXIT_INPUT, str(err)) from None
         return patch, f"catalog:{cfg.catalog}"
     if kind == "graph":
@@ -273,7 +234,7 @@ def _source(cfg: RunConfig, kind: str):
     return None, "minkowski:" + ",".join(cfg.x_srcs)
 
 
-def _forms_sampler(cfg: RunConfig, kind: str, src, tol: float):
+def _forms_sampler(cfg: argparse.Namespace, kind: str, src, tol: float):
     """forms_at(u, v): closed forms of the --theta member for Weierstrass
     data (|F| <= max(tol, 1e-12) is a zero of F), the patch's exact jets
     for a catalog or graph patch."""
@@ -289,7 +250,7 @@ def _forms_sampler(cfg: RunConfig, kind: str, src, tol: float):
     return forms_at
 
 
-def cmd_analyze(cfg: RunConfig) -> int:
+def cmd_analyze(cfg: argparse.Namespace) -> int:
     kind = _single_source(cfg)
     nu, nv = cfg.grid or (33, 33)
     tol = cfg.tol if cfg.tol is not None else 1e-6
@@ -350,7 +311,7 @@ def cmd_analyze(cfg: RunConfig) -> int:
     # second form that blows up toward a singular point reports how well
     # the identity holds, not how large h got.
     codazzi_max = None
-    if kind == "weierstrass" or src.kind == "graph":
+    if kind == "weierstrass" or src.flat:
         def h_at(uu: float, vv: float):
             f = forms_at(uu, vv)
             return f.h11, f.h12, f.h22
@@ -413,7 +374,7 @@ def cmd_analyze(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_singular(cfg: RunConfig) -> int:
+def cmd_singular(cfg: argparse.Namespace) -> int:
     if not cfg.f_src or not cfg.g_src:
         raise CliError(EXIT_INPUT, "singular needs --F and --G")
     data = _weier_data(cfg)
@@ -482,8 +443,8 @@ def _forms_from_csv(path: str) -> tuple[PrescribedForms, tuple[int, int]]:
     return PrescribedForms.from_grid(*h, domain), (nu, nv)
 
 
-def cmd_reconstruct(cfg: RunConfig) -> int:
-    given = [s for s in (cfg.h_srcs or ()) if s]
+def cmd_reconstruct(cfg: argparse.Namespace) -> int:
+    given = [s for s in cfg.h_srcs if s]
     if cfg.forms_csv:
         if given:
             raise CliError(EXIT_INPUT, "--forms-csv excludes --h11/--h12/--h22")
@@ -516,8 +477,6 @@ def cmd_reconstruct(cfg: RunConfig) -> int:
         sys.stdout.write(residual + "verdict: incompatible\n")
         sys.stderr.write(f"{err}\n")
         return EXIT_CODAZZI
-    except ValueError as err:
-        raise CliError(EXIT_INPUT, str(err)) from None
 
     nu, nv = grid
     us = _axis(dom.u0, dom.u1, nu)
@@ -547,7 +506,7 @@ def cmd_reconstruct(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_embed(cfg: RunConfig) -> int:
+def cmd_embed(cfg: argparse.Namespace) -> int:
     kind = _single_source(cfg, allow_x=True)
     grid = cfg.grid or (9, 9)
     tol = cfg.tol if cfg.tol is not None else 1e-5
@@ -594,7 +553,7 @@ def cmd_embed(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_list(cfg: RunConfig) -> int:
+def cmd_list(cfg: argparse.Namespace) -> int:
     payload = {
         "schema": 1,
         "command": "list",
@@ -690,44 +649,40 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("list", help="built-in reference surfaces")
     common(p)
 
+    # a flag that a subcommand lacks reads as its default
+    parser.set_defaults(f_src=None, g_src=None, graph_src=None, catalog=None,
+                        lam=1.0, theta=0.0, base=None, forms_csv=None,
+                        h11=None, h12=None, h22=None,
+                        x1=None, x2=None, x3=None, x4=None)
     return parser
 
 
-def _config_from_args(ns: argparse.Namespace) -> RunConfig:
-    base = None
-    if getattr(ns, "base", None):
-        base = _parse_floats(ns.base, 2, "--base")
-    h_srcs = None
-    if ns.command == "reconstruct":
-        h_srcs = (ns.h11, ns.h12, ns.h22)
-    x_srcs = None
-    if ns.command == "embed":
-        xs = (ns.x1, ns.x2, ns.x3, ns.x4)
-        if any(x is not None for x in xs):
-            if not all(x is not None for x in xs):
-                raise CliError(EXIT_INPUT, "--x1..--x4 must be given together")
-            x_srcs = xs
-    domain = _parse_domain(ns.domain)
-    grid = _parse_grid(ns.grid) if ns.grid else None
+def _checked(ns: argparse.Namespace) -> argparse.Namespace:
+    """The parsed command line with --base, --domain and --grid parsed in
+    place, the sources h_srcs and x_srcs added, and every value checked."""
+    ns.base = _parse_floats(ns.base, 2, "--base") if ns.base else None
+    ns.h_srcs = (ns.h11, ns.h12, ns.h22)
+    ns.x_srcs = None
+    xs = (ns.x1, ns.x2, ns.x3, ns.x4)
+    if any(x is not None for x in xs):
+        if not all(x is not None for x in xs):
+            raise CliError(EXIT_INPUT, "--x1..--x4 must be given together")
+        ns.x_srcs = xs
+    ns.domain = d = _parse_domain(ns.domain)
+    ns.grid = _parse_grid(ns.grid) if ns.grid else None
     _threads_from_env()
-    return RunConfig(
-        command=ns.command,
-        f_src=getattr(ns, "f_src", None),
-        g_src=getattr(ns, "g_src", None),
-        h_srcs=h_srcs,
-        forms_csv=getattr(ns, "forms_csv", None),
-        x_srcs=x_srcs,
-        graph_src=getattr(ns, "graph_src", None),
-        catalog=getattr(ns, "catalog", None),
-        lam=getattr(ns, "lam", 1.0),
-        domain=domain,
-        grid=grid,
-        theta=getattr(ns, "theta", 0.0),
-        base=base,
-        tol=ns.tol,
-        out=ns.out,
-        fmt=ns.fmt,
-    )
+    for flag, values in (("--tol", (ns.tol or 0.0,)),
+                         ("--theta", (ns.theta,)), ("--lam", (ns.lam,)),
+                         ("--domain", (d.u0, d.u1, d.v0, d.v1)),
+                         ("--base", ns.base or ())):
+        if not all(map(math.isfinite, values)):
+            raise CliError(EXIT_INPUT, f"{flag} must be finite, got "
+                           + ",".join(map(str, values)))
+    if ns.grid is not None and min(ns.grid) < 2:
+        raise CliError(EXIT_INPUT, f"grid must be at least 2x2, got {ns.grid}")
+    if ns.tol is not None and ns.tol <= 0:
+        raise CliError(EXIT_INPUT, f"tol must be positive, got {ns.tol}")
+    return ns
 
 
 # flags whose values may start with '-' (negative bounds, expressions
@@ -758,14 +713,17 @@ def main(argv: list[str] | None = None) -> int:
         argv = sys.argv[1:]
     ns = parser.parse_args(_join_value_flags(list(argv)))
     try:
-        cfg = _config_from_args(ns)
-        return _COMMANDS[cfg.command](cfg)
+        return _COMMANDS[ns.command](_checked(ns))
     except CliError as err:
         failure = err
     except IntegrationError as err:
         failure = CliError(EXIT_INTEGRATION, f"integration failed: {err}")
     except EvalError as err:
         failure = CliError(EXIT_INPUT, f"evaluation failed: {err}")
+    except ValueError as err:
+        # a domain too small for the sampling margins, a base point
+        # outside the domain or off the grid: the library names which
+        failure = CliError(EXIT_INPUT, str(err))
     sys.stderr.write(f"isomin {ns.command}: {failure}\n")
     return failure.code
 

@@ -135,18 +135,17 @@ def _clusters(mask) -> list[list[tuple[int, int]]]:
 class SurfacePatch:
     """A parametrised piece of surface.
 
-    kind is "closed-form", "weierstrass" or "graph"; the parameters of a
-    graph or a Weierstrass patch are flat coordinates, which analyze's
-    Codazzi check needs.
+    flat marks a graph, whose parameters are flat coordinates, which
+    analyze's Codazzi check needs.
     jets, when given, returns (f_u, f_v, f_uu, f_uv, f_vv) at a point and
-    replaces the stencil on the evaluator in patch_jets: exact for
-    expression trees, a stencil on sample-anchored integrals for a
-    Weierstrass patch.
+    replaces the stencil on the evaluator in _jets, the one source of
+    partials: exact for expression trees, a stencil on sample-anchored
+    integrals for a Weierstrass patch.
     """
 
     evaluator: Callable[[float, float], Vec021]
     domain: Rect
-    kind: str = "closed-form"
+    flat: bool = False
     jets: Callable[[float, float], tuple] | None = None
 
     def __call__(self, u: float, v: float) -> Vec021:
@@ -201,12 +200,12 @@ def graph_patch(height: Callable[[float, float], float] | Expr,
     """
     if not callable(height):
         ev, jets = expr_chart((Var("u"), Var("v"), height), Vec021)
-        return SurfacePatch(ev, domain, kind="graph", jets=jets)
+        return SurfacePatch(ev, domain, flat=True, jets=jets)
 
     def ev(u: float, v: float) -> Vec021:
         return Vec021(u, v, float(height(u, v)))
 
-    return SurfacePatch(ev, domain, kind="graph")
+    return SurfacePatch(ev, domain, flat=True)
 
 
 def chart_patch(x: Expr, y: Expr, z: Expr, domain: Rect) -> SurfacePatch:
@@ -283,21 +282,26 @@ def _stencil(ev: Callable, u: float, v: float, h: float):
             _rich2(vm, vmh, f0, vph, vp, h))
 
 
-def patch_jets(s: SurfacePatch, u: float, v: float, step: float | None = None):
+def _jets(s, u: float, v: float):
+    """(f_u, f_v, f_uu, f_uv, f_vv) of a SurfacePatch or MinkSurface at
+    (u, v): its own jets when it has them, else the stencil on its
+    evaluator with default_step."""
+    if s.jets is not None:
+        return s.jets(u, v)
+    return _stencil(s.evaluator, u, v, default_step(s.domain))[1:]
+
+
+def patch_jets(s: SurfacePatch, u: float, v: float):
     """First and second partial derivatives of the patch at (u, v).
 
-    Returns (f_u, f_v, f_uu, f_uv, f_vv): the patch's own jets when it
-    has them, else the finite-difference stencil.  Either way the caller
-    must keep (u, v) at parameter distance >= 2 * step from the domain
-    boundary.
+    Returns _jets(s, u, v) once (u, v) is checked to sit at parameter
+    distance >= 2 * default_step from the domain boundary.
     """
-    h = default_step(s.domain) if step is None else step
+    h = default_step(s.domain)
     if s.domain.margin(u, v) < 2.0 * h - 1e-12 * s.domain.extent:
         raise ValueError(
             f"({u}, {v}) closer than 2*step={2 * h} to the domain boundary")
-    if s.jets is not None:
-        return s.jets(u, v)
-    return _stencil(s.evaluator, u, v, h)[1:]
+    return _jets(s, u, v)
 
 
 def _degeneracy_threshold(g11: float, g22: float) -> float:
@@ -308,8 +312,8 @@ def _degeneracy_threshold(g11: float, g22: float) -> float:
     return 1e-10 * scale * scale
 
 
-def fundamental_forms(s: SurfacePatch, u: float, v: float,
-                      step: float | None = None) -> FundamentalForms:
+def fundamental_forms(s: SurfacePatch, u: float, v: float
+                      ) -> FundamentalForms:
     """Both fundamental forms at an interior parameter point.
 
     g is the pullback of the degenerate product.  For h, the xy-parts of
@@ -317,7 +321,7 @@ def fundamental_forms(s: SurfacePatch, u: float, v: float,
     component of each second derivative is found by a 2x2 solve in the
     xy-plane; what remains of the z-component is the coefficient of XI.
     """
-    return _forms_from_jets(patch_jets(s, u, v, step), u, v)
+    return _forms_from_jets(patch_jets(s, u, v), u, v)
 
 
 def _forms_from_jets(jets, u: float, v: float) -> FundamentalForms:
@@ -362,14 +366,14 @@ def classify_point(k: float, tol: float = 1e-8) -> str:
     return "parabolic"
 
 
-def h_lambda(s: SurfacePatch, lam: float, u: float, v: float,
-             step: float | None = None) -> FundamentalForms:
+def h_lambda(s: SurfacePatch, lam: float, u: float, v: float
+             ) -> FundamentalForms:
     """Second form taken against the connection deformed by lambda.
 
     The deformation adds lam * sigma(f_i) * sigma(f_j) to h_ij and leaves
     the metric untouched; lam = 0 recovers the flat connection.
     """
-    jets = patch_jets(s, u, v, step)
+    jets = patch_jets(s, u, v)
     base = _forms_from_jets(jets, u, v)
     su, sv = sigma(jets[0]), sigma(jets[1])
     return FundamentalForms(

@@ -8,10 +8,11 @@ have vanishing mean curvature vector, and this module checks each piece
 of that statement numerically: induced Gram matrices, mean curvature
 vectors with the tangential part removed, Gaussian curvature of the
 induced metric by the Gauss equation, and the locus where the second
-form of the original patch dies.  A surface reads its jets from its own
-jets function when it has one (expression charts and the lifts of
-patches that carry jets) and from a 17-point stencil otherwise; the
-Brioschi curvature of gaussian_curvature_induced is a test oracle only.
+form of the original patch dies.  Every surface reads its partials
+through geometry._jets: its own jets function when it has one
+(expression charts and every lift, which maps the jets of its patch),
+else a 17-point stencil on its evaluator; the Brioschi curvature of
+gaussian_curvature_induced is a test oracle only.
 """
 
 from __future__ import annotations
@@ -22,8 +23,7 @@ from typing import Callable
 from .expr import parse_real_expr
 from .geometry import (DegenerateMetricError, FundamentalForms, Rect,
                        SurfacePatch, Vec021, brioschi_curvature, default_step,
-                       expr_chart, _OFFSETS, _axis, _clusters, _rich1,
-                       _stencil)
+                       expr_chart, _OFFSETS, _axis, _clusters, _jets, _rich1)
 
 
 class NonSpacelikeError(Exception):
@@ -86,7 +86,7 @@ class MinkSurface:
     """Parametrized surface in Minkowski space over a rectangle.
 
     jets, when given, returns (f_u, f_v, f_uu, f_uv, f_vv) at a point in
-    place of the stencil on the evaluator.
+    place of the stencil on the evaluator in geometry._jets.
     """
 
     evaluator: Callable[[float, float], Vec4M]
@@ -100,13 +100,15 @@ class MinkSurface:
 def iota_lift(s: SurfacePatch) -> MinkSurface:
     """Push a degenerate-product patch through the slice embedding.
 
-    The embedding is linear, so the patch's jets map through it too.
+    The embedding is linear, so the patch's jets (from geometry._jets)
+    map through it too; it copies components, so the lift's jets equal
+    the stencil on the lifted evaluator bit for bit when the patch has
+    none of its own.
     """
     def jets(u: float, v: float) -> tuple:
-        return tuple(map(iota_embed, s.jets(u, v)))
+        return tuple(map(iota_embed, _jets(s, u, v)))
 
-    return MinkSurface(lambda u, v: iota_embed(s(u, v)), s.domain,
-                       None if s.jets is None else jets)
+    return MinkSurface(lambda u, v: iota_embed(s(u, v)), s.domain, jets)
 
 
 def mink_surface_from_exprs(x1, x2, x3, x4, domain: Rect) -> MinkSurface:
@@ -133,21 +135,15 @@ def _require_spacelike(g11: float, g12: float, g22: float,
     return det
 
 
-def normal_second_form(s: MinkSurface, u: float, v: float,
-                       step: float | None = None):
+def normal_second_form(s: MinkSurface, u: float, v: float):
     """Normal components (N_uu, N_uv, N_vv) plus the Gram triple.
 
     The tangential part of each second partial is removed by solving
     the 2x2 Gram system with the ambient scalar product; what remains
     is normal to the surface whatever the causal type of the normal
-    plane is.  The partials are the surface's jets when it has them,
-    else the stencil with the given step.
+    plane is.  The partials come from geometry._jets.
     """
-    if s.jets is not None:
-        f_u, f_v, f_uu, f_uv, f_vv = s.jets(u, v)
-    else:
-        h = default_step(s.domain) if step is None else step
-        _, f_u, f_v, f_uu, f_uv, f_vv = _stencil(s.evaluator, u, v, h)
+    f_u, f_v, f_uu, f_uv, f_vv = _jets(s, u, v)
     g11, g12, g22 = _gram(f_u, f_v)
     det = _require_spacelike(g11, g12, g22, (u, v))
 
@@ -161,26 +157,23 @@ def normal_second_form(s: MinkSurface, u: float, v: float,
     return (reject(f_uu), reject(f_uv), reject(f_vv)), (g11, g12, g22)
 
 
-def _curvatures(s: MinkSurface, u: float, v: float,
-                step: float | None = None) -> tuple[Vec4M, float]:
+def _curvatures(s: MinkSurface, u: float, v: float) -> tuple[Vec4M, float]:
     """Mean curvature vector and Gaussian curvature from one set of jets;
     the ambient space is flat, so the Gauss equation gives
     K = (<N_uu, N_vv> - <N_uv, N_uv>) / det g."""
-    (n_uu, n_uv, n_vv), (g11, g12, g22) = normal_second_form(s, u, v, step)
+    (n_uu, n_uv, n_vv), (g11, g12, g22) = normal_second_form(s, u, v)
     det = g11 * g22 - g12 * g12
     traced = (g22 * n_uu - 2.0 * g12 * n_uv + g11 * n_vv) / det
     gauss = (lorentz_inner(n_uu, n_vv) - lorentz_inner(n_uv, n_uv)) / det
     return 0.5 * traced, gauss
 
 
-def mean_curvature_vector(s: MinkSurface, u: float, v: float,
-                          step: float | None = None) -> Vec4M:
+def mean_curvature_vector(s: MinkSurface, u: float, v: float) -> Vec4M:
     """Half the metric trace of the normal-valued second form."""
-    return _curvatures(s, u, v, step)[0]
+    return _curvatures(s, u, v)[0]
 
 
-def gaussian_curvature_induced(s: MinkSurface, u: float, v: float,
-                               step: float | None = None) -> float:
+def gaussian_curvature_induced(s: MinkSurface, u: float, v: float) -> float:
     """Brioschi curvature of metric samples taken by first differences,
     independent of the Gauss equation that verify_flat_zmc uses.
 
@@ -195,8 +188,8 @@ def gaussian_curvature_induced(s: MinkSurface, u: float, v: float,
         _require_spacelike(*g, (uu, vv))
         return g
 
-    hm = 0.01 * max(s.domain.extent, 1.0) if step is None else step
-    return brioschi_curvature(metric, u, v, step=hm)
+    return brioschi_curvature(metric, u, v,
+                              step=0.01 * max(s.domain.extent, 1.0))
 
 
 @dataclass(frozen=True, slots=True)
@@ -322,4 +315,4 @@ def slice_project(s: MinkSurface, tol: float = 1e-9,
         p = s(u, v)
         return Vec021(p.x2, p.x3, p.x4)
 
-    return SurfacePatch(evaluator, dom, kind="closed-form")
+    return SurfacePatch(evaluator, dom)

@@ -82,16 +82,6 @@ class PrescribedForms:
         arrs = tuple(np.asarray(a, dtype=float) for a in (h11, h12, h22))
         return PrescribedForms(domain, grids=arrs)
 
-    @property
-    def mode(self) -> str:
-        return "expression" if self.exprs is not None else "grid"
-
-    def component_fns(self) -> tuple[RealFn, RealFn, RealFn]:
-        """Pointwise evaluators for (h11, h12, h22)."""
-        if self.exprs is not None:
-            return tuple(compile_real(e) for e in self.exprs)
-        return tuple(_bilinear(g, self.domain) for g in self.grids)
-
 
 def _bilinear(grid: np.ndarray, rect: Rect) -> RealFn:
     nu, nv = grid.shape
@@ -274,8 +264,7 @@ def surface_from_forms(forms: PrescribedForms,
                        seed: Sequence[float] = (0.0, 0.0, 0.0),
                        grid: tuple[int, int] = (33, 33),
                        base: tuple[float, float] | None = None,
-                       tol: float = 1e-8,
-                       quad_tol: float = 1e-10) -> SurfacePatch:
+                       tol: float = 1e-8) -> SurfacePatch:
     """Graph patch whose Hessian realizes the prescription.
 
     Raises CodazziViolationError before doing any integration when the
@@ -310,12 +299,9 @@ def surface_from_forms(forms: PrescribedForms,
 
         def height(u: float, v: float) -> float:
             try:
-                bend_u = adaptive_quad(
-                    lambda s: (u - s) * h11f(s, v0), u0, u, tol=quad_tol)
-                shear = adaptive_quad(
-                    lambda s: h12f(s, v0), u0, u, tol=quad_tol)
-                bend_v = adaptive_quad(
-                    lambda t: (v - t) * h22f(u, t), v0, v, tol=quad_tol)
+                bend_u = adaptive_quad(lambda s: (u - s) * h11f(s, v0), u0, u)
+                shear = adaptive_quad(lambda s: h12f(s, v0), u0, u)
+                bend_v = adaptive_quad(lambda t: (v - t) * h22f(u, t), v0, v)
             except IntegrationError as err:
                 raise IntegrationError(
                     f"height at ({u!r}, {v!r}) from base ({u0!r}, {v0!r}): "

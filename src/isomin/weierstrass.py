@@ -26,20 +26,6 @@ from .geometry import (FundamentalForms, Rect, SurfacePatch, Vec021,
 from .quadrature import integrate_segment
 
 
-@dataclass(frozen=True, slots=True)
-class FamilyAngle:
-    """Angle along the associated family, normalised to [0, 2*pi)."""
-
-    theta: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "theta", self.theta % (2.0 * math.pi))
-
-    @property
-    def rotor(self) -> complex:
-        return cmath.exp(-1j * self.theta)
-
-
 class CompiledData(NamedTuple):
     """F, G, F' and G' compiled to functions of z."""
 
@@ -76,19 +62,18 @@ class WeierstrassData:
             compile_expr(differentiate(self.G))))
 
 
-def integrate_holomorphic(ast: Expr, w0: complex, w1: complex,
-                          tol: float = 1e-10, max_depth: int = 30) -> complex:
+def integrate_holomorphic(ast: Expr, w0: complex, w1: complex) -> complex:
     """Integral of the expression along the straight segment [w0, w1]."""
-    return integrate_segment(compile_expr(ast), w0, w1, tol, max_depth)
+    return integrate_segment(compile_expr(ast), w0, w1)
 
 
-def _angle(theta: float | FamilyAngle) -> FamilyAngle:
-    return theta if isinstance(theta, FamilyAngle) else FamilyAngle(theta)
+def _rotor(theta: float) -> complex:
+    """exp(-i theta) of the family angle taken modulo 2*pi."""
+    return cmath.exp(-1j * (theta % (2.0 * math.pi)))
 
 
-def surface_from_data(data: WeierstrassData,
-                      theta: float | FamilyAngle = 0.0,
-                      quad_tol: float = 1e-10) -> SurfacePatch:
+def surface_from_data(data: WeierstrassData, theta: float = 0.0
+                      ) -> SurfacePatch:
     """Member of the associated family as an evaluatable patch.
 
     The rotation by exp(-i theta) commutes with integration, so it is
@@ -98,7 +83,7 @@ def surface_from_data(data: WeierstrassData,
     rounding of each stencil value is then relative to |F| times the
     step, not to the distance from the base point.
     """
-    rot = _angle(theta).rotor
+    rot = _rotor(theta)
     f_fn, g_fn = data.compiled[:2]
     domain = data.domain
     slack = 1e-9 * max(domain.extent, 1.0)
@@ -109,8 +94,8 @@ def surface_from_data(data: WeierstrassData,
                 raise ValueError(
                     f"({u}, {v}) outside parameter domain {domain}")
             w = complex(u, v)
-            zf = rot * integrate_segment(f_fn, anchor, w, quad_tol)
-            zg = rot * integrate_segment(g_fn, anchor, w, quad_tol)
+            zf = rot * integrate_segment(f_fn, anchor, w)
+            zg = rot * integrate_segment(g_fn, anchor, w)
             return Vec021(zf.real, zf.imag, zg.real)
         return ev
 
@@ -118,11 +103,10 @@ def surface_from_data(data: WeierstrassData,
         return _stencil(from_anchor(complex(u, v)), u, v,
                         default_step(domain))[1:]
 
-    return SurfacePatch(from_anchor(data.base), domain, kind="weierstrass",
-                        jets=jets)
+    return SurfacePatch(from_anchor(data.base), domain, jets=jets)
 
 
-def grid_eval(data: WeierstrassData, theta: float | FamilyAngle = 0.0,
+def grid_eval(data: WeierstrassData, theta: float = 0.0,
               nu: int = 64, nv: int = 64, quad_tol: float = 1e-10):
     """Evaluate the surface on a full grid.
 
@@ -131,7 +115,7 @@ def grid_eval(data: WeierstrassData, theta: float | FamilyAngle = 0.0,
     path.  Returns (us, vs, X, Y, Z) with X[i, j] at (us[i], vs[j]).
     """
     import numpy as np
-    rot = _angle(theta).rotor
+    rot = _rotor(theta)
     f_fn, g_fn = data.compiled[:2]
     dom = data.domain
     us = _axis(dom.u0, dom.u1, nu)
@@ -165,10 +149,6 @@ class ValidationReport:
     phi_identity_exact: bool
     eval_failures: tuple[str, ...]
     cell_tol: float
-
-    @property
-    def immersion_ok(self) -> bool:
-        return self.flagged_cells == 0 and not self.eval_failures
 
 
 def validate_data(data: WeierstrassData, grid: tuple[int, int] = (33, 33),
@@ -326,9 +306,10 @@ def _scaled(data: WeierstrassData, c: complex) -> WeierstrassData:
                            BinOp("*", Lit(c), data.G), data.base, data.domain)
 
 
-def family_data(data: WeierstrassData,
-                theta: float | FamilyAngle) -> WeierstrassData:
-    """Data (r F, r G), r = exp(-i theta), whose theta = 0 surface is the
-    theta member of the family; theta = 0 returns data itself."""
-    angle = _angle(theta)
-    return data if angle.theta == 0.0 else _scaled(data, angle.rotor)
+def family_data(data: WeierstrassData, theta: float) -> WeierstrassData:
+    """Data (r F, r G), r = _rotor(theta), whose theta = 0 surface is the
+    theta member of the family; theta = 0 modulo 2*pi returns data
+    itself."""
+    if theta % (2.0 * math.pi) == 0.0:
+        return data
+    return _scaled(data, _rotor(theta))

@@ -476,13 +476,35 @@ class TestLibraryErrors:
           "--grid", "3,3"], 2, "evaluation failed: division by zero at u="),
         (["reconstruct", "--h11", "1/u", "--h12", "0", "--h22", "0",
           "--grid", "5,5"], 3, "integration failed: "),
+        # domains smaller than the sampling margins
+        (["analyze", "--graph", "u*v", "--domain", "0,0.001,0,0.001",
+          "--grid", "5,5"], 2,
+         "(2e-05, 2e-05) closer than 2*step=0.0002 to the domain boundary"),
+        (["embed", "--graph", "u*v", "--domain", "0,0.001,0,0.001",
+          "--grid", "3,3"], 2,
+         "(0.02, 0.02) closer than 2*step=0.0002 to the domain boundary"),
+        (["embed", "--graph", "u*v", "--domain", "0,10,0,0.05",
+          "--grid", "3,3"], 2,
+         "(0.2, 0.2) closer than 2*step=0.002 to the domain boundary"),
+        (["embed", "--F", "exp(z)", "--G", "z", "--domain", "0,0.05,0,0.05",
+          "--grid", "3,3"], 2, "(0.050050000000000004, 0.05) outside "
+         "parameter domain Rect(u0=0.0, u1=0.05, v0=0.0, v1=0.05)"),
     ], ids=["embed-pole", "embed-graph-log", "embed-chart-pole",
-            "reconstruct-pole"])
+            "reconstruct-pole", "analyze-tiny-domain", "embed-tiny-domain",
+            "embed-thin-domain", "embed-weierstrass-small-domain"])
     def test_documented_exit_code(self, capsys, args, code, text):
         rc, _, err = run(capsys, args)
         assert rc == code
         assert err.startswith(f"isomin {args[0]}: {text}")
         assert "Traceback" not in err
+
+    def test_chart_on_a_small_domain_embeds(self, capsys):
+        # an explicit chart is sampled wherever its margins put it
+        rc, out, _ = run(capsys, ["embed", "--x1", "u", "--x2", "u",
+                                  "--x3", "v", "--x4", "u",
+                                  "--domain", "0,0.05,0,0.05"])
+        assert rc == 0
+        assert json.loads(out)["verdict"] == "pass"
 
     def test_unbuildable_form_is_not_called_compatible(self, capsys):
         # the symbolic Codazzi residual of h11 = 1/u vanishes, so the

@@ -240,7 +240,7 @@ class TestGrid:
 def test_graph_patch_from_expression():
     ast = parse_real_expr("u^2 - v^2")
     s = graph_patch(ast, SQ2)
-    assert s.kind == "graph"
+    assert s.flat
     p = s(1.0, 2.0)
     assert p == Vec021(1.0, 2.0, -3.0)
 

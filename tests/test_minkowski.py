@@ -6,6 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import isomin.geometry as geometry
 import isomin.minkowski as minkowski
 from isomin.catalog import entries as catalog_entries, get
 from isomin.expr import EvalError, parse_expr
@@ -235,6 +236,14 @@ JET_SURFACES = {
         "exp(u)*sin(v)", "u", "v", "exp(u)*sin(v)", SQUARE),
 }
 
+# graphs of plain callables carry no jets of their own
+CALLABLE_HEIGHTS = {
+    "product": lambda u, v: u * v,
+    "cubic": lambda u, v: u ** 3 - 3 * u * v * v + u * v,
+    "exp-sin": lambda u, v: math.exp(0.5 * u) * math.sin(v),
+    "log": lambda u, v: math.log(3 + u) * v * v,
+}
+
 
 class TestJets:
     @settings(max_examples=100, deadline=None)
@@ -254,13 +263,29 @@ class TestJets:
         patch = get("rotational_log").patch
         assert iota_lift(patch).jets(0.3, -0.2) == tuple(
             iota_embed(j) for j in patch.jets(0.3, -0.2))
-        assert iota_lift(graph_patch(lambda u, v: u * v, SQUARE)).jets is None
+        flat = graph_patch(lambda u, v: u * v, SQUARE)
+        assert iota_lift(flat).jets(0.3, -0.2) == tuple(
+            iota_embed(j) for j in _stencil(flat.evaluator, 0.3, -0.2,
+                                            default_step(SQUARE))[1:])
+
+    @settings(max_examples=60, deadline=None)
+    @given(name=st.sampled_from(sorted(CALLABLE_HEIGHTS)),
+           s=st.floats(0.05, 0.95), t=st.floats(0.05, 0.95))
+    def test_patch_without_jets_takes_the_stencil(self, name, s, t):
+        patch = graph_patch(CALLABLE_HEIGHTS[name], SQUARE)
+        lifted = iota_lift(patch)
+        u, v = -1.0 + 2.0 * s, -1.0 + 2.0 * t
+        h = default_step(SQUARE)
+        assert repr(geometry._jets(patch, u, v)) == repr(
+            _stencil(patch.evaluator, u, v, h)[1:])
+        assert repr(lifted.jets(u, v)) == repr(
+            _stencil(lifted.evaluator, u, v, h)[1:])
 
     def test_surfaces_with_jets_take_no_stencil(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("stencil called on a surface with jets")
 
-        monkeypatch.setattr(minkowski, "_stencil", refuse)
+        monkeypatch.setattr(geometry, "_stencil", refuse)
         for entry in catalog_entries():
             verify_flat_zmc(iota_lift(entry.patch), grid=(3, 3))
         for make in JET_SURFACES.values():

@@ -38,15 +38,11 @@ class TestPrescribedForms:
                                       SQUARE)
 
     def test_modes_reported(self):
-        assert exprs("1", "0", "-1").mode == "expression"
+        forms = exprs("1", "0", "-1")
+        assert forms.exprs is not None and forms.grids is None
         g = np.zeros((4, 4))
-        assert PrescribedForms.from_grid(g, g, g, SQUARE).mode == "grid"
-
-    def test_component_fns_evaluate(self):
-        h11, h12, h22 = exprs("u", "u*v", "-v").component_fns()
-        assert abs(h11(0.3, 0.5) - 0.3) < 1e-15
-        assert abs(h12(0.3, 0.5) - 0.15) < 1e-15
-        assert abs(h22(0.3, 0.5) + 0.5) < 1e-15
+        forms = PrescribedForms.from_grid(g, g, g, SQUARE)
+        assert forms.grids is not None and forms.exprs is None
 
 
 class TestCodazziCheck:
@@ -143,7 +139,7 @@ class TestSurfaceFromForms:
 
     def test_simple_product_roundtrip(self):
         patch = surface_from_forms(exprs("0", "1", "0"))
-        assert patch.kind == "graph"
+        assert patch.flat
         for u, v in [(0.5, 0.5), (-0.3, 0.8)]:
             forms = fundamental_forms(patch, u, v)
             assert abs(forms.h11) < 1e-6

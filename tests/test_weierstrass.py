@@ -21,7 +21,7 @@ from isomin.expr import BinOp, Call, Lit, Var, compile_expr, differentiate, \
 from isomin.geometry import (Rect, default_step, fundamental_forms,
                              mean_curvature, patch_jets)
 from isomin.minkowski import _curvatures, iota_lift
-from isomin.weierstrass import (FamilyAngle, WeierstrassData, det_h_from_data,
+from isomin.weierstrass import (WeierstrassData, det_h_from_data,
                                 family_data, grid_eval, integrate_holomorphic,
                                 metric_at, second_form_from_data,
                                 surface_from_data, validate_data)
@@ -120,10 +120,11 @@ class TestClosedForms:
 
 class TestFamilyMachinery:
     def test_angle_normalisation(self):
-        assert abs(FamilyAngle(2.0 * math.pi + 0.5).theta - 0.5) < 1e-15
-        assert abs(FamilyAngle(-math.pi / 2).theta - 1.5 * math.pi) < 1e-15
-        rot = FamilyAngle(math.pi / 2).rotor
-        assert abs(rot - (-1j)) < 1e-15
+        rotor = weierstrass._rotor
+        assert abs(rotor(2.0 * math.pi + 0.5) - cmath.exp(-0.5j)) < 1e-15
+        assert abs(rotor(-math.pi / 2) - cmath.exp(-1.5j * math.pi)) < 1e-15
+        assert abs(rotor(math.pi / 2) - (-1j)) < 1e-15
+        assert rotor(2.0 * math.pi) == rotor(0.0) == 1.0
 
     def test_base_outside_domain_rejected(self):
         with pytest.raises(ValueError):
@@ -253,15 +254,15 @@ def test_sample_anchored_h_within_base_anchored_rounding(a, c, g, theta,
 class TestValidation:
     def test_nonvanishing_data_pass(self):
         report = validate_data(data(*LOG_SHEET[:2]))
-        assert report.immersion_ok
         assert report.flagged_cells == 0
+        assert not report.eval_failures
         assert abs(report.min_abs_f - math.exp(-1.0)) < 1e-12
         assert report.phi_identity_exact
 
     def test_single_zero_flagged(self):
         report = validate_data(data(*SADDLE[:2]))
-        assert not report.immersion_ok
         assert report.flagged_cells > 0
+        assert not report.eval_failures
         assert len(report.singular_regions) == 1
         assert abs(report.singular_regions[0]) < 0.1
 

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import isomin.geometry as geometry
-import isomin.minkowski as minkowski
 from isomin.catalog import entries as catalog_entries, get
 from isomin.expr import EvalError, parse_expr
 from isomin.geometry import (Rect, Vec021, default_step, deg_inner,

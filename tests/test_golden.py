@@ -51,6 +51,11 @@ CASES = {
     "reconstruct-expr": (["reconstruct", "--h11", "6*u", "--h12", "-6*v",
                           "--h22", "-6*u", "--grid", "9,9"], True),
     "reconstruct-forms-csv": (["reconstruct", "--forms-csv", "{forms}"], True),
+    # the Hessian of (u+2)*log(u+2): 1/(u+2) has no polynomial or
+    # exp/sin/cos/sinh/cosh primitive, so this case pins the quadrature
+    # path of the expression heights
+    "reconstruct-expr-log": (["reconstruct", "--h11", "1/(u+2)", "--h12", "0",
+                              "--h22", "0", "--grid", "9,9"], True),
     # the three embed cases below were re-recorded when lifts and charts
     # read exact jets: only max_mean_curvature moved (0.4559999999706 ->
     # 0.456, 3.05e-8 -> 0.0 and 0.3244037053566 -> 0.3244037023852);
@@ -97,6 +102,8 @@ GOLDEN = {
         "80348e383108d475626b1fc716af1820acbcec607cadee56edde7010bc13f326",
     "reconstruct-forms-csv":
         "8fe73fb3d121c4aa5eb47d837d722ee226fd794fb19c13d084388e897f0abb3b",
+    "reconstruct-expr-log":
+        "c35190f9f567dc67ebde06d81be0409f9b141f1da089c7588441b0b11024f30d",
     "embed-graph-two-clusters":
         "902b4f96fd9880afb4e96464a64c40ae785c3601e24dd6ddd955bd3503239570",
     "embed-catalog":

@@ -11,8 +11,7 @@ carries exact jets.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from .expr import BinOp, Call, Lit, Var, parse_real_expr
 from .geometry import Rect, SurfacePatch, chart_patch, graph_patch
@@ -22,8 +21,7 @@ class UnknownSurfaceError(KeyError):
     pass
 
 
-@dataclass(frozen=True, slots=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     name: str
     patch: SurfacePatch
     is_minimal: bool

@@ -436,9 +436,8 @@ def _forms_from_csv(path: str) -> tuple[PrescribedForms, tuple[int, int]]:
         gaps = [b - a for a, b in zip(axis, axis[1:])]
         if max(gaps) - min(gaps) > 1e-9 * (axis[-1] - axis[0]):
             raise CliError(EXIT_INPUT, "--forms-csv: spacing is not uniform")
-    import numpy as np
     # nu * nv distinct nodes drawn from us x vs cover the whole lattice
-    h = np.array([[table[(u, v)] for v in vs] for u in us]).transpose(2, 0, 1)
+    h = [[[table[(u, v)][c] for v in vs] for u in us] for c in range(3)]
     domain = Rect(us[0], us[-1], vs[0], vs[-1])
     return PrescribedForms.from_grid(*h, domain), (nu, nv)
 

@@ -22,10 +22,10 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 import re
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Mapping, Union
+from typing import Callable, Mapping, NamedTuple, Union
 
 
 class ExprError(Exception):
@@ -62,30 +62,25 @@ class EvalError(ExprError):
     """Domain error, division by zero or overflow during evaluation."""
 
 
-@dataclass(frozen=True, slots=True)
-class Lit:
+class Lit(NamedTuple):
     value: complex
 
 
-@dataclass(frozen=True, slots=True)
-class Var:
+class Var(NamedTuple):
     name: str
 
 
-@dataclass(frozen=True, slots=True)
-class Neg:
+class Neg(NamedTuple):
     arg: "Expr"
 
 
-@dataclass(frozen=True, slots=True)
-class BinOp:
+class BinOp(NamedTuple):
     op: str  # one of + - * / ^
     lhs: "Expr"
     rhs: "Expr"
 
 
-@dataclass(frozen=True, slots=True)
-class Call:
+class Call(NamedTuple):
     fn: str
     arg: "Expr"
 
@@ -550,6 +545,177 @@ def _derive(ast: Expr, var: str, key: str) -> Expr:
             outer = Call("sinh", a)
         return _mul(outer, da)
     raise TypeError(f"not an expression node: {ast!r}")
+
+
+# primitives ---------------------------------------------------------------
+
+# the functions k whose p(var)*k(a*var + b) integrate in closed form, each
+# with its own primitive as (sign, function)
+_KERNELS = {"exp": (1, "exp"), "sin": (-1, "cos"), "cos": (1, "sin"),
+            "sinh": (1, "cosh"), "cosh": (1, "sinh")}
+_DEGREE_CAP = 32  # largest power of var an expanded product may reach
+# largest factor n!/(n-j)!/|a|^(j+1) integration by parts may put on a
+# term: the terms of the primitive then cancel to at most about 1e-12 of
+# absolute error where var and the coefficients are of order one
+_PARTS_GAIN = 1e4
+_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+          "/": operator.truediv}
+
+
+def _free_of(node: Expr, var: str) -> bool:
+    if isinstance(node, Var):
+        return node.name != var
+    if isinstance(node, Lit):
+        return True
+    if isinstance(node, BinOp):
+        return _free_of(node.lhs, var) and _free_of(node.rhs, var)
+    return _free_of(node.arg, var)
+
+
+def _coef(op: str, a: Expr, b: Expr) -> Expr:
+    """a op b for trees without var; two literals fold, units drop.
+    A product with a zero tree is kept, so it fails where the tree
+    fails to evaluate."""
+    if isinstance(a, Lit) and isinstance(b, Lit) and (op != "/" or b.value):
+        return Lit(_ARITH[op](a.value, b.value))
+    if op in "+-" and _is_lit(b, 0):
+        return a
+    if op == "+" and _is_lit(a, 0):
+        return b
+    if op in "*/" and _is_lit(b, 1):
+        return a
+    if op == "*" and _is_lit(a, 1):
+        return b
+    return BinOp(op, a, b)
+
+
+def _number(node: Expr) -> complex | None:
+    """Value of a tree without variables, None when it has one or
+    fails to evaluate."""
+    if isinstance(node, Lit):
+        return node.value
+    try:
+        return _compiled(node, (), False, repr(node))()
+    except (EvalError, NameError):
+        return None
+
+
+def _merge(into: dict, key, coef: Expr, kernel, op: str = "+") -> None:
+    if key in into:
+        into[key] = (_coef(op, into[key][0], coef), kernel)
+    else:
+        into[key] = (coef if op == "+" else _neg(coef), kernel)
+
+
+def _series(node: Expr, var: str) -> dict | None:
+    """node as a sum of c * var^n * k over {(n, key of k): (c, k)}.
+
+    c is a tree without var and k is None or (fn, arg, a) for fn(arg)
+    with arg = a*var + (a tree without var), a a non-zero number.  None
+    when node is outside that class.
+    """
+    if _free_of(node, var):
+        return {(0, None): (node, None)}
+    if isinstance(node, Var):
+        return {(1, None): (_ONE, None)}
+    if isinstance(node, Neg):
+        inner = _series(node.arg, var)
+        if inner is None:
+            return None
+        return {key: (_neg(c), k) for key, (c, k) in inner.items()}
+    if isinstance(node, Call):
+        arg = _series(node.arg, var) if node.fn in _KERNELS else None
+        if arg is None or any(k is not None or n > 1 for n, k in arg):
+            return None
+        a = _number(arg[(1, None)][0]) if (1, None) in arg else None
+        if not a:
+            return None
+        return {(0, (node.fn, repr(node.arg))): (_ONE, (node.fn, node.arg, a))}
+    lhs = _series(node.lhs, var)
+    if lhs is None:
+        return None
+    if node.op in "+-":
+        rhs = _series(node.rhs, var)
+        if rhs is None:
+            return None
+        out = dict(lhs)
+        for key, (c, k) in rhs.items():
+            _merge(out, key, c, k, node.op)
+        return out
+    if node.op == "/":
+        if not _free_of(node.rhs, var):
+            return None
+        return {key: (_coef("/", c, node.rhs), k) for key, (c, k) in lhs.items()}
+    if node.op == "*":
+        rhs = _series(node.rhs, var)
+        return None if rhs is None else _product(lhs, rhs)
+    n = _small_int(node.rhs)
+    if n is None or n < 0:
+        return None
+    out: dict | None = {(0, None): (_ONE, None)}
+    for _ in range(n):
+        out = _product(out, lhs)
+        if out is None:
+            return None
+    return out
+
+
+def _product(a: dict, b: dict) -> dict | None:
+    out: dict = {}
+    for (n1, key1), (c1, k1) in a.items():
+        for (n2, key2), (c2, k2) in b.items():
+            if (k1 is not None and k2 is not None) or n1 + n2 > _DEGREE_CAP:
+                return None
+            _merge(out, (n1 + n2, key1 or key2), _coef("*", c1, c2), k1 or k2)
+    return out
+
+
+def primitive(ast: Expr, var: str = "z") -> Expr | None:
+    """A tree P with dP/dvar = ast, or None outside the closed class.
+
+    A subtree without var is a constant, so another variable is a
+    parameter.  The class: sums, differences and negation; constant
+    factors and division by a constant; polynomials in var, expanding
+    products and non-negative integer powers up to degree 32; and
+    p(var) * k(a*var + b) for k among exp, sin, cos, sinh and cosh, a a
+    non-zero number, by repeated integration by parts,
+
+        int x^n k(ax+b) dx = sum_j (-1)^j n!/(n-j)! x^(n-j) K_(j+1)(ax+b)
+
+    with K_m the m-th primitive of k(ax+b) in x, which carries 1/a^m,
+    as long as no factor n!/(n-j)!/|a|^(j+1) exceeds 1e4.  log,
+    non-integer powers, a division by a tree in var, k of a non-affine
+    argument and larger factors return None: their primitives, where
+    they exist, are left to quadrature.
+    """
+    series = _series(ast, var)
+    if series is None:
+        return None
+    x = Var(var)
+    total: Expr = _ZERO
+    for (n, _), (c, k) in series.items():
+        if _is_lit(c, 0):
+            continue
+        if k is None:
+            total = _coef("+", total, _coef(
+                "*", _coef("/", c, Lit(complex(n + 1))), _power(x, n + 1)))
+            continue
+        fn, arg, a = k
+        sign, scale = 1, 1 + 0j
+        for j in range(n + 1):
+            step, fn = _KERNELS[fn]
+            sign, scale = sign * step, scale * a
+            if math.perm(n, j) > _PARTS_GAIN * abs(scale):
+                return None
+            factor = (-1) ** j * math.perm(n, j) * sign / scale
+            term = _coef("*", _power(x, n - j), Call(fn, arg))
+            total = _coef("+", total, _coef(
+                "*", _coef("*", c, Lit(complex(factor))), term))
+    return total
+
+
+def _power(x: Expr, n: int) -> Expr:
+    return _ONE if n == 0 else x if n == 1 else BinOp("^", x, Lit(complex(n)))
 
 
 # printing -----------------------------------------------------------------

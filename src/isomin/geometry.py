@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .expr import Expr, Lit, Var, compile_real, differentiate
 
@@ -23,8 +23,7 @@ class DegenerateMetricError(Exception):
     """The induced metric is singular at the requested point."""
 
 
-@dataclass(frozen=True, slots=True)
-class Vec021:
+class Vec021(NamedTuple):
     x: float
     y: float
     z: float
@@ -214,8 +213,7 @@ def chart_patch(x: Expr, y: Expr, z: Expr, domain: Rect) -> SurfacePatch:
     return SurfacePatch(ev, domain, jets=jets)
 
 
-@dataclass(frozen=True, slots=True)
-class FundamentalForms:
+class FundamentalForms(NamedTuple):
     g11: float
     g12: float
     g22: float

@@ -18,7 +18,7 @@ gaussian_curvature_induced is a test oracle only.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .expr import parse_real_expr
 from .geometry import (DegenerateMetricError, FundamentalForms, Rect,
@@ -34,8 +34,7 @@ class NotInSliceError(Exception):
     """The surface leaves the null slice {x1 = x4}."""
 
 
-@dataclass(frozen=True, slots=True)
-class Vec4M:
+class Vec4M(NamedTuple):
     x1: float
     x2: float
     x3: float
@@ -192,8 +191,7 @@ def gaussian_curvature_induced(s: MinkSurface, u: float, v: float) -> float:
                               step=0.01 * max(s.domain.extent, 1.0))
 
 
-@dataclass(frozen=True, slots=True)
-class FlatZmcReport:
+class FlatZmcReport(NamedTuple):
     max_mean_curvature: float
     max_abs_curvature: float
     spacelike_violations: tuple[tuple[float, float], ...]
@@ -236,8 +234,7 @@ def verify_flat_zmc(s: MinkSurface, grid: tuple[int, int] = (9, 9),
     return FlatZmcReport(worst_h, worst_k, tuple(violations), tol, nu * nv)
 
 
-@dataclass(frozen=True, slots=True)
-class LocusCluster:
+class LocusCluster(NamedTuple):
     point: tuple[float, float]
     node_count: int
     isolated: bool

@@ -10,24 +10,24 @@ data must satisfy the compatibility equations
 and then F is determined up to an affine function A*u + B*v + C, fixed
 here by a seed (value and both first derivatives at a base point).
 
-Prescriptions come either as expressions in u and v or as arrays on a
-grid.  Expression input is integrated with adaptive quadrature through
-an exact Taylor remainder identity; grid input is integrated with the
-trapezoid rule at the grid's own resolution, cross-checking the two
-possible integration orders against each other.
+Prescriptions come either as expressions in u and v or as node values
+on a grid.  Expression input is integrated through an exact Taylor
+remainder identity: in closed form when expr.primitive finds the five
+primitives it needs, by adaptive quadrature otherwise.  Grid input,
+kept as lists of rows, is integrated with the trapezoid rule at the
+grid's own resolution, cross-checking the two possible integration
+orders against each other.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
-from .expr import Expr, parse_real_expr, compile_real, differentiate
+from .expr import (EvalError, Expr, compile_real, differentiate,
+                   parse_real_expr, primitive)
 from .geometry import Rect, SurfacePatch, _axis, graph_patch
 from .quadrature import IntegrationError, adaptive_quad
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 class CodazziViolationError(Exception):
@@ -39,6 +39,7 @@ class GridMismatchError(Exception):
 
 
 RealFn = Callable[[float, float], float]
+Grid = list[list[float]]  # node values, row index along u
 
 
 def _as_real_expr(src) -> Expr:
@@ -53,18 +54,18 @@ class PrescribedForms:
 
     Exactly one of the two storage modes is active: ``exprs`` holds three
     expression trees in u and v, ``grids`` holds three equally shaped
-    arrays of node values (row index along u, column index along v).
+    grids of node values (row index along u, column index along v).
     """
 
     domain: Rect
     exprs: tuple[Expr, Expr, Expr] | None = None
-    grids: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+    grids: tuple[Grid, Grid, Grid] | None = None
 
     def __post_init__(self):
         if (self.exprs is None) == (self.grids is None):
             raise ValueError("provide exactly one of exprs or grids")
         if self.grids is not None:
-            shapes = {g.shape for g in self.grids}
+            shapes = {_shape(g) for g in self.grids}
             if len(shapes) != 1:
                 raise ValueError(f"grid shapes differ: {shapes}")
             (shape,) = shapes
@@ -78,13 +79,31 @@ class PrescribedForms:
 
     @staticmethod
     def from_grid(h11, h12, h22, domain: Rect) -> "PrescribedForms":
-        import numpy as np
-        arrs = tuple(np.asarray(a, dtype=float) for a in (h11, h12, h22))
-        return PrescribedForms(domain, grids=arrs)
+        """Each component is a 2d array or a sequence of equally long
+        rows of numbers."""
+        return PrescribedForms(domain, grids=tuple(
+            _rows(a) for a in (h11, h12, h22)))
 
 
-def _bilinear(grid: np.ndarray, rect: Rect) -> RealFn:
-    nu, nv = grid.shape
+def _rows(arr) -> Grid:
+    try:
+        if getattr(arr, "ndim", 2) != 2:
+            raise TypeError
+        return [[float(x) for x in row] for row in arr]
+    except TypeError:
+        raise ValueError("need a 2d grid: a sequence of rows of "
+                         "numbers") from None
+
+
+def _shape(grid) -> tuple[int, ...]:
+    widths = {len(row) for row in grid}
+    if len(widths) > 1:
+        raise ValueError(f"grid rows differ in length: {sorted(widths)}")
+    return (len(grid), *widths)
+
+
+def _bilinear(grid: Grid, rect: Rect) -> RealFn:
+    nu, nv = len(grid), len(grid[0])
     du = (rect.u1 - rect.u0) / (nu - 1)
     dv = (rect.v1 - rect.v0) / (nv - 1)
 
@@ -94,16 +113,15 @@ def _bilinear(grid: np.ndarray, rect: Rect) -> RealFn:
         i = min(max(int(s), 0), nu - 2)
         j = min(max(int(t), 0), nv - 2)
         a, b = s - i, t - j
-        return float((1 - a) * (1 - b) * grid[i, j]
-                     + a * (1 - b) * grid[i + 1, j]
-                     + (1 - a) * b * grid[i, j + 1]
-                     + a * b * grid[i + 1, j + 1])
+        return ((1 - a) * (1 - b) * grid[i][j]
+                + a * (1 - b) * grid[i + 1][j]
+                + (1 - a) * b * grid[i][j + 1]
+                + a * b * grid[i + 1][j + 1])
 
     return fn
 
 
-@dataclass(frozen=True, slots=True)
-class CodazziReport:
+class CodazziReport(NamedTuple):
     max_residual: float
     worst_point: tuple[float, float]
     mode: str
@@ -137,24 +155,36 @@ def codazzi_check(forms: PrescribedForms, tol: float = 1e-8,
                     worst, where = res, (u, v)
         return CodazziReport(worst, where, "symbolic", tol)
 
-    import numpy as np
     h11, h12, h22 = forms.grids
-    nu, nv = h11.shape
+    nu, nv = len(h11), len(h11[0])
     du = (forms.domain.u1 - forms.domain.u0) / (nu - 1)
     dv = (forms.domain.v1 - forms.domain.v0) / (nv - 1)
-    r1 = ((h11[1:-1, 2:] - h11[1:-1, :-2]) / (2 * dv)
-          - (h12[2:, 1:-1] - h12[:-2, 1:-1]) / (2 * du))
-    r2 = ((h12[1:-1, 2:] - h12[1:-1, :-2]) / (2 * dv)
-          - (h22[2:, 1:-1] - h22[:-2, 1:-1]) / (2 * du))
-    res = np.abs(r1) + np.abs(r2)
-    if res.size == 0:
+    # interior nodes in row-major order
+    res = [abs((h11[i][j + 1] - h11[i][j - 1]) / (2 * dv)
+               - (h12[i + 1][j] - h12[i - 1][j]) / (2 * du))
+           + abs((h12[i][j + 1] - h12[i][j - 1]) / (2 * dv)
+                 - (h22[i + 1][j] - h22[i - 1][j]) / (2 * du))
+           for i in range(1, nu - 1) for j in range(1, nv - 1)]
+    if not res:
         return CodazziReport(0.0, (forms.domain.u0, forms.domain.v0),
                              "grid-fd", tol)
-    flat = int(np.argmax(res))
-    i, j = np.unravel_index(flat, res.shape)
+    k = _argmax(res)
+    i, j = divmod(k, nv - 2)
     where = (_axis(forms.domain.u0, forms.domain.u1, nu)[i + 1],
              _axis(forms.domain.v0, forms.domain.v1, nv)[j + 1])
-    return CodazziReport(float(res.max()), where, "grid-fd", tol)
+    return CodazziReport(res[k], where, "grid-fd", tol)
+
+
+def _argmax(xs: list[float]) -> int:
+    """Index of the first largest entry, or of the first NaN, as
+    np.argmax picks it."""
+    best = 0
+    for k, x in enumerate(xs):
+        if x != x:
+            return k
+        if x > xs[best]:
+            best = k
+    return best
 
 
 def _diff_pair(a: Expr, va: str, b: Expr, vb: str) -> RealFn:
@@ -181,23 +211,44 @@ def _node_index(rect: Rect, base: tuple[float, float],
 
 
 def _sample_grids(forms: PrescribedForms, grid: tuple[int, int]
-                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                  ) -> tuple[Grid, Grid, Grid]:
     if forms.grids is not None:
         return forms.grids
-    import numpy as np
     nu, nv = grid
     dom = forms.domain
     us = _axis(dom.u0, dom.u1, nu)
     vs = _axis(dom.v0, dom.v1, nv)
     fns = [compile_real(e) for e in forms.exprs]
-    return tuple(np.array([[fn(u, v) for v in vs] for u in us]) for fn in fns)
+    return tuple([[fn(u, v) for v in vs] for u in us] for fn in fns)
+
+
+def _from_base(xs: Sequence[float], d: float, b: int) -> list[float]:
+    """Trapezoid integral from node b to every node of xs.
+
+    The steps are c * (x[k+1] + x[k]) with c = 0.5 * d, summed from the
+    first step on (so a -0.0 survives, as in np.cumsum), and the sum at
+    node b is subtracted from every node's.
+    """
+    c = 0.5 * d
+    sums = [0.0]
+    acc = None
+    for k in range(len(xs) - 1):
+        step = c * (xs[k + 1] + xs[k])
+        acc = step if acc is None else acc + step
+        sums.append(acc)
+    at_b = sums[b]
+    return [p - at_b for p in sums]
+
+
+def _columns(rows: Grid) -> Grid:
+    return [list(col) for col in zip(*rows)]
 
 
 def integrate_hessian(forms: PrescribedForms,
                       base: tuple[float, float] | None = None,
                       seed: Sequence[float] = (0.0, 0.0, 0.0),
                       grid: tuple[int, int] = (33, 33),
-                      tol: float = 1e-8) -> np.ndarray:
+                      tol: float = 1e-8) -> Grid:
     """Node values of F by trapezoid integration from a corner base.
 
     Runs the double integration in both L orders (along v = v0 first,
@@ -206,14 +257,14 @@ def integrate_hessian(forms: PrescribedForms,
     orders agree up to the trapezoid's own discretization error, so tol
     should be chosen at the grid's resolution scale.  Constant and
     linear prescriptions integrate exactly.  Expression input is
-    sampled on ``grid``; grid input keeps its own shape.
+    sampled on ``grid``; grid input keeps its own shape.  The result is
+    a list of rows, row index along u.
 
     The base defaults to the domain center and must sit on a grid node
     (odd sample counts put the center of a symmetric domain on one).
     """
-    import numpy as np
     h11, h12, h22 = _sample_grids(forms, grid)
-    nu, nv = h11.shape
+    nu, nv = len(h11), len(h11[0])
     dom = forms.domain
     if base is None:
         base = (0.5 * (dom.u0 + dom.u1), 0.5 * (dom.v0 + dom.v1))
@@ -222,42 +273,36 @@ def integrate_hessian(forms: PrescribedForms,
     du = (dom.u1 - dom.u0) / (nu - 1)
     dv = (dom.v1 - dom.v0) / (nv - 1)
 
-    def from_base(arr: np.ndarray, axis: int, d: float, b: int) -> np.ndarray:
-        """Trapezoid integral from node b to every node along axis."""
-        n = arr.shape[axis]
-        mids = 0.5 * d * (np.take(arr, range(1, n), axis)
-                          + np.take(arr, range(0, n - 1), axis))
-        p = np.zeros_like(arr)
-        csum = np.cumsum(mids, axis=axis)
-        if arr.ndim == 1:
-            p[1:] = csum
-            return p - p[b]
-        if axis == 0:
-            p[1:, :] = csum
-            return p - p[b:b + 1, :]
-        p[:, 1:] = csum
-        return p - p[:, b:b + 1]
+    def shifted(offsets: Sequence[float], lines: Grid, d: float,
+                b: int) -> Grid:
+        """offsets[k] plus the integral from node b along lines[k]."""
+        return [[o + p for p in _from_base(line, d, b)]
+                for o, line in zip(offsets, lines)]
 
     # order A: march along the row v = v_jb, then integrate in v
-    fu_row = fu0 + from_base(h11[:, jb], 0, du, ib)         # F_u on the row
-    fv_row = fv0 + from_base(h12[:, jb], 0, du, ib)         # F_v on the row
-    f_row = f0 + from_base(fu_row, 0, du, ib)               # F on the row
-    fv_a = fv_row[:, None] + from_base(h22, 1, dv, jb)      # F_v everywhere
-    f_a = f_row[:, None] + from_base(fv_a, 1, dv, jb)
+    h11_row = [row[jb] for row in h11]
+    h12_row = [row[jb] for row in h12]
+    fu_row = [fu0 + p for p in _from_base(h11_row, du, ib)]  # F_u on the row
+    fv_row = [fv0 + p for p in _from_base(h12_row, du, ib)]  # F_v on the row
+    f_row = [f0 + p for p in _from_base(fu_row, du, ib)]     # F on the row
+    fv_a = shifted(fv_row, h22, dv, jb)                       # F_v everywhere
+    f_a = shifted(f_row, fv_a, dv, jb)
 
     # order B: march along the column u = u_ib, then integrate in u
-    fv_col = fv0 + from_base(h22[ib, :], 0, dv, jb)
-    fu_col = fu0 + from_base(h12[ib, :], 0, dv, jb)
-    f_col = f0 + from_base(fv_col, 0, dv, jb)
-    fu_b = fu_col[None, :] + from_base(h11, 0, du, ib)
-    f_b = f_col[None, :] + from_base(fu_b, 0, du, ib)
+    fv_col = [fv0 + p for p in _from_base(h22[ib], dv, jb)]
+    fu_col = [fu0 + p for p in _from_base(h12[ib], dv, jb)]
+    f_col = [f0 + p for p in _from_base(fv_col, dv, jb)]
+    fu_b = shifted(fu_col, _columns(h11), du, ib)             # by columns
+    f_b = _columns(shifted(f_col, fu_b, du, ib))
 
-    gap = float(np.abs(f_a - f_b).max())
+    gaps = [abs(a - b) for ra, rb in zip(f_a, f_b) for a, b in zip(ra, rb)]
+    gap = gaps[_argmax(gaps)]
     if gap > 10.0 * tol:
         raise GridMismatchError(
             f"L-order integrations disagree by {gap:.3e} (> 10*tol = "
             f"{10.0 * tol:.3e}); data incompatible at this resolution")
-    return 0.5 * (f_a + f_b)
+    return [[0.5 * (a + b) for a, b in zip(ra, rb)]
+            for ra, rb in zip(f_a, f_b)]
 
 
 def surface_from_forms(forms: PrescribedForms,
@@ -275,10 +320,11 @@ def surface_from_forms(forms: PrescribedForms,
                + (v-v0) [ Fv0 + int_{u0}^{u} h12(s, v0) ds ]
                + int_{v0}^{v} (v-t) h22(u, t) dt
 
-    by adaptive quadrature; the identity is exact for compatible data,
-    so the patch is as smooth as the prescription and safe to probe
-    with finite differences.  Grid input interpolates the node values
-    of integrate_hessian bilinearly.
+    in closed form when expr.primitive integrates the prescription
+    (see _closed_form_height), by adaptive quadrature otherwise; the
+    identity is exact for compatible data, so the patch is as smooth as
+    the prescription and safe to probe with finite differences.  Grid
+    input interpolates the node values of integrate_hessian bilinearly.
     """
     report = codazzi_check(forms, tol=max(tol, 1e-8))
     if not report.passed:
@@ -295,22 +341,77 @@ def surface_from_forms(forms: PrescribedForms,
     f0, fu0, fv0 = (float(s) for s in seed)
 
     if forms.exprs is not None:
-        h11f, h12f, h22f = (compile_real(e) for e in forms.exprs)
-
-        def height(u: float, v: float) -> float:
-            try:
-                bend_u = adaptive_quad(lambda s: (u - s) * h11f(s, v0), u0, u)
-                shear = adaptive_quad(lambda s: h12f(s, v0), u0, u)
-                bend_v = adaptive_quad(lambda t: (v - t) * h22f(u, t), v0, v)
-            except IntegrationError as err:
-                raise IntegrationError(
-                    f"height at ({u!r}, {v!r}) from base ({u0!r}, {v0!r}): "
-                    f"{err}") from None
-            return (f0 + (u - u0) * fu0 + float(bend_u.real)
-                    + (v - v0) * (fv0 + float(shear.real))
-                    + float(bend_v.real))
-
+        seed = (f0, fu0, fv0)
+        height = (_closed_form_height(forms.exprs, base, seed)
+                  or _quadrature_height(forms.exprs, base, seed))
         return graph_patch(height, dom)
 
     values = integrate_hessian(forms, base, seed, grid, tol)
     return graph_patch(_bilinear(values, dom), dom)
+
+
+def _closed_form_height(exprs: tuple[Expr, Expr, Expr],
+                        base: tuple[float, float],
+                        seed: tuple[float, float, float]) -> RealFn | None:
+    """The identity of surface_from_forms with P11 = int h11 du,
+    Q11 = int P11 du, P12 = int h12 du, P22 = int h22 dv and
+    Q22 = int P22 dv:
+
+        bend_u = Q11(u, v0) - Q11(u0, v0) - (u - u0) P11(u0, v0)
+        shear  = P12(u, v0) - P12(u0, v0)
+        bend_v = Q22(u, v) - Q22(u, v0) - (v - v0) P22(u, v0)
+
+    None when one of the primitives does not exist or fails to evaluate
+    at the base point.
+    """
+    h11, h12, h22 = exprs
+    p11, p12, p22 = primitive(h11, "u"), primitive(h12, "u"), primitive(h22, "v")
+    q11 = None if p11 is None else primitive(p11, "u")
+    q22 = None if p22 is None else primitive(p22, "v")
+    if None in (p12, q11, q22):
+        return None
+    Q11, P11, P12, Q22, P22 = (compile_real(t)
+                               for t in (q11, p11, p12, q22, p22))
+    u0, v0 = base
+    f0, fu0, fv0 = seed
+    try:
+        q11_0, p11_0, p12_0 = Q11(u0, v0), P11(u0, v0), P12(u0, v0)
+    except EvalError:
+        return None
+
+    def height(u: float, v: float) -> float:
+        try:
+            bend_u = Q11(u, v0) - q11_0 - (u - u0) * p11_0
+            shear = P12(u, v0) - p12_0
+            bend_v = Q22(u, v) - Q22(u, v0) - (v - v0) * P22(u, v0)
+        except EvalError as err:
+            raise EvalError(
+                f"height at ({u!r}, {v!r}) from base ({u0!r}, {v0!r}): "
+                f"{err}") from None
+        return f0 + (u - u0) * fu0 + bend_u + (v - v0) * (fv0 + shear) + bend_v
+
+    return height
+
+
+def _quadrature_height(exprs: tuple[Expr, Expr, Expr],
+                       base: tuple[float, float],
+                       seed: tuple[float, float, float]) -> RealFn:
+    """The identity of surface_from_forms by adaptive quadrature."""
+    h11f, h12f, h22f = (compile_real(e) for e in exprs)
+    u0, v0 = base
+    f0, fu0, fv0 = seed
+
+    def height(u: float, v: float) -> float:
+        try:
+            bend_u = adaptive_quad(lambda s: (u - s) * h11f(s, v0), u0, u)
+            shear = adaptive_quad(lambda s: h12f(s, v0), u0, u)
+            bend_v = adaptive_quad(lambda t: (v - t) * h22f(u, t), v0, v)
+        except IntegrationError as err:
+            raise IntegrationError(
+                f"height at ({u!r}, {v!r}) from base ({u0!r}, {v0!r}): "
+                f"{err}") from None
+        return (f0 + (u - u0) * fu0 + float(bend_u.real)
+                + (v - v0) * (fv0 + float(shear.real))
+                + float(bend_v.real))
+
+    return height

@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from itertools import chain, compress
 from operator import le
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .expr import Expr, EvalError, compile_expr, differentiate
 from .geometry import Rect, _axis
@@ -33,8 +32,7 @@ class RankDisagreementError(Exception):
     """Analytic and SVD-based Jacobian ranks disagree."""
 
 
-@dataclass(frozen=True, slots=True)
-class SingularPoint:
+class SingularPoint(NamedTuple):
     w: complex
     multiplicity: int
     rank: int

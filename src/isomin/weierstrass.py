@@ -140,8 +140,7 @@ def grid_eval(data: WeierstrassData, theta: float = 0.0,
     return us, vs, X, Y, Z
 
 
-@dataclass(frozen=True, slots=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     min_abs_f: float
     min_at: complex
     singular_regions: tuple[complex, ...]

@@ -607,7 +607,7 @@ def _numpy_imports(args):
 
 
 class TestStartup:
-    """numpy is loaded only by the commands that hold arrays."""
+    """numpy is loaded only by gen, the one command that holds arrays."""
 
     def test_importing_the_cli_loads_no_numpy(self):
         proc = _python("-c", "import sys, isomin.cli; "
@@ -623,10 +623,24 @@ class TestStartup:
         ["embed", "--graph", "u*v", "--grid", "3,3"],
         ["embed", "--x1", "0", "--x2", "u", "--x3", "v", "--x4", "0",
          "--grid", "3,3"],
+        ["reconstruct", "--h11", "6*u", "--h12", "-6*v", "--h22", "-6*u",
+         "--grid", "5,5"],
+        ["reconstruct", "--h11", "1/(u+2)", "--h12", "0", "--h22", "0",
+         "--grid", "5,5"],
     ], ids=["analyze-graph", "analyze-catalog", "analyze-fg", "singular",
-            "embed-fg", "embed-graph", "embed-chart"])
+            "embed-fg", "embed-graph", "embed-chart", "reconstruct-expr",
+            "reconstruct-expr-quadrature"])
     def test_command_loads_no_numpy(self, args):
         rc, numpy_modules = _numpy_imports(args)
+        assert rc == 0
+        assert numpy_modules == []
+
+    def test_reconstruct_from_csv_loads_no_numpy(self, tmp_path):
+        path = tmp_path / "forms.csv"
+        path.write_text("u,v,h11,h12,h22\n" + "".join(
+            f"{u},{v},2,0,-2\n" for u in (-1, 0, 1) for v in (-1, 0, 1)))
+        rc, numpy_modules = _numpy_imports(
+            ["reconstruct", "--forms-csv", str(path)])
         assert rc == 0
         assert numpy_modules == []
 

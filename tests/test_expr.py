@@ -24,6 +24,7 @@ from isomin.expr import (
     eval_expr,
     parse_expr,
     parse_real_expr,
+    primitive,
     to_source,
 )
 
@@ -511,3 +512,134 @@ def test_constant_subtree_is_evaluated_once():
     assert "_exp" not in fn.__code__.co_names
     assert "_cos" not in fn.__code__.co_names
     assert repr(compile_real(parse_real_expr("sinh(-0)*u"))(1.0, 0.0)) == "-0.0"
+
+
+# node records ---------------------------------------------------------------
+
+@pytest.mark.parametrize("node, want", [
+    (Lit(0j), "Lit(value=0j)"),
+    (Lit(complex(-0.0, 0.0)), "Lit(value=(-0+0j))"),
+    (Lit(complex(0.0, -0.0)), "Lit(value=-0j)"),
+    (Lit(complex(-0.0, -0.0)), "Lit(value=(-0-0j))"),
+    (Lit(complex(-1.5, 2.0)), "Lit(value=(-1.5+2j))"),
+    (Var("z"), "Var(name='z')"),
+    (Neg(Lit(complex(-0.0, 0.0))), "Neg(arg=Lit(value=(-0+0j)))"),
+    (BinOp("^", Var("u"), Lit(2 + 0j)),
+     "BinOp(op='^', lhs=Var(name='u'), rhs=Lit(value=(2+0j)))"),
+    (Call("exp", Neg(Var("z"))), "Call(fn='exp', arg=Neg(arg=Var(name='z')))"),
+])
+def test_node_reprs_are_pinned(node, want):
+    # the compile and differentiate caches key on repr, because Lit
+    # equality does not tell -0.0 from 0.0
+    assert repr(node) == want
+
+
+def test_signed_zero_literals_compile_apart():
+    pos, neg = Lit(0j), Lit(complex(-0.0, 0.0))
+    assert pos == neg and repr(pos) != repr(neg)
+    assert repr(compile_real(BinOp("*", pos, Var("u")))(-1.0, 0.0)) == "-0.0"
+    assert repr(compile_real(BinOp("*", neg, Var("u")))(-1.0, 0.0)) == "0.0"
+
+
+# primitives -----------------------------------------------------------------
+
+def _magnitude(node, env) -> float:
+    """Rounding scale of evaluating the tree at env: its value with every
+    sum and difference taken over absolute values.  Each function of the
+    primitive class is at most exp(|Re x|) in modulus."""
+    if isinstance(node, Lit):
+        return abs(node.value)
+    if isinstance(node, Var):
+        return abs(env[node.name])
+    if isinstance(node, Neg):
+        return _magnitude(node.arg, env)
+    if isinstance(node, Call):
+        return (math.exp(abs(_walk(node.arg, env).real))
+                * (1.0 + _magnitude(node.arg, env)))
+    a, b = _magnitude(node.lhs, env), _magnitude(node.rhs, env)
+    if node.op in "+-":
+        return a + b
+    if node.op == "*":
+        return a * b
+    if node.op == "/":
+        return a / abs(_walk(node.rhs, env))
+    return a ** int(_walk(node.rhs, env).real)
+
+
+def _lit(x):
+    return Lit(complex(x))
+
+
+# coefficients: constants for the variable u, v being a parameter
+_PARAMS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, 2.0, 0.5, -1.25, -3.0]).map(_lit),
+    st.sampled_from([Var("v"), BinOp("*", Var("v"), Var("v"))]))
+_DIVISORS = st.sampled_from([_lit(2.0), _lit(-0.5),
+                             parse_real_expr("v*v + 1")])
+
+
+def _polys(max_leaves, powers):
+    leaves = st.one_of(_PARAMS, st.just(Var("u")))
+    if powers:
+        bases = st.one_of(st.just(Var("u")),
+                          _PARAMS.map(lambda c: BinOp("+", Var("u"), c)))
+        leaves = st.one_of(leaves, st.builds(
+            lambda b, n: BinOp("^", b, _lit(n)), bases, st.integers(0, 3)))
+    return st.recursive(leaves, lambda sub: st.one_of(
+        sub.map(Neg),
+        st.builds(BinOp, st.sampled_from("+-*"), sub, sub),
+        st.builds(BinOp, st.just("/"), sub, _DIVISORS)), max_leaves=max_leaves)
+
+
+# k(a*u + b) with |a| up to 4; the polynomial factor stays of degree <= 3,
+# so integration by parts gains at most 3!/0.5^4 = 96
+_KERNEL_CALLS = st.builds(
+    lambda fn, a, b: Call(fn, BinOp("+", BinOp("*", _lit(a), Var("u")), b)),
+    st.sampled_from(["exp", "sin", "cos", "sinh", "cosh"]),
+    st.sampled_from([0.5, -1.0, 1.0, 2.0, -3.0, 4.0, -4.0]), _PARAMS)
+_LOW = _polys(3, powers=False)
+MEMBERS = st.one_of(
+    _polys(5, powers=True),
+    st.builds(lambda p, k: BinOp("*", p, k), _LOW, _KERNEL_CALLS),
+    st.builds(lambda k, p, q: BinOp("+", BinOp("*", k, p), q),
+              _KERNEL_CALLS, _LOW, _polys(4, powers=True)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(tree=MEMBERS, u=st.floats(-1.0, 1.0), v=st.floats(-1.0, 1.0))
+def test_primitive_differentiates_back(tree, u, v):
+    prim = primitive(tree, "u")
+    assert prim is not None, to_source(tree)
+    deriv = differentiate(prim, "u")
+    got, want = compile_real(deriv)(u, v), compile_real(tree)(u, v)
+    env = {"u": complex(u), "v": complex(v)}
+    scale = _magnitude(deriv, env) + _magnitude(tree, env)
+    assert abs(got - want) <= 1e-12 * scale, (to_source(tree), to_source(prim))
+
+
+@pytest.mark.parametrize("src, want", [
+    ("0", "0"),
+    ("3*v", "3*v*u"),
+    ("6*u", "3*u^2"),
+    ("-(u-1)^2/2", "-0.16666666666666666*u^3 + 0.5*u^2 + -0.5*u"),
+    ("u*exp(2*u+v)", "0.5*(u*exp(2*u + v)) + -0.25*exp(2*u + v)"),
+    ("cos(u/2)", "2*sin(u/2)"),
+])
+def test_primitive_trees(src, want):
+    assert to_source(primitive(parse_real_expr(src), "u")) == want
+
+
+@pytest.mark.parametrize("src", [
+    "log(u)", "log(u+2)*3", "u^0.5", "u^(-1)", "(u+1)^v", "2^u",
+    "1/(u+2)", "v/u", "exp(u^2)", "sin(u*v)", "exp(u)*sin(u)",
+    "exp(0*u)", "u^33", "u^6*exp(u/4)", "exp(0.00001*u)",
+])
+def test_primitive_outside_the_class_is_none(src):
+    assert primitive(parse_real_expr(src), "u") is None
+
+
+def test_primitive_treats_other_variables_as_constants():
+    # log(v) and 1/v do not involve u: the class only looks at u
+    prim = primitive(parse_real_expr("log(v)*u + 1/v"), "u")
+    assert to_source(prim) == "log(v)/2*u^2 + 1/v*u"
+    assert primitive(parse_expr("z^2*exp(i*z)"), "z") is not None

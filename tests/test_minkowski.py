@@ -340,3 +340,20 @@ class TestSliceProject:
         s = mink_surface_from_exprs("0", "u", "v", "u", SQUARE)
         with pytest.raises(NotInSliceError):
             slice_project(s)
+
+
+# the vector records are tuples underneath; their arithmetic must stay
+# componentwise and never fall through to concatenation or repetition
+
+@pytest.mark.parametrize("vec, n", [(Vec021, 3), (Vec4M, 4)])
+def test_vector_arithmetic_is_componentwise(vec, n):
+    a = vec(*(float(k + 1) for k in range(n)))
+    b = vec(*(0.5 * (k - 1) for k in range(n)))
+    assert a + b == vec(*(x + y for x, y in zip(a, b)))
+    assert a - b == vec(*(x - y for x, y in zip(a, b)))
+    for s in (2, 2.5, -0.0, True):
+        assert a * s == s * a == vec(*(x * s for x in a))
+    assert a / 4 == vec(*(x / 4 for x in a))
+    for result in (a + b, a - b, a * 2, 2 * a, a / 4):
+        assert type(result) is vec and len(result) == n
+    assert repr(-0.0 * a) == repr(vec(*(-0.0,) * n))

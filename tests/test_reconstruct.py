@@ -5,12 +5,17 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from isomin.expr import parse_real_expr, differentiate, compile_real
-from isomin.geometry import Rect, fundamental_forms, mean_curvature
+import isomin.reconstruct as rc
+from isomin.expr import (BinOp, Call, EvalError, Neg, Var, compile_real,
+                         differentiate, parse_real_expr, primitive, to_source)
+from isomin.geometry import Rect, _axis, fundamental_forms, mean_curvature
+from isomin.quadrature import IntegrationError
 from isomin.reconstruct import (CodazziViolationError, GridMismatchError,
                                 PrescribedForms, codazzi_check,
                                 integrate_hessian, surface_from_forms)
+from test_expr import MEMBERS, _magnitude
 
 SQUARE = Rect(-1.0, 1.0, -1.0, 1.0)
 
@@ -187,7 +192,7 @@ class TestSurfaceFromForms:
         for i in (0, 4, 8):
             for j in (2, 6):
                 p = patch(float(us[i]), float(us[j]))
-                assert abs(p.z - nodes[i, j]) < 1e-12
+                assert abs(p.z - nodes[i][j]) < 1e-12
 
     def test_explicit_base_point(self):
         patch = surface_from_forms(exprs("1", "0", "-1"), base=(-1.0, -1.0))
@@ -250,3 +255,238 @@ class TestRandomRoundtrips:
             for u, v in [(0.7, -0.7), (-0.9, 0.3), (0.1, 0.9)]:
                 expected = pf(u, v) - p0 - pu0 * u - pv0 * v
                 assert abs(patch(u, v).z - expected) < 1e-9
+
+
+# closed-form heights against the quadrature -------------------------------
+
+def _swap_uv(node):
+    """The tree with u and v exchanged."""
+    if isinstance(node, Var):
+        return Var({"u": "v", "v": "u"}.get(node.name, node.name))
+    if isinstance(node, BinOp):
+        return BinOp(node.op, _swap_uv(node.lhs), _swap_uv(node.rhs))
+    if isinstance(node, (Neg, Call)):
+        return node._replace(arg=_swap_uv(node.arg))
+    return node
+
+
+_UNIT = st.floats(-1.0, 1.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(h11=MEMBERS, h12=MEMBERS, h22=MEMBERS.map(_swap_uv),
+       base=st.tuples(_UNIT, _UNIT), at=st.tuples(_UNIT, _UNIT),
+       seed=st.tuples(_UNIT, _UNIT, _UNIT))
+def test_closed_form_heights_equal_quadrature(h11, h12, h22, base, at, seed):
+    # the identity holds term by term for any data, compatible or not
+    exprs_ = (h11, h12, h22)
+    closed = rc._closed_form_height(exprs_, base, seed)
+    assert closed is not None, [to_source(h) for h in exprs_]
+    try:
+        want = rc._quadrature_height(exprs_, base, seed)(*at)
+    except IntegrationError:
+        assume(False)
+    got = closed(*at)
+    # the bound, set from the rounding of the primitives' evaluations:
+    # 1e-12 of their magnitudes (over 4000 ulps), plus the quadrature's
+    # absolute tolerance of 1e-10 on each of its three integrals
+    (u0, v0), (u, v) = base, at
+    p11, p12, p22 = (primitive(h11, "u"), primitive(h12, "u"),
+                     primitive(h22, "v"))
+    q11, q22 = primitive(p11, "u"), primitive(p22, "v")
+    terms = [(q11, u, v0, 1.0), (q11, u0, v0, 1.0), (p11, u0, v0, u - u0),
+             (p12, u, v0, v - v0), (p12, u0, v0, v - v0),
+             (q22, u, v, 1.0), (q22, u, v0, 1.0), (p22, u, v0, v - v0)]
+    scale = sum(abs(w) * _magnitude(t, {"u": complex(x), "v": complex(y)})
+                for t, x, y, w in terms)
+    assert abs(got - want) <= 1e-12 * scale + 4e-10
+
+
+def test_elementary_input_integrates_without_quadrature(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("quadrature called")
+
+    monkeypatch.setattr(rc, "adaptive_quad", refuse)
+    patch = surface_from_forms(exprs("12*u^2 - 12*v^2", "-24*u*v",
+                                     "12*v^2 - 12*u^2"))
+    # u^4 - 6 u^2 v^2 + v^4 with a zero jet at the centre
+    assert abs(patch(0.5, -0.25).z - (0.0625 - 0.09375 + 0.00390625)) < 1e-15
+    patch = surface_from_forms(exprs("exp(u+v)", "exp(u+v)", "exp(u+v)"),
+                               base=(0.0, 0.0))
+    assert abs(patch(0.3, -0.7).z
+               - (math.exp(-0.4) - 1.0 - 0.3 + 0.7)) < 1e-15
+
+
+def test_input_outside_the_class_keeps_quadrature(monkeypatch):
+    calls = []
+    quad = rc.adaptive_quad
+
+    def counted(*args, **kwargs):
+        calls.append(args[1:3])
+        return quad(*args, **kwargs)
+
+    monkeypatch.setattr(rc, "adaptive_quad", counted)
+    # the Hessian of (u+2) log(u+2)
+    patch = surface_from_forms(exprs("1/(u+2)", "0", "0"))
+    x = 0.5
+    want = (x + 2) * math.log(x + 2) - 2 * math.log(2) - (math.log(2) + 1) * x
+    assert abs(patch(x, 0.25).z - want) < 1e-12
+    assert calls
+
+
+def test_closed_form_failure_names_the_height_point():
+    # exp(800 u) overflows beyond u = 0.887; the quadrature fails there too
+    forms = exprs("640000*exp(800*u)", "0", "0")
+    patch = surface_from_forms(forms, base=(0.0, 0.0))
+    assert abs(patch(0.5, 0.0).z - (math.exp(400) - 1 - 400)) \
+        < 1e-12 * math.exp(400)
+    with pytest.raises(EvalError) as err:
+        patch(0.9, -0.5)
+    assert str(err.value) == ("height at (0.9, -0.5) from base (0.0, 0.0): "
+                              "overflow at u=0.9, v=0.0")
+
+
+# the list-based grid path against the numpy code it replaced --------------
+
+def _np_codazzi(grids, dom):
+    h11, h12, h22 = (np.asarray(g, dtype=float) for g in grids)
+    nu, nv = h11.shape
+    du = (dom.u1 - dom.u0) / (nu - 1)
+    dv = (dom.v1 - dom.v0) / (nv - 1)
+    r1 = ((h11[1:-1, 2:] - h11[1:-1, :-2]) / (2 * dv)
+          - (h12[2:, 1:-1] - h12[:-2, 1:-1]) / (2 * du))
+    r2 = ((h12[1:-1, 2:] - h12[1:-1, :-2]) / (2 * dv)
+          - (h22[2:, 1:-1] - h22[:-2, 1:-1]) / (2 * du))
+    res = np.abs(r1) + np.abs(r2)
+    if res.size == 0:
+        return 0.0, (dom.u0, dom.v0)
+    i, j = np.unravel_index(int(np.argmax(res)), res.shape)
+    return float(res.max()), (_axis(dom.u0, dom.u1, nu)[i + 1],
+                              _axis(dom.v0, dom.v1, nv)[j + 1])
+
+
+def _np_integrate(grids, dom, ib, jb, seed, tol):
+    h11, h12, h22 = (np.asarray(g, dtype=float) for g in grids)
+    nu, nv = h11.shape
+    f0, fu0, fv0 = seed
+    du = (dom.u1 - dom.u0) / (nu - 1)
+    dv = (dom.v1 - dom.v0) / (nv - 1)
+
+    def from_base(arr, axis, d, b):
+        n = arr.shape[axis]
+        mids = 0.5 * d * (np.take(arr, range(1, n), axis)
+                          + np.take(arr, range(0, n - 1), axis))
+        p = np.zeros_like(arr)
+        csum = np.cumsum(mids, axis=axis)
+        if arr.ndim == 1:
+            p[1:] = csum
+            return p - p[b]
+        if axis == 0:
+            p[1:, :] = csum
+            return p - p[b:b + 1, :]
+        p[:, 1:] = csum
+        return p - p[:, b:b + 1]
+
+    fu_row = fu0 + from_base(h11[:, jb], 0, du, ib)
+    fv_row = fv0 + from_base(h12[:, jb], 0, du, ib)
+    f_row = f0 + from_base(fu_row, 0, du, ib)
+    fv_a = fv_row[:, None] + from_base(h22, 1, dv, jb)
+    f_a = f_row[:, None] + from_base(fv_a, 1, dv, jb)
+    fv_col = fv0 + from_base(h22[ib, :], 0, dv, jb)
+    fu_col = fu0 + from_base(h12[ib, :], 0, dv, jb)
+    f_col = f0 + from_base(fv_col, 0, dv, jb)
+    fu_b = fu_col[None, :] + from_base(h11, 0, du, ib)
+    f_b = f_col[None, :] + from_base(fu_b, 0, du, ib)
+    gap = float(np.abs(f_a - f_b).max())
+    if gap > 10.0 * tol:
+        return f"disagree by {gap:.3e} ("
+    return 0.5 * (f_a + f_b)
+
+
+def _np_bilinear(grid, rect, u, v):
+    nu, nv = grid.shape
+    du = (rect.u1 - rect.u0) / (nu - 1)
+    dv = (rect.v1 - rect.v0) / (nv - 1)
+    s = (u - rect.u0) / du
+    t = (v - rect.v0) / dv
+    i = min(max(int(s), 0), nu - 2)
+    j = min(max(int(t), 0), nv - 2)
+    a, b = s - i, t - j
+    return float((1 - a) * (1 - b) * grid[i, j] + a * (1 - b) * grid[i + 1, j]
+                 + (1 - a) * b * grid[i, j + 1] + a * b * grid[i + 1, j + 1])
+
+
+_ENTRIES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -2.25, 3.0, 1e-300, -7.5,
+                     math.inf, math.nan]),
+    st.floats(-10.0, 10.0))
+_ZEROS = st.sampled_from([0.0, -0.0])
+
+
+@st.composite
+def _grid_case(draw):
+    nu, nv = draw(st.integers(2, 6)), draw(st.integers(2, 6))
+    entries = _ZEROS if draw(st.booleans()) else _ENTRIES
+    grids = [[[draw(entries) for _ in range(nv)] for _ in range(nu)]
+             for _ in range(3)]
+    dom = draw(st.sampled_from([SQUARE, Rect(0.0, 2.0, -0.5, 0.25),
+                                Rect(-3.0, -1.0, 0.0, 1.0)]))
+    ib, jb = draw(st.integers(0, nu - 1)), draw(st.integers(0, nv - 1))
+    seed = draw(st.tuples(_ZEROS, _ZEROS, _ZEROS)
+                | st.tuples(_ENTRIES, _ENTRIES, _ENTRIES))
+    tol = draw(st.sampled_from([1e-8, 1.0, 1e300]))
+    return grids, dom, ib, jb, seed, tol
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_grid_case(), ab=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)))
+def test_grid_path_matches_numpy_by_repr(case, ab):
+    grids, dom, ib, jb, seed, tol = case
+    forms = PrescribedForms.from_grid(*grids, dom)
+    assert repr(forms.grids) == repr(tuple(
+        np.asarray(g, dtype=float).tolist() for g in grids))
+    assert repr(forms) == repr(PrescribedForms.from_grid(
+        *(np.asarray(g) for g in grids), dom))
+    report = codazzi_check(forms, tol=tol)
+    with np.errstate(all="ignore"):  # inf and nan entries
+        assert repr((report.max_residual, report.worst_point)) \
+            == repr(_np_codazzi(grids, dom))
+        nu, nv = len(grids[0]), len(grids[0][0])
+        base = (_axis(dom.u0, dom.u1, nu)[ib], _axis(dom.v0, dom.v1, nv)[jb])
+        want = _np_integrate(grids, dom, ib, jb, seed, tol)
+    try:
+        got = integrate_hessian(forms, base, seed, tol=tol)
+    except GridMismatchError as err:
+        assert isinstance(want, str) and want in str(err)
+        return
+    assert repr(got) == repr(want.tolist())
+    u = dom.u0 + ab[0] * (dom.u1 - dom.u0)
+    v = dom.v0 + ab[1] * (dom.v1 - dom.v0)
+    with np.errstate(all="ignore"):
+        assert repr(rc._bilinear(got, dom)(u, v)) \
+            == repr(_np_bilinear(want, dom, u, v))
+
+
+@settings(max_examples=200, deadline=None)
+@given(line=st.lists(_ZEROS | _ENTRIES, min_size=1, max_size=8),
+       d=st.sampled_from([0.25, 2.0, -0.5]), data=st.data())
+def test_trapezoid_line_matches_cumsum_by_repr(line, d, data):
+    b = data.draw(st.integers(0, len(line) - 1))
+    arr = np.asarray(line)
+    with np.errstate(all="ignore"):
+        p = np.zeros_like(arr)
+        p[1:] = np.cumsum(0.5 * d * (arr[1:] + arr[:-1]))
+        want = (p - p[b]).tolist()
+    assert repr(rc._from_base(line, d, b)) == repr(want)
+
+
+@pytest.mark.parametrize("rows", [
+    [[0.0, 1.0], [2.0]],
+    [[0.0, 1.0], [2.0, 3.0, 4.0]],
+    [1.0, 2.0],
+    np.zeros(5),
+    np.zeros((3, 3, 1)),
+])
+def test_from_grid_rejects_other_shapes(rows):
+    with pytest.raises(ValueError):
+        PrescribedForms.from_grid(rows, rows, rows, SQUARE)

@@ -8,8 +8,9 @@ another module of the package, by its own module outside its
 definition, by ``isomin.__all__``, or by the acceptance or golden tests.
 A public method or property of a library class passes when its name is
 read as an attribute (``x.name``) by a module of the package or by the
-acceptance or golden tests.  Dataclass fields are exempt: ``repr``
-shows them, and the ``validate_data`` golden pins that text.
+acceptance or golden tests.  Record fields (of a dataclass or a
+``NamedTuple``) are exempt: ``repr`` shows them, and the
+``validate_data`` golden pins that text.
 """
 
 import ast

@@ -1,6 +1,7 @@
 """Parser, evaluator, derivative and holomorphy checks."""
 
 import cmath
+import hashlib
 import math
 import random
 
@@ -259,6 +260,68 @@ class TestDifferentiate:
             d2 = parse_expr(to_source(d))
             w = 0.7 - 0.4j
             assert abs(eval_expr(d, w) - eval_expr(d2, w)) < 1e-14
+
+
+def _dlambda_height(lam):
+    # catalog.dlambda_geodesic's tree: log(lam*u + 1)/lam - u - v
+    lit, u, v = Lit(complex(lam)), Var("u"), Var("v")
+    arg = BinOp("+", BinOp("*", lit, u), Lit(1 + 0j))
+    return BinOp("-", BinOp("-", BinOp("/", Call("log", arg), lit), u), v)
+
+
+# sha256 prefixes of the reprs of every first and second partial of the
+# catalog's heights and chart components, of the golden cases'
+# expressions and of two trees whose partials fold literals
+_PINNED_PARTIALS = {
+    "0": "c37d50c4520e9ff1",
+    "u^2+v^2": "18c57ac66fe13568",
+    "u*v": "491e31c496e1be5f",
+    "0.5*(u^2-v^2)": "56d4b7d8d48c3788",
+    "u^3-3*u*v^2": "462e82ce41786340",
+    "v*cos(u)": "3e51cd85135fa2be",
+    "v*sin(u)": "aad898e504691dd7",
+    "u": "e279140ec26f12f7",
+    "exp(u)*cos(v)": "d5d2b339d6e75495",
+    "exp(u)*sin(v)": "1feff2c136fd2c90",
+    "u^3-3*u*v^2+u*v": "700d8d9abdae3290",
+    "6*u": "a49742d27c794bfa",
+    "-6*v": "4317fb675d3087a1",
+    "-6*u": "175049e23e932edf",
+    "1/(u+2)": "f1fc19ea2d8c23eb",
+    "0.1*u^4-0.05*u^2+0.02*v^2": "41d4e019d2c8ebd5",
+    "u^2-v^2": "ae96465411f2e4f0",
+    "v": "0fdf3abe4ca0723d",
+    "2*u+3*u": "dd69765402b40e5d",
+    "(u-1)^3/2 - 2*u*(v+1)": "eb0ca7e718730f28",
+    "dlambda 1.0": "5ec5782d86ddca1e",
+    "dlambda -0.5": "61d6e6d5e9c85505",
+    "exp(z)": "acdc9c7defafce7f",
+    "z^2": "f4bc81a77c973d51",
+    "z": "28bff74dbfda24bb",
+    "z^2+1": "f4bc81a77c973d51",
+    "z^2*(z-0.5)": "7eb13b76d3b10c6d",
+    "1.2*exp(-0.5*z)": "20e40cc13d2da0b3",
+    "(z+0.3-0.2*i)^2+0.02*i": "671403c0ac7692f8",
+    "z^2 - 0.25": "f4bc81a77c973d51",
+    "1": "bc385580d7e6c83f",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED_PARTIALS))
+def test_partial_derivative_trees_are_pinned(name):
+    if name.startswith("dlambda"):
+        tree, variables = _dlambda_height(float(name.split()[1])), ("u", "v")
+    elif "z" in name or name == "1":
+        tree, variables = parse_expr(name), ("z",)
+    else:
+        tree, variables = parse_real_expr(name), ("u", "v")
+    reprs = []
+    for a in variables:
+        first = differentiate(tree, a)
+        reprs.append(repr(first))
+        reprs += [repr(differentiate(first, b)) for b in variables]
+    digest = hashlib.sha256("\n".join(reprs).encode()).hexdigest()
+    assert digest[:16] == _PINNED_PARTIALS[name]
 
 
 def _random_ast(rng, depth, variables=("z",)):

@@ -464,18 +464,20 @@ def cmd_reconstruct(cfg: argparse.Namespace) -> int:
         grid = cfg.grid or (33, 33)
         tol = cfg.tol if cfg.tol is not None else 1e-8
 
+    # the output lattice and surface_from_forms' own grid are both
+    # checked; the verdict prints the residual of the check that failed
     report = codazzi_check(forms, tol=tol, grid=grid)
-    residual = f"codazzi_residual_max: {_fmt(report.max_residual)}\n"
-    if not report.passed:
-        sys.stdout.write(residual + "verdict: incompatible\n")
-        return EXIT_CODAZZI
-
     try:
-        patch = surface_from_forms(forms, grid=grid, base=cfg.base, tol=tol)
+        if not report.passed:
+            raise CodazziViolationError(report)
+        patch = surface_from_forms(forms, base=cfg.base, tol=tol)
     except CodazziViolationError as err:
-        sys.stdout.write(residual + "verdict: incompatible\n")
+        sys.stdout.write(f"codazzi_residual_max: "
+                         f"{_fmt(err.report.max_residual)}\n"
+                         "verdict: incompatible\n")
         sys.stderr.write(f"{err}\n")
         return EXIT_CODAZZI
+    residual = f"codazzi_residual_max: {_fmt(report.max_residual)}\n"
 
     nu, nv = grid
     us = _axis(dom.u0, dom.u1, nu)

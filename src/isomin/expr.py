@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import operator
 import re
 from functools import lru_cache
 from typing import Callable, Mapping, NamedTuple, Union
@@ -432,12 +431,22 @@ def _is_lit(node: Expr, value: complex | None = None) -> bool:
     return isinstance(node, Lit) and (value is None or node.value == value)
 
 
+def _number(node: Expr) -> complex | None:
+    """Value of a tree without variables, None when it has one or
+    fails to evaluate."""
+    if isinstance(node, Lit):
+        return node.value
+    try:
+        return _compiled(node, (), False, repr(node))()
+    except (EvalError, NameError):
+        return None
+
+
 def _fold(op: str, a: Expr, b: Expr) -> Expr | None:
+    """a op b as one literal when both are literals and it evaluates."""
     if isinstance(a, Lit) and isinstance(b, Lit):
-        try:
-            return Lit(eval_expr(BinOp(op, a, b), {}))
-        except EvalError:
-            return None
+        value = _number(BinOp(op, a, b))
+        return None if value is None else Lit(value)
     return None
 
 
@@ -520,11 +529,7 @@ def _derive(ast: Expr, var: str, key: str) -> Expr:
             return _div(num, _pow_node(b, Lit(2 + 0j)))
         # power rule; constant exponent stays polynomial-friendly
         if _is_lit(db, 0):
-            if isinstance(b, Lit):
-                expo = Lit(b.value - 1)
-            else:
-                expo = _sub(b, _ONE)
-            return _mul(_mul(b, _pow_node(a, expo)), da)
+            return _mul(_mul(b, _pow_node(a, _sub(b, _ONE))), da)
         log_term = _mul(db, Call("log", a))
         frac = _div(_mul(b, da), a)
         return _mul(ast, _add(log_term, frac))
@@ -558,8 +563,6 @@ _DEGREE_CAP = 32  # largest power of var an expanded product may reach
 # term: the terms of the primitive then cancel to at most about 1e-12 of
 # absolute error where var and the coefficients are of order one
 _PARTS_GAIN = 1e4
-_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul,
-          "/": operator.truediv}
 
 
 def _free_of(node: Expr, var: str) -> bool:
@@ -572,39 +575,9 @@ def _free_of(node: Expr, var: str) -> bool:
     return _free_of(node.arg, var)
 
 
-def _coef(op: str, a: Expr, b: Expr) -> Expr:
-    """a op b for trees without var; two literals fold, units drop.
-    A product with a zero tree is kept, so it fails where the tree
-    fails to evaluate."""
-    if isinstance(a, Lit) and isinstance(b, Lit) and (op != "/" or b.value):
-        return Lit(_ARITH[op](a.value, b.value))
-    if op in "+-" and _is_lit(b, 0):
-        return a
-    if op == "+" and _is_lit(a, 0):
-        return b
-    if op in "*/" and _is_lit(b, 1):
-        return a
-    if op == "*" and _is_lit(a, 1):
-        return b
-    return BinOp(op, a, b)
-
-
-def _number(node: Expr) -> complex | None:
-    """Value of a tree without variables, None when it has one or
-    fails to evaluate."""
-    if isinstance(node, Lit):
-        return node.value
-    try:
-        return _compiled(node, (), False, repr(node))()
-    except (EvalError, NameError):
-        return None
-
-
-def _merge(into: dict, key, coef: Expr, kernel, op: str = "+") -> None:
-    if key in into:
-        into[key] = (_coef(op, into[key][0], coef), kernel)
-    else:
-        into[key] = (coef if op == "+" else _neg(coef), kernel)
+def _merge(into: dict, key, coef: Expr, kernel,
+           combine: Callable[[Expr, Expr], Expr] = _add) -> None:
+    into[key] = (combine(into[key][0] if key in into else _ZERO, coef), kernel)
 
 
 def _series(node: Expr, var: str) -> dict | None:
@@ -640,12 +613,12 @@ def _series(node: Expr, var: str) -> dict | None:
             return None
         out = dict(lhs)
         for key, (c, k) in rhs.items():
-            _merge(out, key, c, k, node.op)
+            _merge(out, key, c, k, _add if node.op == "+" else _sub)
         return out
     if node.op == "/":
         if not _free_of(node.rhs, var):
             return None
-        return {key: (_coef("/", c, node.rhs), k) for key, (c, k) in lhs.items()}
+        return {key: (_div(c, node.rhs), k) for key, (c, k) in lhs.items()}
     if node.op == "*":
         rhs = _series(node.rhs, var)
         return None if rhs is None else _product(lhs, rhs)
@@ -666,7 +639,7 @@ def _product(a: dict, b: dict) -> dict | None:
         for (n2, key2), (c2, k2) in b.items():
             if (k1 is not None and k2 is not None) or n1 + n2 > _DEGREE_CAP:
                 return None
-            _merge(out, (n1 + n2, key1 or key2), _coef("*", c1, c2), k1 or k2)
+            _merge(out, (n1 + n2, key1 or key2), _mul(c1, c2), k1 or k2)
     return out
 
 
@@ -697,8 +670,8 @@ def primitive(ast: Expr, var: str = "z") -> Expr | None:
         if _is_lit(c, 0):
             continue
         if k is None:
-            total = _coef("+", total, _coef(
-                "*", _coef("/", c, Lit(complex(n + 1))), _power(x, n + 1)))
+            total = _add(total, _mul(_div(c, Lit(complex(n + 1))),
+                                     _pow_node(x, Lit(complex(n + 1)))))
             continue
         fn, arg, a = k
         sign, scale = 1, 1 + 0j
@@ -708,14 +681,9 @@ def primitive(ast: Expr, var: str = "z") -> Expr | None:
             if math.perm(n, j) > _PARTS_GAIN * abs(scale):
                 return None
             factor = (-1) ** j * math.perm(n, j) * sign / scale
-            term = _coef("*", _power(x, n - j), Call(fn, arg))
-            total = _coef("+", total, _coef(
-                "*", _coef("*", c, Lit(complex(factor))), term))
+            term = _mul(_pow_node(x, Lit(complex(n - j))), Call(fn, arg))
+            total = _add(total, _mul(_mul(c, Lit(complex(factor))), term))
     return total
-
-
-def _power(x: Expr, n: int) -> Expr:
-    return _ONE if n == 0 else x if n == 1 else BinOp("^", x, Lit(complex(n)))
 
 
 # printing -----------------------------------------------------------------

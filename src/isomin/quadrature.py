@@ -33,6 +33,9 @@ _RULE = (
 )
 
 
+_MAX_DEPTH = 30  # bisection levels below the whole interval
+
+
 class IntegrationError(Exception):
     """Quadrature failed to converge within the subdivision budget."""
 
@@ -62,22 +65,21 @@ def _refine(f, a: float, b: float, whole: complex, tol: float,
 
 
 def adaptive_quad(f: Callable, a: float, b: float, tol: float = 1e-10,
-                  max_depth: int = 30, origin=-0.0, step=1.0) -> complex:
+                  origin=-0.0, step=1.0) -> complex:
     """Integrate t -> f(origin + t * step) over [a, b] to absolute
-    tolerance tol.
+    tolerance tol, bisecting at most 30 levels deep.
 
     The defaults integrate f itself: -0.0 + t * 1.0 is t for every
     float t, the sign of a zero included.
     """
     if a == b:
         return 0j
-    return _refine(f, a, b, _panel(f, a, b, origin, step), tol, max_depth,
+    return _refine(f, a, b, _panel(f, a, b, origin, step), tol, _MAX_DEPTH,
                    origin, step)
 
 
 def integrate_segment(f: Callable[[complex], complex], w0: complex,
-                      w1: complex, tol: float = 1e-10,
-                      max_depth: int = 30) -> complex:
+                      w1: complex, tol: float = 1e-10) -> complex:
     """Line integral of f along the straight segment from w0 to w1.
 
     An IntegrationError names the segment's end points in the (u, v)
@@ -87,7 +89,7 @@ def integrate_segment(f: Callable[[complex], complex], w0: complex,
     if dw == 0:
         return 0j
     try:
-        return dw * adaptive_quad(f, 0.0, 1.0, tol, max_depth, w0, dw)
+        return dw * adaptive_quad(f, 0.0, 1.0, tol, w0, dw)
     except IntegrationError as err:
         raise IntegrationError(
             f"segment ({w0.real!r}, {w0.imag!r}) -> ({w1.real!r}, "

@@ -8,7 +8,7 @@ data must satisfy the compatibility equations
     d(h11)/dv = d(h12)/du        d(h12)/dv = d(h22)/du
 
 and then F is determined up to an affine function A*u + B*v + C, fixed
-here by a seed (value and both first derivatives at a base point).
+here by F = F_u = F_v = 0 at a base point.
 
 Prescriptions come either as expressions in u and v or as node values
 on a grid.  Expression input is integrated through an exact Taylor
@@ -31,7 +31,14 @@ from .quadrature import IntegrationError, adaptive_quad
 
 
 class CodazziViolationError(Exception):
-    """The prescribed form is not the Hessian of any function."""
+    """The prescribed form is not the Hessian of any function; report is
+    the CodazziReport that failed."""
+
+    def __init__(self, report: "CodazziReport"):
+        self.report = report
+        super().__init__(
+            f"compatibility residual {report.max_residual:.3e} at "
+            f"{report.worst_point} exceeds tol {report.tol:.1e}")
 
 
 class GridMismatchError(Exception):
@@ -210,18 +217,6 @@ def _node_index(rect: Rect, base: tuple[float, float],
     return ib, jb
 
 
-def _sample_grids(forms: PrescribedForms, grid: tuple[int, int]
-                  ) -> tuple[Grid, Grid, Grid]:
-    if forms.grids is not None:
-        return forms.grids
-    nu, nv = grid
-    dom = forms.domain
-    us = _axis(dom.u0, dom.u1, nu)
-    vs = _axis(dom.v0, dom.v1, nv)
-    fns = [compile_real(e) for e in forms.exprs]
-    return tuple([[fn(u, v) for v in vs] for u in us] for fn in fns)
-
-
 def _from_base(xs: Sequence[float], d: float, b: int) -> list[float]:
     """Trapezoid integral from node b to every node of xs.
 
@@ -246,30 +241,29 @@ def _columns(rows: Grid) -> Grid:
 
 def integrate_hessian(forms: PrescribedForms,
                       base: tuple[float, float] | None = None,
-                      seed: Sequence[float] = (0.0, 0.0, 0.0),
-                      grid: tuple[int, int] = (33, 33),
                       tol: float = 1e-8) -> Grid:
-    """Node values of F by trapezoid integration from a corner base.
+    """Node values of F on the grid of grid input, by trapezoid
+    integration from a base node where F, F_u and F_v are 0.
 
     Runs the double integration in both L orders (along v = v0 first,
     then in v; and along u = u0 first, then in u) and raises when the
     two node arrays disagree beyond 10*tol: for compatible data the
     orders agree up to the trapezoid's own discretization error, so tol
     should be chosen at the grid's resolution scale.  Constant and
-    linear prescriptions integrate exactly.  Expression input is
-    sampled on ``grid``; grid input keeps its own shape.  The result is
-    a list of rows, row index along u.
+    linear prescriptions integrate exactly.  The result is a list of
+    rows, row index along u.
 
     The base defaults to the domain center and must sit on a grid node
     (odd sample counts put the center of a symmetric domain on one).
     """
-    h11, h12, h22 = _sample_grids(forms, grid)
+    if forms.grids is None:
+        raise ValueError("integrate_hessian needs grid input")
+    h11, h12, h22 = forms.grids
     nu, nv = len(h11), len(h11[0])
     dom = forms.domain
     if base is None:
         base = (0.5 * (dom.u0 + dom.u1), 0.5 * (dom.v0 + dom.v1))
     ib, jb = _node_index(dom, base, (nu, nv))
-    f0, fu0, fv0 = (float(s) for s in seed)
     du = (dom.u1 - dom.u0) / (nu - 1)
     dv = (dom.v1 - dom.v0) / (nv - 1)
 
@@ -280,19 +274,17 @@ def integrate_hessian(forms: PrescribedForms,
                 for o, line in zip(offsets, lines)]
 
     # order A: march along the row v = v_jb, then integrate in v
-    h11_row = [row[jb] for row in h11]
-    h12_row = [row[jb] for row in h12]
-    fu_row = [fu0 + p for p in _from_base(h11_row, du, ib)]  # F_u on the row
-    fv_row = [fv0 + p for p in _from_base(h12_row, du, ib)]  # F_v on the row
-    f_row = [f0 + p for p in _from_base(fu_row, du, ib)]     # F on the row
-    fv_a = shifted(fv_row, h22, dv, jb)                       # F_v everywhere
+    fu_row = _from_base([row[jb] for row in h11], du, ib)  # F_u on the row
+    fv_row = _from_base([row[jb] for row in h12], du, ib)  # F_v on the row
+    f_row = _from_base(fu_row, du, ib)                     # F on the row
+    fv_a = shifted(fv_row, h22, dv, jb)                     # F_v everywhere
     f_a = shifted(f_row, fv_a, dv, jb)
 
     # order B: march along the column u = u_ib, then integrate in u
-    fv_col = [fv0 + p for p in _from_base(h22[ib], dv, jb)]
-    fu_col = [fu0 + p for p in _from_base(h12[ib], dv, jb)]
-    f_col = [f0 + p for p in _from_base(fv_col, dv, jb)]
-    fu_b = shifted(fu_col, _columns(h11), du, ib)             # by columns
+    fv_col = _from_base(h22[ib], dv, jb)
+    fu_col = _from_base(h12[ib], dv, jb)
+    f_col = _from_base(fv_col, dv, jb)
+    fu_b = shifted(fu_col, _columns(h11), du, ib)           # by columns
     f_b = _columns(shifted(f_col, fu_b, du, ib))
 
     gaps = [abs(a - b) for ra, rb in zip(f_a, f_b) for a, b in zip(ra, rb)]
@@ -306,18 +298,17 @@ def integrate_hessian(forms: PrescribedForms,
 
 
 def surface_from_forms(forms: PrescribedForms,
-                       seed: Sequence[float] = (0.0, 0.0, 0.0),
-                       grid: tuple[int, int] = (33, 33),
                        base: tuple[float, float] | None = None,
                        tol: float = 1e-8) -> SurfacePatch:
-    """Graph patch whose Hessian realizes the prescription.
+    """Graph patch whose Hessian realizes the prescription, with F, F_u
+    and F_v 0 at the base point (by default the domain centre).
 
     Raises CodazziViolationError before doing any integration when the
-    compatibility residual exceeds tol.  Expression input evaluates
+    compatibility residual, checked on codazzi_check's default grid,
+    exceeds tol.  Expression input evaluates
 
-        F(u,v) = F0 + (u-u0) Fu0
-               + int_{u0}^{u} (u-s) h11(s, v0) ds
-               + (v-v0) [ Fv0 + int_{u0}^{u} h12(s, v0) ds ]
+        F(u,v) = int_{u0}^{u} (u-s) h11(s, v0) ds
+               + (v-v0) int_{u0}^{u} h12(s, v0) ds
                + int_{v0}^{v} (v-t) h22(u, t) dt
 
     in closed form when expr.primitive integrates the prescription
@@ -328,9 +319,7 @@ def surface_from_forms(forms: PrescribedForms,
     """
     report = codazzi_check(forms, tol=max(tol, 1e-8))
     if not report.passed:
-        raise CodazziViolationError(
-            f"compatibility residual {report.max_residual:.3e} at "
-            f"{report.worst_point} exceeds tol {report.tol:.1e}")
+        raise CodazziViolationError(report)
 
     dom = forms.domain
     if base is None:
@@ -338,21 +327,18 @@ def surface_from_forms(forms: PrescribedForms,
     u0, v0 = base
     if not dom.contains(u0, v0):
         raise ValueError(f"base {base} outside domain")
-    f0, fu0, fv0 = (float(s) for s in seed)
 
     if forms.exprs is not None:
-        seed = (f0, fu0, fv0)
-        height = (_closed_form_height(forms.exprs, base, seed)
-                  or _quadrature_height(forms.exprs, base, seed))
+        height = (_closed_form_height(forms.exprs, base)
+                  or _quadrature_height(forms.exprs, base))
         return graph_patch(height, dom)
 
-    values = integrate_hessian(forms, base, seed, grid, tol)
+    values = integrate_hessian(forms, base, tol)
     return graph_patch(_bilinear(values, dom), dom)
 
 
 def _closed_form_height(exprs: tuple[Expr, Expr, Expr],
-                        base: tuple[float, float],
-                        seed: tuple[float, float, float]) -> RealFn | None:
+                        base: tuple[float, float]) -> RealFn | None:
     """The identity of surface_from_forms with P11 = int h11 du,
     Q11 = int P11 du, P12 = int h12 du, P22 = int h22 dv and
     Q22 = int P22 dv:
@@ -373,7 +359,6 @@ def _closed_form_height(exprs: tuple[Expr, Expr, Expr],
     Q11, P11, P12, Q22, P22 = (compile_real(t)
                                for t in (q11, p11, p12, q22, p22))
     u0, v0 = base
-    f0, fu0, fv0 = seed
     try:
         q11_0, p11_0, p12_0 = Q11(u0, v0), P11(u0, v0), P12(u0, v0)
     except EvalError:
@@ -388,18 +373,16 @@ def _closed_form_height(exprs: tuple[Expr, Expr, Expr],
             raise EvalError(
                 f"height at ({u!r}, {v!r}) from base ({u0!r}, {v0!r}): "
                 f"{err}") from None
-        return f0 + (u - u0) * fu0 + bend_u + (v - v0) * (fv0 + shear) + bend_v
+        return bend_u + (v - v0) * shear + bend_v
 
     return height
 
 
 def _quadrature_height(exprs: tuple[Expr, Expr, Expr],
-                       base: tuple[float, float],
-                       seed: tuple[float, float, float]) -> RealFn:
+                       base: tuple[float, float]) -> RealFn:
     """The identity of surface_from_forms by adaptive quadrature."""
     h11f, h12f, h22f = (compile_real(e) for e in exprs)
     u0, v0 = base
-    f0, fu0, fv0 = seed
 
     def height(u: float, v: float) -> float:
         try:
@@ -410,8 +393,7 @@ def _quadrature_height(exprs: tuple[Expr, Expr, Expr],
             raise IntegrationError(
                 f"height at ({u!r}, {v!r}) from base ({u0!r}, {v0!r}): "
                 f"{err}") from None
-        return (f0 + (u - u0) * fu0 + float(bend_u.real)
-                + (v - v0) * (fv0 + float(shear.real))
+        return (float(bend_u.real) + (v - v0) * float(shear.real)
                 + float(bend_v.real))
 
     return height

@@ -189,8 +189,10 @@ def _sharpen(fn, dfn, w: complex, mult: int, domain: Rect,
     return best
 
 
-def zero_multiplicity(ast: Expr, center: complex, radius: float,
-                      samples: int = 512) -> int:
+_CONTOUR_SAMPLES = 512  # trapezoid nodes on the argument-principle circle
+
+
+def zero_multiplicity(ast: Expr, center: complex, radius: float) -> int:
     """Order of the zero at ``center`` by the argument principle.
 
     Trapezoidal integration of F'/F around the circle is spectrally
@@ -203,8 +205,8 @@ def zero_multiplicity(ast: Expr, center: complex, radius: float,
     if radius <= 0:
         raise ValueError("radius must be positive")
     acc = 0j
-    for k in range(samples):
-        ang = 2.0 * math.pi * k / samples
+    for k in range(_CONTOUR_SAMPLES):
+        ang = 2.0 * math.pi * k / _CONTOUR_SAMPLES
         offset = radius * cmath.exp(1j * ang)
         w = center + offset
         try:
@@ -215,7 +217,7 @@ def zero_multiplicity(ast: Expr, center: complex, radius: float,
         if abs(val) < 1e-13 * max(1.0, abs(dval) * radius):
             raise ContourError(f"|F| = {abs(val):.3e} on the contour at {w}")
         acc += dval / val * offset
-    winding = acc / samples  # mean of F'/F * (w - center) over the circle
+    winding = acc / _CONTOUR_SAMPLES  # mean of F'/F * (w - center) over the circle
     nearest = round(winding.real)
     if abs(winding.real - nearest) > 0.1 or abs(winding.imag) > 0.1:
         raise MultiplicityError(

@@ -275,6 +275,16 @@ class TestReconstruct:
         assert not out.exists()
         assert "verdict: incompatible" in captured.out
 
+    def test_residual_missed_by_the_lattice_is_printed(self, capsys):
+        # d(h22)/du = 2*pi*sin(2*pi*u) vanishes on every node of the 5x5
+        # lattice; surface_from_forms' own check finds it between them
+        rc, out, _ = run(capsys, ["reconstruct", "--h11", "0", "--h12", "0",
+                                  "--h22", "1-cos(2*pi*u)", "--grid", "5,5"])
+        assert rc == 5
+        first, verdict = out.splitlines()
+        assert float(first.split(": ")[1]) > 1e-8
+        assert verdict == "verdict: incompatible"
+
     def test_obj_output(self, capsys, tmp_path):
         out = tmp_path / "graph.obj"
         rc = main(["reconstruct", "--h11", "0", "--h12", "1", "--h22", "0",

@@ -687,6 +687,8 @@ def test_primitive_differentiates_back(tree, u, v):
     ("-(u-1)^2/2", "-0.16666666666666666*u^3 + 0.5*u^2 + -0.5*u"),
     ("u*exp(2*u+v)", "0.5*(u*exp(2*u + v)) + -0.25*exp(2*u + v)"),
     ("cos(u/2)", "2*sin(u/2)"),
+    # a zero coefficient drops as in differentiate, log(v) included
+    ("(u-u)*log(v)", "0"),
 ])
 def test_primitive_trees(src, want):
     assert to_source(primitive(parse_real_expr(src), "u")) == want

@@ -25,6 +25,16 @@ def exprs(h11: str, h12: str, h22: str,
     return PrescribedForms.from_expressions(h11, h12, h22, domain)
 
 
+def sampled(h11: str, h12: str, h22: str, n: int,
+            domain: Rect = SQUARE) -> PrescribedForms:
+    """Grid input: the three expressions at the nodes of an n x n lattice."""
+    us = _axis(domain.u0, domain.u1, n)
+    vs = _axis(domain.v0, domain.v1, n)
+    fns = [compile_real(parse_real_expr(h)) for h in (h11, h12, h22)]
+    return PrescribedForms.from_grid(
+        *([[fn(u, v) for v in vs] for u in us] for fn in fns), domain)
+
+
 class TestPrescribedForms:
     def test_exactly_one_mode(self):
         with pytest.raises(ValueError):
@@ -90,14 +100,14 @@ class TestIntegrateHessian:
         (("2", "0", "2"), lambda u, v: u * u + v * v),
     ])
     def test_constant_forms_integrate_exactly(self, h, potential):
-        vals = integrate_hessian(exprs(*h), grid=(9, 9))
+        vals = integrate_hessian(sampled(*h, 9))
         us = np.linspace(-1, 1, 9)
         exact = np.array([[potential(u, v) for v in us] for u in us])
         assert np.abs(vals - exact).max() < 1e-14
 
     def test_off_center_node_base(self):
-        forms = exprs("1", "0", "-1", Rect(0.0, 2.0, 0.0, 2.0))
-        vals = integrate_hessian(forms, base=(1.0, 1.0), grid=(5, 5))
+        forms = sampled("1", "0", "-1", 5, Rect(0.0, 2.0, 0.0, 2.0))
+        vals = integrate_hessian(forms, base=(1.0, 1.0))
         us = np.linspace(0, 2, 5)
         exact = np.array([[0.5 * ((u - 1) ** 2 - (v - 1) ** 2)
                            for v in us] for u in us])
@@ -105,16 +115,11 @@ class TestIntegrateHessian:
 
     def test_base_must_sit_on_node(self):
         with pytest.raises(ValueError):
-            integrate_hessian(exprs("1", "0", "-1"), base=(0.3, 0.0),
-                              grid=(5, 5))
+            integrate_hessian(sampled("1", "0", "-1", 5), base=(0.3, 0.0))
 
-    def test_seed_adds_affine_part(self):
-        vals = integrate_hessian(exprs("0", "1", "0"), seed=(2.0, 3.0, -1.0),
-                                 grid=(5, 5))
-        us = np.linspace(-1, 1, 5)
-        exact = np.array([[u * v + 2.0 + 3.0 * u - v for v in us]
-                          for u in us])
-        assert np.abs(vals - exact).max() < 1e-14
+    def test_expression_input_is_refused(self):
+        with pytest.raises(ValueError, match="grid input"):
+            integrate_hessian(exprs("1", "0", "-1"))
 
     def test_incompatible_grid_raises(self):
         us = np.linspace(-1, 1, 9)
@@ -141,6 +146,7 @@ class TestSurfaceFromForms:
         with pytest.raises(CodazziViolationError) as err:
             surface_from_forms(exprs("v", "0", "0"))
         assert "1.000e+00" in str(err.value)
+        assert err.value.report == codazzi_check(exprs("v", "0", "0"))
 
     def test_simple_product_roundtrip(self):
         patch = surface_from_forms(exprs("0", "1", "0"))
@@ -168,18 +174,6 @@ class TestSurfaceFromForms:
         for u, v in [(0.3, 0.3), (-0.6, 0.4)]:
             forms = fundamental_forms(patch, u, v)
             assert abs(mean_curvature(forms)) < 1e-6
-
-    def test_seed_invariance_is_exact_affine(self):
-        forms = exprs("2", "0", "2")
-        plain = surface_from_forms(forms)
-        seeded = surface_from_forms(forms, seed=(1.5, -2.0, 0.75))
-        rng = random.Random(5)
-        for _ in range(20):
-            u = rng.uniform(-1, 1)
-            v = rng.uniform(-1, 1)
-            gap = seeded(u, v).z - plain(u, v).z
-            affine = 1.5 - 2.0 * u + 0.75 * v
-            assert abs(gap - affine) < 1e-9
 
     def test_grid_mode_interpolates_node_values(self):
         us = np.linspace(-1, 1, 9)
@@ -275,15 +269,14 @@ _UNIT = st.floats(-1.0, 1.0)
 
 @settings(max_examples=150, deadline=None)
 @given(h11=MEMBERS, h12=MEMBERS, h22=MEMBERS.map(_swap_uv),
-       base=st.tuples(_UNIT, _UNIT), at=st.tuples(_UNIT, _UNIT),
-       seed=st.tuples(_UNIT, _UNIT, _UNIT))
-def test_closed_form_heights_equal_quadrature(h11, h12, h22, base, at, seed):
+       base=st.tuples(_UNIT, _UNIT), at=st.tuples(_UNIT, _UNIT))
+def test_closed_form_heights_equal_quadrature(h11, h12, h22, base, at):
     # the identity holds term by term for any data, compatible or not
     exprs_ = (h11, h12, h22)
-    closed = rc._closed_form_height(exprs_, base, seed)
+    closed = rc._closed_form_height(exprs_, base)
     assert closed is not None, [to_source(h) for h in exprs_]
     try:
-        want = rc._quadrature_height(exprs_, base, seed)(*at)
+        want = rc._quadrature_height(exprs_, base)(*at)
     except IntegrationError:
         assume(False)
     got = closed(*at)
@@ -365,10 +358,9 @@ def _np_codazzi(grids, dom):
                               _axis(dom.v0, dom.v1, nv)[j + 1])
 
 
-def _np_integrate(grids, dom, ib, jb, seed, tol):
+def _np_integrate(grids, dom, ib, jb, tol):
     h11, h12, h22 = (np.asarray(g, dtype=float) for g in grids)
     nu, nv = h11.shape
-    f0, fu0, fv0 = seed
     du = (dom.u1 - dom.u0) / (nu - 1)
     dv = (dom.v1 - dom.v0) / (nv - 1)
 
@@ -387,14 +379,14 @@ def _np_integrate(grids, dom, ib, jb, seed, tol):
         p[:, 1:] = csum
         return p - p[:, b:b + 1]
 
-    fu_row = fu0 + from_base(h11[:, jb], 0, du, ib)
-    fv_row = fv0 + from_base(h12[:, jb], 0, du, ib)
-    f_row = f0 + from_base(fu_row, 0, du, ib)
+    fu_row = from_base(h11[:, jb], 0, du, ib)
+    fv_row = from_base(h12[:, jb], 0, du, ib)
+    f_row = from_base(fu_row, 0, du, ib)
     fv_a = fv_row[:, None] + from_base(h22, 1, dv, jb)
     f_a = f_row[:, None] + from_base(fv_a, 1, dv, jb)
-    fv_col = fv0 + from_base(h22[ib, :], 0, dv, jb)
-    fu_col = fu0 + from_base(h12[ib, :], 0, dv, jb)
-    f_col = f0 + from_base(fv_col, 0, dv, jb)
+    fv_col = from_base(h22[ib, :], 0, dv, jb)
+    fu_col = from_base(h12[ib, :], 0, dv, jb)
+    f_col = from_base(fv_col, 0, dv, jb)
     fu_b = fu_col[None, :] + from_base(h11, 0, du, ib)
     f_b = f_col[None, :] + from_base(fu_b, 0, du, ib)
     gap = float(np.abs(f_a - f_b).max())
@@ -432,16 +424,14 @@ def _grid_case(draw):
     dom = draw(st.sampled_from([SQUARE, Rect(0.0, 2.0, -0.5, 0.25),
                                 Rect(-3.0, -1.0, 0.0, 1.0)]))
     ib, jb = draw(st.integers(0, nu - 1)), draw(st.integers(0, nv - 1))
-    seed = draw(st.tuples(_ZEROS, _ZEROS, _ZEROS)
-                | st.tuples(_ENTRIES, _ENTRIES, _ENTRIES))
     tol = draw(st.sampled_from([1e-8, 1.0, 1e300]))
-    return grids, dom, ib, jb, seed, tol
+    return grids, dom, ib, jb, tol
 
 
 @settings(max_examples=300, deadline=None)
 @given(case=_grid_case(), ab=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)))
 def test_grid_path_matches_numpy_by_repr(case, ab):
-    grids, dom, ib, jb, seed, tol = case
+    grids, dom, ib, jb, tol = case
     forms = PrescribedForms.from_grid(*grids, dom)
     assert repr(forms.grids) == repr(tuple(
         np.asarray(g, dtype=float).tolist() for g in grids))
@@ -453,9 +443,9 @@ def test_grid_path_matches_numpy_by_repr(case, ab):
             == repr(_np_codazzi(grids, dom))
         nu, nv = len(grids[0]), len(grids[0][0])
         base = (_axis(dom.u0, dom.u1, nu)[ib], _axis(dom.v0, dom.v1, nv)[jb])
-        want = _np_integrate(grids, dom, ib, jb, seed, tol)
+        want = _np_integrate(grids, dom, ib, jb, tol)
     try:
-        got = integrate_hessian(forms, base, seed, tol=tol)
+        got = integrate_hessian(forms, base, tol=tol)
     except GridMismatchError as err:
         assert isinstance(want, str) and want in str(err)
         return

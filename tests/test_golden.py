@@ -25,6 +25,12 @@ CASES = {
     "gen-obj": (GEN + ["--format", "obj"], True),
     "gen-csv": (GEN + ["--format", "csv"], True),
     "gen-json": (GEN + ["--format", "json"], True),
+    # 72 x 64 = 4,608 vertices, above weierstrass._SPLIT_MIN, so on a
+    # machine with two or more usable CPUs grid_eval splits the rows
+    # across forked processes; recorded from the serial loop
+    "gen-split-obj": (["gen", "--F", "exp(z)", "--G", "z^2", "--theta", "0.7",
+                       "--base", "0.1,-0.2", "--grid", "72,64",
+                       "--format", "obj"], True),
     # re-recorded when expression graphs got exact jets in place of the
     # 17-point stencil: g11/g22 moved by <= 3e-13, h, H and K by
     # <= 3.2e-7, max_abs_mean_curvature 4.2e-8 -> 0, codazzi_residual_max
@@ -90,6 +96,8 @@ GOLDEN = {
         "367888dee1aedf39873c05a4403345a7dfb10836dbdbf89216b4ee4ee091e97c",
     "gen-json":
         "28bd8d5f73040dc720b0d1723a0a4d04f1a36a281d71fc93298972484595494c",
+    "gen-split-obj":
+        "07bfe2600fc10ce20ba5106babce579692ca3f975b9485045078d29e62e3b2ee",
     "analyze-graph-csv":
         "a12a6af005a0851d799d60d9461514c78482e40352fabbd35e94a7408aaafb55",
     "analyze-weierstrass-zero-json":

@@ -167,12 +167,11 @@ def cmd_gen(cfg: argparse.Namespace) -> int:
     data = _weier_data(cfg)
     nu, nv = cfg.grid or (64, 64)
     quad_tol = cfg.tol if cfg.tol is not None else 1e-10
-    us, vs, X, Y, Z = grid_eval(data, theta=cfg.theta, nu=nu, nv=nv,
-                                quad_tol=quad_tol)
+    us, vs, rows = grid_eval(data, theta=cfg.theta, nu=nu, nv=nv,
+                             quad_tol=quad_tol)
 
-    # vertex j * nu + i is (X, Y, Z)[i, j]
-    verts = list(zip(X.T.ravel().tolist(), Y.T.ravel().tolist(),
-                     Z.T.ravel().tolist()))
+    # vertex j * nu + i is rows[j][i]
+    verts = [p for row in rows for p in row]
     fmt = cfg.fmt or "obj"
     if fmt == "obj":
         _emit(cfg, _obj_mesh(verts, nu, nv))

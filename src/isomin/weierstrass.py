@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import cmath
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -106,27 +108,24 @@ def surface_from_data(data: WeierstrassData, theta: float = 0.0
     return SurfacePatch(from_anchor(data.base), domain, jets=jets)
 
 
-def grid_eval(data: WeierstrassData, theta: float = 0.0,
-              nu: int = 64, nv: int = 64, quad_tol: float = 1e-10):
-    """Evaluate the surface on a full grid.
+_SPLIT_MIN = 1024  # vertices per process below which forking costs more
+
+
+def _rows(data: WeierstrassData, rot: complex, us: list[float],
+          vs: list[float], quad_tol: float) -> list[list[tuple]]:
+    """Surface points (x, y, z) of the rows v in vs, each at every u in us.
 
     Integrates once to the start of each row and then incrementally along
     it, so the work is one short segment per vertex instead of one long
-    path.  Returns (us, vs, X, Y, Z) with X[i, j] at (us[i], vs[j]).
+    path.
     """
-    import numpy as np
-    rot = _rotor(theta)
     f_fn, g_fn = data.compiled[:2]
-    dom = data.domain
-    us = _axis(dom.u0, dom.u1, nu)
-    vs = _axis(dom.v0, dom.v1, nv)
-    X = np.empty((nu, nv))
-    Y = np.empty((nu, nv))
-    Z = np.empty((nu, nv))
-    for j, v in enumerate(vs):
+    rows = []
+    for v in vs:
         w = complex(us[0], v)
         int_f = integrate_segment(f_fn, data.base, w, quad_tol)
         int_g = integrate_segment(g_fn, data.base, w, quad_tol)
+        row = []
         for i, u in enumerate(us):
             if i > 0:
                 w_prev, w = w, complex(u, v)
@@ -134,10 +133,121 @@ def grid_eval(data: WeierstrassData, theta: float = 0.0,
                 int_g += integrate_segment(g_fn, w_prev, w, quad_tol)
             zf = rot * int_f
             zg = rot * int_g
-            X[i, j] = zf.real
-            Y[i, j] = zf.imag
-            Z[i, j] = zg.real
-    return us, vs, X, Y, Z
+            row.append((zf.real, zf.imag, zg.real))
+        rows.append(row)
+    return rows
+
+
+def _block_count(vertices: int) -> int:
+    """Processes that share a grid: one per usable CPU, each with at
+    least _SPLIT_MIN vertices.  One where there is no fork, or where
+    another thread runs, since a forked copy of a threaded process can
+    deadlock on a lock some other thread held."""
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    return max(1, min(cpus, vertices // _SPLIT_MIN))
+
+
+def _fork_rows(data: WeierstrassData, rot: complex, us: list[float],
+               vs: list[float], quad_tol: float) -> tuple[int, int]:
+    """Fork a child that pickles (True, rows) or (False, exception) of
+    _rows into a pipe and exits; returns its pid and the pipe's read end.
+    The child leaves by os._exit, with status 0 only once all it has to
+    say is written."""
+    import pickle
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            os.close(r)
+            try:
+                reply = (True, _rows(data, rot, us, vs, quad_tol))
+            except Exception as exc:
+                reply = (False, exc)
+            with open(w, "wb") as fh:
+                pickle.dump(reply, fh, pickle.HIGHEST_PROTOCOL)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(w)
+    return pid, r
+
+
+def _split_rows(data: WeierstrassData, rot: complex, us: list[float],
+                blocks: list[list[float]], quad_tol: float
+                ) -> list[list[tuple]]:
+    """_rows of consecutive blocks of v values, concatenated.
+
+    The parent runs the first block and a forked child each other one;
+    if the system runs out of processes the parent runs the unforked
+    rest, and it reruns a block whose child died without replying.
+    Blocks are read in order and the first failure is raised, so the
+    rows and the error are those of the serial loop.  Every child is
+    reaped before this returns, and killed first if the parent fails.
+    """
+    # imported here, not at the top: every command's start-up would pay
+    import pickle
+    import signal
+    children: list[tuple[int, int]] = []
+    statuses: list[int] = []
+    try:
+        for block in blocks[1:]:
+            try:
+                children.append(_fork_rows(data, rot, us, block, quad_tol))
+            except OSError:
+                break
+        rows = _rows(data, rot, us, blocks[0], quad_tol)
+        replies = []
+        for _, fd in children:
+            with open(fd, "rb", closefd=False) as fh:
+                replies.append(fh.read())
+    except BaseException:
+        for pid, _ in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pid, fd in children:
+            os.close(fd)
+            statuses.append(os.waitpid(pid, 0)[1])
+    for k, block in enumerate(blocks[1:]):
+        if k < len(children) and statuses[k] == 0:
+            ok, value = pickle.loads(replies[k])
+            if not ok:
+                raise value
+            rows += value
+        else:
+            rows += _rows(data, rot, us, block, quad_tol)
+    return rows
+
+
+def grid_eval(data: WeierstrassData, theta: float = 0.0,
+              nu: int = 64, nv: int = 64, quad_tol: float = 1e-10):
+    """Evaluate the surface on a full grid.
+
+    Returns (us, vs, rows) with rows[j][i] = (x, y, z) at (us[i], vs[j]).
+    Each row is its own path integral from the base point (see _rows),
+    so on grids of at least 2 * _SPLIT_MIN vertices the rows are cut
+    into contiguous blocks that forked processes integrate side by side,
+    one per usable CPU.  The split changes neither the arithmetic nor
+    any value: the rows, and the error raised, are the serial loop's.
+    """
+    rot = _rotor(theta)
+    dom = data.domain
+    us = _axis(dom.u0, dom.u1, nu)
+    vs = _axis(dom.v0, dom.v1, nv)
+    n = min(_block_count(nu * nv), nv)
+    if n < 2:
+        return us, vs, _rows(data, rot, us, vs, quad_tol)
+    blocks = [vs[nv * k // n:nv * (k + 1) // n] for k in range(n)]
+    return us, vs, _split_rows(data, rot, us, blocks, quad_tol)
 
 
 class ValidationReport(NamedTuple):

@@ -8,9 +8,13 @@ without touching anything the geometry can see.
 """
 
 import cmath
+import contextlib
 import dataclasses
 import math
+import os
 import random
+import signal
+import time
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -18,9 +22,10 @@ from hypothesis import assume, given, settings, strategies as st
 import isomin.weierstrass as weierstrass
 from isomin.expr import BinOp, Call, Lit, Var, compile_expr, differentiate, \
     parse_expr
-from isomin.geometry import (Rect, default_step, fundamental_forms,
+from isomin.geometry import (Rect, _axis, default_step, fundamental_forms,
                              mean_curvature, patch_jets)
 from isomin.minkowski import _curvatures, iota_lift
+from isomin.quadrature import IntegrationError
 from isomin.weierstrass import (WeierstrassData, det_h_from_data,
                                 family_data, grid_eval, integrate_holomorphic,
                                 metric_at, second_form_from_data,
@@ -72,13 +77,13 @@ class TestClosedForms:
     def test_matches_closed_form_on_grid(self, f_src, g_src, closed, theta):
         d = data(f_src, g_src)
         ref = anchored(closed, d.base)
-        us, vs, X, Y, Z = grid_eval(d, theta, nu=33, nv=33)
+        us, vs, rows = grid_eval(d, theta, nu=33, nv=33)
         worst = 0.0
         for i, u in enumerate(us):
             for j, v in enumerate(vs):
                 x, y, z = ref(u, v)
-                worst = max(worst, abs(X[i, j] - x), abs(Y[i, j] - y),
-                            abs(Z[i, j] - z))
+                gx, gy, gz = rows[j][i]
+                worst = max(worst, abs(gx - x), abs(gy - y), abs(gz - z))
         assert worst < 1e-8, f"sup deviation {worst:.3e} for {f_src}, {g_src}"
 
     def test_saddle_spot_value(self):
@@ -133,14 +138,15 @@ class TestFamilyMachinery:
 
     def test_grid_eval_matches_pointwise(self):
         d = data("exp(z)", "z")
-        us, vs, X, Y, Z = grid_eval(d, 0.7, nu=9, nv=9)
+        us, vs, rows = grid_eval(d, 0.7, nu=9, nv=9)
         patch = surface_from_data(d, 0.7)
         for i in (0, 4, 8):
             for j in (0, 3, 8):
-                p = patch(float(us[i]), float(vs[j]))
-                assert abs(p.x - X[i, j]) < 1e-11
-                assert abs(p.y - Y[i, j]) < 1e-11
-                assert abs(p.z - Z[i, j]) < 1e-11
+                p = patch(us[i], vs[j])
+                x, y, z = rows[j][i]
+                assert abs(p.x - x) < 1e-11
+                assert abs(p.y - y) < 1e-11
+                assert abs(p.z - z) < 1e-11
 
     def test_integrate_holomorphic_exact_segment(self):
         val = integrate_holomorphic(parse_expr("z^2"), 0j, 1 + 1j)
@@ -155,6 +161,142 @@ class TestFamilyMachinery:
             assert abs(a.x + b.x) < 1e-10
             assert abs(a.y + b.y) < 1e-10
             assert abs(a.z + b.z) < 1e-10
+
+
+@contextlib.contextmanager
+def _split_into(blocks: int):
+    """Force grid_eval to cut its rows into this many blocks."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(weierstrass, "_block_count", lambda vertices: blocks)
+        yield
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def grid_error(d, nu, nv, blocks):
+    """The exception grid_eval raises with the rows cut into blocks."""
+    with _split_into(blocks), pytest.raises(Exception) as info:
+        grid_eval(d, 0.3, nu=nu, nv=nv)
+    assert_no_child_left()
+    return info.value
+
+
+POLY = st.lists(st.complex_numbers(max_magnitude=3, allow_nan=False,
+                                   allow_infinity=False),
+                min_size=1, max_size=4).map(
+    lambda cs: "+".join(f"({c.real!r}+{c.imag!r}*i)*z^{k}"
+                        for k, c in enumerate(cs)))
+EXP = st.tuples(st.floats(-2, 2), st.floats(-2, 2)).map(
+    lambda ab: f"exp(({ab[0]!r}+{ab[1]!r}*i)*z)")
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+class TestSplitRows:
+    """Rows cut into blocks that forked children integrate."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(f_src=st.one_of(POLY, EXP), g_src=st.one_of(POLY, EXP),
+           theta=st.floats(-4, 4), nu=st.integers(2, 5),
+           nv=st.integers(2, 9), blocks=st.integers(2, 4))
+    def test_split_rows_equal_the_serial_rows(self, f_src, g_src, theta,
+                                              nu, nv, blocks):
+        d = WeierstrassData(parse_expr(f_src), parse_expr(g_src),
+                            base=0.2 - 0.1j, domain=SQUARE)
+        with _split_into(blocks):
+            us, vs, rows = grid_eval(d, theta, nu=nu, nv=nv, quad_tol=1e-9)
+        assert_no_child_left()
+        serial = weierstrass._rows(d, weierstrass._rotor(theta), us, vs,
+                                   1e-9)
+        assert repr(rows) == repr(serial)
+
+    @staticmethod
+    def poles_at(rows_):
+        """Data whose F has a pole at u = 0.5 on each of the given rows
+        of a 5 x 7 grid: the segment that ends there cannot converge."""
+        vs = _axis(SQUARE.v0, SQUARE.v1, 7)
+        factors = "*".join(f"(z-(0.5+{vs[j]!r}*i))" for j in rows_)
+        return data(f"1/({factors})", "z")
+
+    @pytest.mark.parametrize("rows_", [(5,), (3, 5), (1, 5), (1,)],
+                             ids=["child", "two-children", "parent-and-child",
+                                  "parent"])
+    def test_error_is_the_lowest_rows_serial_error(self, rows_):
+        # 7 rows in 3 blocks: rows 0-1 in the parent, 2-3 and 4-6 in
+        # children
+        d = self.poles_at(rows_)
+        serial = grid_error(d, 5, 7, 1)
+        split = grid_error(d, 5, 7, 3)
+        assert type(split) is type(serial) is IntegrationError
+        assert str(split) == str(serial)
+        assert f"{_axis(-1.0, 1.0, 7)[rows_[0]]!r})" in str(split)
+
+    def test_child_that_dies_is_rerun(self):
+        d = data("exp(z)", "z^2")
+        parent = os.getpid()
+        rows_ = weierstrass._rows
+
+        def dying(*args):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return rows_(*args)
+
+        with _split_into(3), pytest.MonkeyPatch.context() as mp:
+            mp.setattr(weierstrass, "_rows", dying)
+            us, vs, rows = grid_eval(d, 0.7, nu=4, nv=6)
+        assert_no_child_left()
+        assert repr(rows) == repr(grid_eval(d, 0.7, nu=4, nv=6)[2])
+
+    def test_rows_run_here_when_fork_fails(self):
+        d = data("exp(z)", "z^2")
+
+        def no_fork():
+            raise BlockingIOError("Resource temporarily unavailable")
+
+        with _split_into(3), pytest.MonkeyPatch.context() as mp:
+            mp.setattr(os, "fork", no_fork)
+            us, vs, rows = grid_eval(d, 0.7, nu=4, nv=6)
+        assert_no_child_left()
+        assert repr(rows) == repr(grid_eval(d, 0.7, nu=4, nv=6)[2])
+
+    def test_parent_interrupt_kills_and_reaps_children(self):
+        # the parent's own block raises while its children still run
+        d = data("exp(z)", "z^2")
+        rows_ = weierstrass._rows
+        parent = os.getpid()
+
+        def interrupted(data_, rot, us, vs, tol):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            time.sleep(60)
+            return rows_(data_, rot, us, vs, tol)
+
+        t0 = time.perf_counter()
+        with _split_into(3), pytest.MonkeyPatch.context() as mp:
+            mp.setattr(weierstrass, "_rows", interrupted)
+            with pytest.raises(KeyboardInterrupt):
+                grid_eval(d, 0.7, nu=4, nv=6)
+        assert_no_child_left()
+        assert time.perf_counter() - t0 < 30
+
+    @staticmethod
+    def no_fork():
+        raise AssertionError("forked")
+
+    def test_too_few_nodes_raise_before_any_fork(self):
+        with _split_into(4), pytest.MonkeyPatch.context() as mp:
+            mp.setattr(os, "fork", self.no_fork)
+            with pytest.raises(ValueError, match="at least 2 nodes"):
+                grid_eval(data("exp(z)", "z"), nu=3, nv=1)
+
+    def test_small_grids_stay_in_one_process(self):
+        assert weierstrass._block_count(2 * weierstrass._SPLIT_MIN - 1) == 1
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(os, "fork", self.no_fork)
+            us, vs, rows = grid_eval(data("exp(z)", "z"), nu=12, nv=10)
+        assert len(rows) == 10 and all(len(row) == 12 for row in rows)
 
 
 class TestMetric:

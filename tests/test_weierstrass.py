@@ -231,7 +231,7 @@ class TestSplitRows:
         split = grid_error(d, 5, 7, 3)
         assert type(split) is type(serial) is IntegrationError
         assert str(split) == str(serial)
-        assert f"{_axis(-1.0, 1.0, 7)[rows_[0]]!r})" in str(split)
+        assert f"{_axis(SQUARE.v0, SQUARE.v1, 7)[rows_[0]]!r})" in str(split)
 
     def test_child_that_dies_is_rerun(self):
         d = data("exp(z)", "z^2")
@@ -252,11 +252,11 @@ class TestSplitRows:
     def test_rows_run_here_when_fork_fails(self):
         d = data("exp(z)", "z^2")
 
-        def no_fork():
+        def fork_fails():
             raise BlockingIOError("Resource temporarily unavailable")
 
         with _split_into(3), pytest.MonkeyPatch.context() as mp:
-            mp.setattr(os, "fork", no_fork)
+            mp.setattr(os, "fork", fork_fails)
             us, vs, rows = grid_eval(d, 0.7, nu=4, nv=6)
         assert_no_child_left()
         assert repr(rows) == repr(grid_eval(d, 0.7, nu=4, nv=6)[2])

@@ -478,6 +478,74 @@ class TestSecondFormFromData:
                     assert abs(fd.g11 - cf.g11) < 1e-6, (theta, u, v)
 
 
+def scaled(d: WeierstrassData, theta: float) -> WeierstrassData:
+    """Data (r F, r G), r = _rotor(theta), as trees: their theta = 0
+    closed forms are those of the theta member of d's family; theta = 0
+    modulo 2*pi returns d itself."""
+    if theta % (2.0 * math.pi) == 0.0:
+        return d
+    r = Lit(weierstrass._rotor(theta))
+    return WeierstrassData(BinOp("*", r, d.F), BinOp("*", r, d.G),
+                           d.base, d.domain)
+
+
+def _outcome(call) -> str:
+    """repr of the forms with every zero unsigned, or the error text.
+
+    A derivative that folds to the literal 0 evaluates to an unsigned
+    zero in a tree, where a rotated zero value may carry a sign; sums and
+    products of the four values then differ at most in the sign of a zero
+    result (x + 0.0 is x for every other x).  The one caller with
+    theta != 0, vanishing_h_locus, reads absolute values only.
+    """
+    try:
+        forms = call()
+    except ZeroDivisionError as exc:
+        return f"ZeroDivisionError: {exc}"
+    return repr(type(forms)(*(x + 0.0 for x in forms)))
+
+
+_POINT = st.complex_numbers(max_magnitude=0.9, allow_nan=False,
+                            allow_infinity=False)
+
+
+@contextlib.contextmanager
+def _rotated_values(theta: float):
+    """_data_values with F, G, F' and G' each multiplied by
+    _rotor(theta), except when theta = 0 modulo 2*pi."""
+    values = weierstrass._data_values
+
+    def rotated(d, w):
+        if theta % (2.0 * math.pi) == 0.0:
+            return values(d, w)
+        r = weierstrass._rotor(theta)
+        return tuple(r * x for x in values(d, w))
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(weierstrass, "_data_values", rotated)
+        yield
+
+
+@settings(max_examples=25, deadline=None)
+@given(f_src=st.one_of(POLY, EXP, st.just("1"), st.just("-2.5")),
+       g_src=st.one_of(POLY, EXP, st.just("0")),
+       theta=st.one_of(st.just(math.pi), st.just(0.0),
+                       st.just(2.0 * math.pi), st.floats(-7, 7)),
+       w=_POINT, at_zero=st.booleans())
+def test_rotated_values_equal_tree_scaled_data(f_src, g_src, theta, w,
+                                                at_zero):
+    """The closed forms of the theta member, from rotated values, equal
+    those of the tree-scaled data by repr up to the sign of a zero; at a
+    zero of F both raise the same ZeroDivisionError."""
+    f_ast = parse_expr(f_src)
+    if at_zero:
+        f_ast = BinOp("*", BinOp("-", Var("z"), Lit(w)), f_ast)
+    d = WeierstrassData(f_ast, parse_expr(g_src))
+    expected = _outcome(lambda: second_form_from_data(scaled(d, theta), w))
+    with _rotated_values(theta):
+        assert _outcome(lambda: second_form_from_data(d, w)) == expected
+
+
 class TestCompiledView:
     PAIRS = [("exp(z)", "z^2"), ("1.2*exp(-0.5*z)", "(z+0.3-0.2*i)^2+0.02*i"),
              ("z", "z^2+1"), ("cosh(z)", "sin(z)/(z-3)")]

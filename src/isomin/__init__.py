@@ -25,7 +25,6 @@ from .singularities import singular_report, find_zeros
 from .reconstruct import PrescribedForms, codazzi_check, surface_from_forms
 from .minkowski import (
     Vec4M,
-    MinkSurface,
     lorentz_inner,
     iota_embed,
     iota_lift,
@@ -57,7 +56,6 @@ __all__ = [
     "codazzi_check",
     "surface_from_forms",
     "Vec4M",
-    "MinkSurface",
     "lorentz_inner",
     "iota_embed",
     "iota_lift",

@@ -14,7 +14,7 @@ import math
 from typing import Callable, Iterator, NamedTuple
 
 from .expr import BinOp, Call, Lit, Var, parse_real_expr
-from .geometry import Rect, SurfacePatch, chart_patch, graph_patch
+from .geometry import Rect, SurfacePatch, Vec021, chart_patch, graph_patch
 
 
 class UnknownSurfaceError(KeyError):
@@ -35,7 +35,7 @@ def _graph(src: str, domain: Rect) -> SurfacePatch:
 
 
 def _chart(srcs: tuple[str, str, str], domain: Rect) -> SurfacePatch:
-    return chart_patch(*map(parse_real_expr, srcs), domain)
+    return chart_patch(tuple(map(parse_real_expr, srcs)), domain, Vec021)
 
 
 def _plane() -> CatalogEntry:

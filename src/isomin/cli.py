@@ -31,17 +31,16 @@ import sys
 from .catalog import UnknownSurfaceError, entries, get
 from .expr import EvalError, ParseError, parse_expr, parse_real_expr
 from .geometry import (DegenerateMetricError, FundamentalForms, Rect, _axis,
-                       classify_point, fundamental_forms, graph_patch,
-                       mean_curvature, relative_gauss_curvature)
-from .minkowski import (iota_lift, mink_surface_from_exprs,
-                        vanishing_h_locus, verify_flat_zmc)
+                       chart_patch, classify_point, fundamental_forms,
+                       graph_patch, mean_curvature, relative_gauss_curvature)
+from .minkowski import Vec4M, iota_lift, vanishing_h_locus, verify_flat_zmc
 from .quadrature import IntegrationError
 from .reconstruct import (CodazziViolationError, PrescribedForms,
                           codazzi_check, surface_from_forms)
 from .singularities import (ContourError, MultiplicityError,
                             RankDisagreementError, singular_report)
-from .weierstrass import (WeierstrassData, family_data, grid_eval,
-                          metric_at, second_form_from_data, surface_from_data)
+from .weierstrass import (WeierstrassData, grid_eval, metric_at,
+                          second_form_from_data, surface_from_data)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -100,9 +99,9 @@ def _parse_grid(text: str) -> tuple[int, int]:
 
 
 def _threads_from_env() -> None:
-    # DMIN_THREADS is reserved: every computation runs on one thread,
-    # but the variable is validated so misconfigured pipelines fail
-    # loudly instead of silently
+    # DMIN_THREADS is reserved: every computation runs on one thread per
+    # process (gen forks processes on large grids), but the variable is
+    # validated so misconfigured pipelines fail loudly instead of silently
     raw = os.environ.get("DMIN_THREADS")
     if raw is None:
         return
@@ -238,11 +237,9 @@ def _forms_sampler(cfg: argparse.Namespace, kind: str, src, tol: float):
     data (|F| <= max(tol, 1e-12) is a zero of F), the patch's exact jets
     for a catalog or graph patch."""
     if kind == "weierstrass":
-        data = family_data(src, cfg.theta)
-
         def forms_at(u: float, v: float) -> FundamentalForms:
-            return second_form_from_data(data, complex(u, v),
-                                         tol=max(tol, 1e-12))
+            return second_form_from_data(src, complex(u, v),
+                                         max(tol, 1e-12), cfg.theta)
     else:
         def forms_at(u: float, v: float) -> FundamentalForms:
             return fundamental_forms(src, u, v)
@@ -513,9 +510,9 @@ def cmd_embed(cfg: argparse.Namespace) -> int:
     src, label = _source(cfg, kind)
 
     if kind == "minkowski":
-        asts = [_parse_real(x_src, flag) for x_src, flag
-                in zip(cfg.x_srcs, ("--x1", "--x2", "--x3", "--x4"))]
-        surface = mink_surface_from_exprs(*asts, domain=cfg.domain)
+        asts = tuple(_parse_real(x_src, flag) for x_src, flag
+                     in zip(cfg.x_srcs, ("--x1", "--x2", "--x3", "--x4")))
+        surface = chart_patch(asts, cfg.domain, Vec4M)
         loci = None
     else:
         surface = iota_lift(surface_from_data(src, theta=cfg.theta)

@@ -5,9 +5,11 @@ non-degenerate for this product is transversal to the constant field
 XI = (0, 0, 1), so XI plays the role the unit normal plays in Euclidean
 geometry: second derivatives of a parametrisation split into a tangential
 part plus a multiple of XI, and that multiple is the second fundamental
-form.  Surfaces given by expression trees (graphs and three-component
-charts) carry exact jets from symbolic differentiation; any other patch
-is differentiated by Richardson-extrapolated central differences.
+form.  Surfaces given by expression trees (graphs and charts) carry
+exact jets from symbolic differentiation; any other patch is
+differentiated by Richardson-extrapolated central differences.
+SurfacePatch is also the surface type of the Minkowski side of the
+correspondence (see minkowski), whose points are four-vectors.
 """
 
 from __future__ import annotations
@@ -132,17 +134,19 @@ def _clusters(mask) -> list[list[tuple[int, int]]]:
 
 @dataclass(frozen=True)
 class SurfacePatch:
-    """A parametrised piece of surface.
+    """A parametrised piece of surface, in R^{0,2,1} (Vec021 values) or
+    in R^4_1 (minkowski.Vec4M values, a chart or a lift of a patch).
 
     flat marks a graph, whose parameters are flat coordinates, which
     analyze's Codazzi check needs.
     jets, when given, returns (f_u, f_v, f_uu, f_uv, f_vv) at a point and
     replaces the stencil on the evaluator in _jets, the one source of
     partials: exact for expression trees, a stencil on sample-anchored
-    integrals for a Weierstrass patch.
+    integrals for a Weierstrass patch.  flat comes before jets, so jets
+    is always passed by keyword.
     """
 
-    evaluator: Callable[[float, float], Vec021]
+    evaluator: Callable[[float, float], tuple]
     domain: Rect
     flat: bool = False
     jets: Callable[[float, float], tuple] | None = None
@@ -207,9 +211,11 @@ def graph_patch(height: Callable[[float, float], float] | Expr,
     return SurfacePatch(ev, domain, flat=True)
 
 
-def chart_patch(x: Expr, y: Expr, z: Expr, domain: Rect) -> SurfacePatch:
-    """Patch (x, y, z)(u, v) of three real expression trees, exact jets."""
-    ev, jets = expr_chart((x, y, z), Vec021)
+def chart_patch(trees: tuple[Expr, ...], domain: Rect, vec: Callable
+                ) -> SurfacePatch:
+    """Patch (u, v) -> vec(*trees) of real expression trees, exact jets:
+    Vec021 for a chart in R^{0,2,1}, minkowski.Vec4M for one in R^4_1."""
+    ev, jets = expr_chart(trees, vec)
     return SurfacePatch(ev, domain, jets=jets)
 
 
@@ -281,9 +287,9 @@ def _stencil(ev: Callable, u: float, v: float, h: float):
 
 
 def _jets(s, u: float, v: float):
-    """(f_u, f_v, f_uu, f_uv, f_vv) of a SurfacePatch or MinkSurface at
-    (u, v): its own jets when it has them, else the stencil on its
-    evaluator with default_step."""
+    """(f_u, f_v, f_uu, f_uv, f_vv) of a SurfacePatch at (u, v): its own
+    jets when it has them, else the stencil on its evaluator with
+    default_step."""
     if s.jets is not None:
         return s.jets(u, v)
     return _stencil(s.evaluator, u, v, default_step(s.domain))[1:]

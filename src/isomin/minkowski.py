@@ -8,22 +8,23 @@ have vanishing mean curvature vector, and this module checks each piece
 of that statement numerically: induced Gram matrices, mean curvature
 vectors with the tangential part removed, Gaussian curvature of the
 induced metric by the Gauss equation, and the locus where the second
-form of the original patch dies.  Every surface reads its partials
-through geometry._jets: its own jets function when it has one
-(expression charts and every lift, which maps the jets of its patch),
-else a 17-point stencil on its evaluator; the Brioschi curvature of
+form of the original patch dies.  Both sides of the correspondence are
+geometry.SurfacePatch: a surface here is a patch whose values are Vec4M,
+either a chart (geometry.chart_patch with vec=Vec4M) or the lift of a
+patch (iota_lift).  Every surface reads its partials through
+geometry._jets: its own jets function when it has one (expression charts
+and every lift, which maps the jets of its patch), else a 17-point
+stencil on its evaluator; the Brioschi curvature of
 gaussian_curvature_induced is a test oracle only.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
-from .expr import parse_real_expr
 from .geometry import (DegenerateMetricError, FundamentalForms, Rect,
                        SurfacePatch, Vec021, brioschi_curvature, default_step,
-                       expr_chart, _OFFSETS, _axis, _clusters, _jets, _rich1)
+                       _OFFSETS, _axis, _clusters, _jets, _rich1)
 
 
 class NonSpacelikeError(Exception):
@@ -80,23 +81,7 @@ def iota_embed(p: Vec021) -> Vec4M:
     return Vec4M(p.z, p.x, p.y, p.z)
 
 
-@dataclass(frozen=True, slots=True)
-class MinkSurface:
-    """Parametrized surface in Minkowski space over a rectangle.
-
-    jets, when given, returns (f_u, f_v, f_uu, f_uv, f_vv) at a point in
-    place of the stencil on the evaluator in geometry._jets.
-    """
-
-    evaluator: Callable[[float, float], Vec4M]
-    domain: Rect
-    jets: Callable[[float, float], tuple] | None = None
-
-    def __call__(self, u: float, v: float) -> Vec4M:
-        return self.evaluator(u, v)
-
-
-def iota_lift(s: SurfacePatch) -> MinkSurface:
+def iota_lift(s: SurfacePatch) -> SurfacePatch:
     """Push a degenerate-product patch through the slice embedding.
 
     The embedding is linear, so the patch's jets (from geometry._jets)
@@ -107,15 +92,8 @@ def iota_lift(s: SurfacePatch) -> MinkSurface:
     def jets(u: float, v: float) -> tuple:
         return tuple(map(iota_embed, _jets(s, u, v)))
 
-    return MinkSurface(lambda u, v: iota_embed(s(u, v)), s.domain, jets)
-
-
-def mink_surface_from_exprs(x1, x2, x3, x4, domain: Rect) -> MinkSurface:
-    """Surface from four coordinate expressions in u and v, exact jets."""
-    trees = tuple(parse_real_expr(c) if isinstance(c, str) else c
-                  for c in (x1, x2, x3, x4))
-    ev, jets = expr_chart(trees, Vec4M)
-    return MinkSurface(ev, domain, jets)
+    return SurfacePatch(lambda u, v: iota_embed(s(u, v)), s.domain,
+                        jets=jets)
 
 
 def _gram(f_u: Vec4M, f_v: Vec4M) -> tuple[float, float, float]:
@@ -134,7 +112,7 @@ def _require_spacelike(g11: float, g12: float, g22: float,
     return det
 
 
-def normal_second_form(s: MinkSurface, u: float, v: float):
+def normal_second_form(s: SurfacePatch, u: float, v: float):
     """Normal components (N_uu, N_uv, N_vv) plus the Gram triple.
 
     The tangential part of each second partial is removed by solving
@@ -156,7 +134,7 @@ def normal_second_form(s: MinkSurface, u: float, v: float):
     return (reject(f_uu), reject(f_uv), reject(f_vv)), (g11, g12, g22)
 
 
-def _curvatures(s: MinkSurface, u: float, v: float) -> tuple[Vec4M, float]:
+def _curvatures(s: SurfacePatch, u: float, v: float) -> tuple[Vec4M, float]:
     """Mean curvature vector and Gaussian curvature from one set of jets;
     the ambient space is flat, so the Gauss equation gives
     K = (<N_uu, N_vv> - <N_uv, N_uv>) / det g."""
@@ -167,12 +145,12 @@ def _curvatures(s: MinkSurface, u: float, v: float) -> tuple[Vec4M, float]:
     return 0.5 * traced, gauss
 
 
-def mean_curvature_vector(s: MinkSurface, u: float, v: float) -> Vec4M:
+def mean_curvature_vector(s: SurfacePatch, u: float, v: float) -> Vec4M:
     """Half the metric trace of the normal-valued second form."""
     return _curvatures(s, u, v)[0]
 
 
-def gaussian_curvature_induced(s: MinkSurface, u: float, v: float) -> float:
+def gaussian_curvature_induced(s: SurfacePatch, u: float, v: float) -> float:
     """Brioschi curvature of metric samples taken by first differences,
     independent of the Gauss equation that verify_flat_zmc uses.
 
@@ -205,7 +183,7 @@ class FlatZmcReport(NamedTuple):
                 and not self.spacelike_violations)
 
 
-def verify_flat_zmc(s: MinkSurface, grid: tuple[int, int] = (9, 9),
+def verify_flat_zmc(s: SurfacePatch, grid: tuple[int, int] = (9, 9),
                     tol: float = 1e-5) -> FlatZmcReport:
     """Sample the three defining conditions over an interior grid.
 
@@ -285,7 +263,7 @@ def vanishing_h_locus(forms_at: Callable[[float, float], FundamentalForms],
     return out
 
 
-def slice_project(s: MinkSurface, tol: float = 1e-9,
+def slice_project(s: SurfacePatch, tol: float = 1e-9,
                   grid: tuple[int, int] = (17, 17)) -> SurfacePatch:
     """Inverse of the embedding on the null slice {x1 = x4}.
 

@@ -40,15 +40,15 @@ class SingularPoint(NamedTuple):
     g_vanishes: bool
 
 
-def _newton(fn, dfn, w: complex, tol: float, domain: Rect,
-            max_iter: int = 80) -> tuple[complex, bool]:
+def _newton(fn, dfn, w: complex, tol: float, domain: Rect
+            ) -> tuple[complex, bool]:
     """Newton iteration on fn; returns (point, converged).
 
     Near a multiple zero plain Newton still converges (linearly), and the
     stagnation test below stops it once steps fall to rounding level.
     """
     scale = max(domain.extent, 1.0)
-    for _ in range(max_iter):
+    for _ in range(_NEWTON_STEPS):
         try:
             val = fn(w)
         except EvalError:
@@ -149,8 +149,7 @@ def find_zeros(ast: Expr, domain: Rect, grid: tuple[int, int] = (64, 64),
     return zeros
 
 
-def _sharpen(fn, dfn, w: complex, mult: int, domain: Rect,
-             max_iter: int = 40) -> complex:
+def _sharpen(fn, dfn, w: complex, mult: int, domain: Rect) -> complex:
     """Modified Newton (step scaled by the known order).
 
     Plain Newton only creeps linearly into a multiple zero and stalls
@@ -166,7 +165,7 @@ def _sharpen(fn, dfn, w: complex, mult: int, domain: Rect,
         return w
     cur = w
     scale = max(domain.extent, 1.0)
-    for _ in range(max_iter):
+    for _ in range(_SHARPEN_STEPS):
         try:
             val = fn(cur)
             dval = dfn(cur)
@@ -189,6 +188,8 @@ def _sharpen(fn, dfn, w: complex, mult: int, domain: Rect,
     return best
 
 
+_NEWTON_STEPS = 80  # most steps of _newton
+_SHARPEN_STEPS = 40  # most steps of _sharpen
 _CONTOUR_SAMPLES = 512  # trapezoid nodes on the argument-principle circle
 
 
@@ -304,13 +305,9 @@ def singular_report(data: WeierstrassData, grid: tuple[int, int] = (64, 64),
     dom = data.domain
     points: list[SingularPoint] = []
 
-    def boundary_distance(w: complex) -> float:
-        return min(w.real - dom.u0, dom.u1 - w.real,
-                   w.imag - dom.v0, dom.v1 - w.imag)
-
     for w in zeros:
         others = [abs(w - z) for z in zeros if z != w]
-        radius = 0.5 * min([boundary_distance(w)] + others)
+        radius = 0.5 * min([dom.margin(w.real, w.imag)] + others)
         radius = min(radius, 0.25 * dom.extent)
         mult = zero_multiplicity(data.F, w, max(radius, 16.0 * tol))
         if mult >= 2:

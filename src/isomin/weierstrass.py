@@ -22,7 +22,7 @@ import threading
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
-from .expr import BinOp, Expr, EvalError, Lit, compile_expr, differentiate
+from .expr import Expr, EvalError, compile_expr, differentiate
 from .geometry import (FundamentalForms, Rect, SurfacePatch, Vec021,
                        default_step, _axis, _clusters, _stencil)
 from .quadrature import integrate_segment
@@ -152,10 +152,9 @@ def _block_count(vertices: int) -> int:
 
 def _fork_rows(data: WeierstrassData, rot: complex, us: list[float],
                vs: list[float], quad_tol: float) -> tuple[int, int]:
-    """Fork a child that pickles (True, rows) or (False, exception) of
-    _rows into a pipe and exits; returns its pid and the pipe's read end.
-    The child leaves by os._exit, with status 0 only once all it has to
-    say is written."""
+    """Fork a child that pickles the rows of _rows into a pipe and exits;
+    returns its pid and the pipe's read end.  The child leaves by
+    os._exit, with status 0 only once its rows are written."""
     import pickle
     r, w = os.pipe()
     try:
@@ -168,12 +167,9 @@ def _fork_rows(data: WeierstrassData, rot: complex, us: list[float],
         status = 1
         try:
             os.close(r)
-            try:
-                reply = (True, _rows(data, rot, us, vs, quad_tol))
-            except Exception as exc:
-                reply = (False, exc)
+            rows = _rows(data, rot, us, vs, quad_tol)
             with open(w, "wb") as fh:
-                pickle.dump(reply, fh, pickle.HIGHEST_PROTOCOL)
+                pickle.dump(rows, fh, pickle.HIGHEST_PROTOCOL)
             status = 0
         finally:
             os._exit(status)
@@ -186,12 +182,12 @@ def _split_rows(data: WeierstrassData, rot: complex, us: list[float],
                 ) -> list[list[tuple]]:
     """_rows of consecutive blocks of v values, concatenated.
 
-    The parent runs the first block and a forked child each other one;
-    if the system runs out of processes the parent runs the unforked
-    rest, and it reruns a block whose child died without replying.
-    Blocks are read in order and the first failure is raised, so the
-    rows and the error are those of the serial loop.  Every child is
-    reaped before this returns, and killed first if the parent fails.
+    The parent runs the first block and a forked child each other one.
+    A block without rows from a child, because the child failed or died
+    or was never forked, runs in the parent after the blocks before it;
+    so the rows, and the error of the lowest failing row, are those of
+    the serial loop.  Every child is reaped before this returns, and
+    killed first if the parent fails.
     """
     # imported here, not at the top: every command's start-up would pay
     import pickle
@@ -219,10 +215,7 @@ def _split_rows(data: WeierstrassData, rot: complex, us: list[float],
             statuses.append(os.waitpid(pid, 0)[1])
     for k, block in enumerate(blocks[1:]):
         if k < len(children) and statuses[k] == 0:
-            ok, value = pickle.loads(replies[k])
-            if not ok:
-                raise value
-            rows += value
+            rows += pickle.loads(replies[k])
         else:
             rows += _rows(data, rot, us, block, quad_tol)
     return rows
@@ -353,11 +346,15 @@ def _data_values(data: WeierstrassData, w: complex):
 
 
 def second_form_from_data(data: WeierstrassData, w: complex,
-                          tol: float = 1e-9) -> FundamentalForms:
-    """Both fundamental forms of the theta = 0 surface, in closed form.
+                          tol: float = 1e-9, theta: float = 0.0
+                          ) -> FundamentalForms:
+    """Both fundamental forms of the theta member, in closed form.
 
-    Holomorphy turns the parameter derivatives of Re G and |F| into
-    algebraic combinations of F, G and their complex derivatives:
+    The theta member is the theta = 0 surface of the data (r F, r G),
+    r = _rotor(theta), so F, G, F' and G' are each multiplied by r,
+    except at theta = 0 modulo 2*pi.  Holomorphy turns the parameter
+    derivatives of Re G and |F| into algebraic combinations of F, G and
+    their complex derivatives:
 
         (Re G)_u = Re G',             (Re G)_v = -Im G'
         |F|_u = Re(F' conj F) / |F|,  |F|_v = -Im(F' conj F) / |F|
@@ -365,6 +362,9 @@ def second_form_from_data(data: WeierstrassData, w: complex,
     from which h11 = -h22 and h12 follow without any finite differences.
     """
     f_val, g_val, fp, gp = _data_values(data, w)
+    if theta % (2.0 * math.pi) != 0.0:
+        r = _rotor(theta)
+        f_val, g_val, fp, gp = r * f_val, r * g_val, r * fp, r * gp
     abs_f = abs(f_val)
     if abs_f <= tol:
         raise ZeroDivisionError(
@@ -407,18 +407,3 @@ def det_h_from_data(data: WeierstrassData, w: complex) -> float:
     return (-(abs_g_u ** 2 + abs_g_v ** 2)
             - ratio ** 2 * (abs_f_u ** 2 + abs_f_v ** 2)
             + 2.0 * ratio * (abs_f_u * abs_g_u + abs_f_v * abs_g_v))
-
-
-def _scaled(data: WeierstrassData, c: complex) -> WeierstrassData:
-    """(c F, c G) on the same base point and domain."""
-    return WeierstrassData(BinOp("*", Lit(c), data.F),
-                           BinOp("*", Lit(c), data.G), data.base, data.domain)
-
-
-def family_data(data: WeierstrassData, theta: float) -> WeierstrassData:
-    """Data (r F, r G), r = _rotor(theta), whose theta = 0 surface is the
-    theta member of the family; theta = 0 modulo 2*pi returns data
-    itself."""
-    if theta % (2.0 * math.pi) == 0.0:
-        return data
-    return _scaled(data, _rotor(theta))

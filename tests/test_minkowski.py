@@ -8,15 +8,17 @@ from hypothesis import given, settings, strategies as st
 
 import isomin.geometry as geometry
 from isomin.catalog import entries as catalog_entries, get
-from isomin.expr import EvalError, parse_expr
-from isomin.geometry import (Rect, Vec021, default_step, deg_inner,
-                             fundamental_forms, graph_patch, _stencil)
-from isomin.minkowski import (FlatZmcReport, MinkSurface, NonSpacelikeError,
+from isomin.expr import EvalError, parse_expr, parse_real_expr
+from isomin.geometry import (Rect, SurfacePatch, Vec021, chart_patch,
+                             default_step, deg_inner, fundamental_forms,
+                             graph_patch, _stencil)
+from isomin.minkowski import (FlatZmcReport, NonSpacelikeError,
                               NotInSliceError, Vec4M, gaussian_curvature_induced,
                               iota_embed, iota_lift, lorentz_inner,
-                              mean_curvature_vector, mink_surface_from_exprs,
-                              normal_second_form, slice_project,
-                              vanishing_h_locus, verify_flat_zmc, _curvatures)
+                              mean_curvature_vector, normal_second_form,
+                              slice_project, vanishing_h_locus,
+                              verify_flat_zmc, _curvatures)
+from isomin.weierstrass import WeierstrassData, surface_from_data
 
 SQUARE = Rect(-1.0, 1.0, -1.0, 1.0)
 
@@ -24,6 +26,12 @@ SQUARE = Rect(-1.0, 1.0, -1.0, 1.0)
 def graph(src: str, domain: Rect = SQUARE):
     return graph_patch(parse_expr(src, variables=("u", "v"),
                                   allow_imaginary=False), domain)
+
+
+def mink_chart(x1: str, x2: str, x3: str, x4: str, domain: Rect = SQUARE):
+    """The R^4_1 chart (x1, x2, x3, x4)(u, v) of four expressions."""
+    return chart_patch(tuple(map(parse_real_expr, (x1, x2, x3, x4))),
+                       domain, Vec4M)
 
 
 def locus(p, **kwargs):
@@ -90,7 +98,7 @@ class TestMeanCurvatureVector:
             assert mean_curvature_vector(lifted, u, v).sup_norm < 1e-6
 
     def test_spacelike_slice_paraboloid(self):
-        s = mink_surface_from_exprs("0", "u", "v", "u^2 + v^2", SQUARE)
+        s = mink_chart("0", "u", "v", "u^2 + v^2", SQUARE)
         h = mean_curvature_vector(s, 0.0, 0.0)
         assert abs(h.x1) < 1e-9
         assert abs(h.x2) < 1e-9
@@ -108,7 +116,7 @@ class TestMeanCurvatureVector:
         assert abs(lorentz_inner(h, h)) < 1e-12
 
     def test_timelike_surface_rejected(self):
-        s = mink_surface_from_exprs("u", "v", "0", "0", SQUARE)
+        s = mink_chart("u", "v", "0", "0", SQUARE)
         with pytest.raises(NonSpacelikeError):
             mean_curvature_vector(s, 0.0, 0.0)
 
@@ -132,12 +140,12 @@ class TestInducedCurvature:
                 assert abs(gaussian_curvature_induced(lifted, u, v)) < 1e-5
 
     def test_flat_plane_in_slice(self):
-        s = mink_surface_from_exprs("0", "u", "v", "0", SQUARE)
+        s = mink_chart("0", "u", "v", "0", SQUARE)
         assert abs(gaussian_curvature_induced(s, 0.1, 0.2)) < 1e-10
 
     def test_sphere_patch_curvature(self):
         r = 1.3
-        s = mink_surface_from_exprs(
+        s = mink_chart(
             "0", f"{r}*cos(u)*cos(v)", f"{r}*cos(u)*sin(v)", f"{r}*sin(u)",
             Rect(-0.5, 0.5, -0.5, 0.5))
         k = gaussian_curvature_induced(s, 0.0, 0.0)
@@ -163,27 +171,26 @@ class TestVerifyFlatZmc:
             assert report.max_mean_curvature > report.tol, entry.name
 
     def test_slice_paraboloid_fails(self):
-        s = mink_surface_from_exprs("0", "u", "v", "u^2 + v^2", SQUARE)
+        s = mink_chart("0", "u", "v", "u^2 + v^2", SQUARE)
         report = verify_flat_zmc(s, grid=(5, 5))
         assert not report.passed
         assert report.max_mean_curvature > 1.0
 
     def test_timelike_region_reported_not_raised(self):
-        s = mink_surface_from_exprs("u", "v", "0", "0", SQUARE)
+        s = mink_chart("u", "v", "0", "0", SQUARE)
         report = verify_flat_zmc(s, grid=(3, 3))
         assert not report.passed
         assert len(report.spacelike_violations) == 9
 
     def test_one_stencil_per_sample(self):
-        chart = mink_surface_from_exprs("0.3*u*v", "u", "v", "u^2 - v^2",
-                                        SQUARE)
+        chart = mink_chart("0.3*u*v", "u", "v", "u^2 - v^2", SQUARE)
         calls = []
 
         def counted(u, v):
             calls.append((u, v))
             return chart(u, v)
 
-        verify_flat_zmc(MinkSurface(counted, SQUARE), grid=(3, 3))
+        verify_flat_zmc(SurfacePatch(counted, SQUARE), grid=(3, 3))
         assert len(calls) == 9 * 17
 
     def test_slice_lifts_are_flat_to_rounding(self):
@@ -210,7 +217,7 @@ OFF_SLICE_CHARTS = {
        s=st.floats(-0.8, 0.8), t=st.floats(-0.8, 0.8))
 def test_gauss_equation_matches_brioschi(name, s, t):
     coords, dom = OFF_SLICE_CHARTS[name]
-    chart = mink_surface_from_exprs(*coords, dom)
+    chart = mink_chart(*coords, dom)
     u = 0.5 * (dom.u0 + dom.u1) + 0.5 * s * (dom.u1 - dom.u0)
     v = 0.5 * (dom.v0 + dom.v1) + 0.5 * t * (dom.v1 - dom.v0)
     _, k = _curvatures(chart, u, v)
@@ -226,12 +233,11 @@ JET_SURFACES = {
     "helicoid2": lambda: iota_lift(get("helicoid2").patch),
     "rotational_log": lambda: iota_lift(get("rotational_log").patch),
     "dlambda": lambda: iota_lift(get("dlambda_geodesic", lam=-0.5).patch),
-    "tilted": lambda: mink_surface_from_exprs("0.3*u*v", "u", "v",
-                                              "u^2 - v^2", SQUARE),
-    "sphere": lambda: mink_surface_from_exprs(
+    "tilted": lambda: mink_chart("0.3*u*v", "u", "v", "u^2 - v^2", SQUARE),
+    "sphere": lambda: mink_chart(
         "0", "1.3*cos(u)*cos(v)", "1.3*cos(u)*sin(v)", "1.3*sin(u)",
         Rect(-0.5, 0.5, -0.5, 0.5)),
-    "null lift": lambda: mink_surface_from_exprs(
+    "null lift": lambda: mink_chart(
         "exp(u)*sin(v)", "u", "v", "exp(u)*sin(v)", SQUARE),
 }
 
@@ -257,6 +263,19 @@ class TestJets:
         fd = _stencil(surface.evaluator, u, v, default_step(dom))[1:]
         for a, b in zip(exact, fd):
             assert (a - b).sup_norm <= 1e-6 * max(1.0, a.sup_norm)
+
+    def test_jets_are_passed_by_keyword(self):
+        # flat is SurfacePatch's third field: jets passed by position
+        # would switch on the base-anchored stencil instead
+        patches = (get("rotational_log").patch, surface_from_data(
+            WeierstrassData(parse_expr("exp(3*z)"), parse_expr("1"))))
+        for surface in (*map(iota_lift, patches),
+                        mink_chart("0", "u", "v", "u*v")):
+            assert surface.jets is not None and surface.flat is False
+        for patch in patches:
+            for u, v in [(0.3, -0.2), (-0.6, 0.45)]:
+                assert repr(iota_lift(patch).jets(u, v)) == repr(
+                    tuple(map(iota_embed, patch.jets(u, v))))
 
     def test_lift_maps_patch_jets_through_iota(self):
         patch = get("rotational_log").patch
@@ -293,7 +312,7 @@ class TestJets:
     def test_chart_pole_raises_at_the_point(self):
         # 0/u differentiates to 0, so only evaluating the component itself
         # finds the pole, as the centre of a stencil would
-        s = mink_surface_from_exprs("0", "u", "v", "u*v + 0/u", SQUARE)
+        s = mink_chart("0", "u", "v", "u*v + 0/u", SQUARE)
         with pytest.raises(EvalError, match="division by zero at u=0.0"):
             s.jets(0.0, 0.2)
 
@@ -328,8 +347,7 @@ class TestSliceProject:
             assert abs(p.z - q.z) < 1e-15
 
     def test_quartic_surface_projects_to_graph(self):
-        s = mink_surface_from_exprs("u^3 - 3*u*v^2", "u", "v",
-                                    "u^3 - 3*u*v^2", SQUARE)
+        s = mink_chart("u^3 - 3*u*v^2", "u", "v", "u^3 - 3*u*v^2", SQUARE)
         patch = slice_project(s)
         p = patch(0.4, 0.3)
         assert abs(p.x - 0.4) < 1e-15
@@ -337,7 +355,7 @@ class TestSliceProject:
         assert abs(p.z - (0.4 ** 3 - 3 * 0.4 * 0.3 ** 2)) < 1e-15
 
     def test_off_slice_surface_rejected(self):
-        s = mink_surface_from_exprs("0", "u", "v", "u", SQUARE)
+        s = mink_chart("0", "u", "v", "u", SQUARE)
         with pytest.raises(NotInSliceError):
             slice_project(s)
 

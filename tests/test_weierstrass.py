@@ -17,7 +17,7 @@ import signal
 import time
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import isomin.weierstrass as weierstrass
 from isomin.expr import BinOp, Call, Lit, Var, compile_expr, differentiate, \
@@ -26,10 +26,10 @@ from isomin.geometry import (Rect, _axis, default_step, fundamental_forms,
                              mean_curvature, patch_jets)
 from isomin.minkowski import _curvatures, iota_lift
 from isomin.quadrature import IntegrationError
-from isomin.weierstrass import (WeierstrassData, det_h_from_data,
-                                family_data, grid_eval, integrate_holomorphic,
-                                metric_at, second_form_from_data,
-                                surface_from_data, validate_data)
+from isomin.weierstrass import (WeierstrassData, det_h_from_data, grid_eval,
+                                integrate_holomorphic, metric_at,
+                                second_form_from_data, surface_from_data,
+                                validate_data)
 
 SQUARE = Rect(-1.0, 1.0, -1.0, 1.0)
 
@@ -37,6 +37,17 @@ SQUARE = Rect(-1.0, 1.0, -1.0, 1.0)
 def data(f_src: str, g_src: str, domain: Rect = SQUARE) -> WeierstrassData:
     return WeierstrassData(parse_expr(f_src), parse_expr(g_src),
                            domain=domain)
+
+
+def scaled(d: WeierstrassData, theta: float) -> WeierstrassData:
+    """Data (r F, r G), r = _rotor(theta), as trees: their theta = 0
+    closed forms are those of the theta member of d's family; theta = 0
+    modulo 2*pi returns d itself."""
+    if theta % (2.0 * math.pi) == 0.0:
+        return d
+    r = Lit(weierstrass._rotor(theta))
+    return WeierstrassData(BinOp("*", r, d.F), BinOp("*", r, d.G),
+                           d.base, d.domain)
 
 
 def anchored(closed, base: complex):
@@ -248,6 +259,28 @@ class TestSplitRows:
             us, vs, rows = grid_eval(d, 0.7, nu=4, nv=6)
         assert_no_child_left()
         assert repr(rows) == repr(grid_eval(d, 0.7, nu=4, nv=6)[2])
+
+    def test_failing_childs_block_is_rerun_here(self):
+        # 7 rows in 3 blocks, the pole on row 3: the first child fails,
+        # and the parent integrates its block again after its own
+        d = self.poles_at((3,))
+        serial = grid_error(d, 5, 7, 1)
+        rows_ = weierstrass._rows
+        parent = os.getpid()
+        here = []
+
+        def counted(data_, rot, us, vs, tol):
+            if os.getpid() == parent:
+                here.append(vs)
+            return rows_(data_, rot, us, vs, tol)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(weierstrass, "_rows", counted)
+            split = grid_error(d, 5, 7, 3)
+        vs = _axis(SQUARE.v0, SQUARE.v1, 7)
+        assert here == [vs[0:2], vs[2:4]]
+        assert type(split) is type(serial) is IntegrationError
+        assert str(split) == str(serial)
 
     def test_rows_run_here_when_fork_fails(self):
         d = data("exp(z)", "z^2")
@@ -466,7 +499,7 @@ class TestSecondFormFromData:
                                  ("exp(z)", "z^2")]:
                 d = data(f_src, g_src)
                 patch = surface_from_data(d, theta)
-                member = family_data(d, theta)
+                member = scaled(d, theta)
                 for _ in range(6):
                     u = rng.uniform(-0.8, 0.8)
                     v = rng.uniform(-0.8, 0.8)
@@ -476,17 +509,6 @@ class TestSecondFormFromData:
                     assert abs(fd.h12 - cf.h12) < 1e-5, (theta, u, v)
                     assert abs(fd.h22 - cf.h22) < 1e-5, (theta, u, v)
                     assert abs(fd.g11 - cf.g11) < 1e-6, (theta, u, v)
-
-
-def scaled(d: WeierstrassData, theta: float) -> WeierstrassData:
-    """Data (r F, r G), r = _rotor(theta), as trees: their theta = 0
-    closed forms are those of the theta member of d's family; theta = 0
-    modulo 2*pi returns d itself."""
-    if theta % (2.0 * math.pi) == 0.0:
-        return d
-    r = Lit(weierstrass._rotor(theta))
-    return WeierstrassData(BinOp("*", r, d.F), BinOp("*", r, d.G),
-                           d.base, d.domain)
 
 
 def _outcome(call) -> str:
@@ -509,24 +531,14 @@ _POINT = st.complex_numbers(max_magnitude=0.9, allow_nan=False,
                             allow_infinity=False)
 
 
-@contextlib.contextmanager
-def _rotated_values(theta: float):
-    """_data_values with F, G, F' and G' each multiplied by
-    _rotor(theta), except when theta = 0 modulo 2*pi."""
-    values = weierstrass._data_values
-
-    def rotated(d, w):
-        if theta % (2.0 * math.pi) == 0.0:
-            return values(d, w)
-        r = weierstrass._rotor(theta)
-        return tuple(r * x for x in values(d, w))
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(weierstrass, "_data_values", rotated)
-        yield
-
-
 @settings(max_examples=25, deadline=None)
+@example(f_src="exp(z)", g_src="z^2", theta=1.0, w=0.3 + 0.2j,
+         at_zero=False)
+@example(f_src="z^2+1", g_src="exp(z)", theta=math.pi, w=0.5j,
+         at_zero=True)
+# F' and G' fold to the literal 0: the rotated values are signed zeros
+@example(f_src="(0.0+-1.0*i)*z^0", g_src="(0.0+0.0*i)*z^0",
+         theta=math.pi, w=0j, at_zero=False)
 @given(f_src=st.one_of(POLY, EXP, st.just("1"), st.just("-2.5")),
        g_src=st.one_of(POLY, EXP, st.just("0")),
        theta=st.one_of(st.just(math.pi), st.just(0.0),
@@ -534,16 +546,17 @@ def _rotated_values(theta: float):
        w=_POINT, at_zero=st.booleans())
 def test_rotated_values_equal_tree_scaled_data(f_src, g_src, theta, w,
                                                 at_zero):
-    """The closed forms of the theta member, from rotated values, equal
-    those of the tree-scaled data by repr up to the sign of a zero; at a
-    zero of F both raise the same ZeroDivisionError."""
+    """The closed forms of the theta member, from F, G, F' and G'
+    multiplied by the rotor, equal those of the tree-scaled data by repr
+    up to the sign of a zero; at a zero of F both raise the same
+    ZeroDivisionError."""
     f_ast = parse_expr(f_src)
     if at_zero:
         f_ast = BinOp("*", BinOp("-", Var("z"), Lit(w)), f_ast)
     d = WeierstrassData(f_ast, parse_expr(g_src))
     expected = _outcome(lambda: second_form_from_data(scaled(d, theta), w))
-    with _rotated_values(theta):
-        assert _outcome(lambda: second_form_from_data(d, w)) == expected
+    assert _outcome(
+        lambda: second_form_from_data(d, w, 1e-9, theta)) == expected
 
 
 class TestCompiledView:
@@ -560,7 +573,7 @@ class TestCompiledView:
     @pytest.mark.parametrize("theta", [0.0, 0.7])
     def test_closed_forms_bit_identical(self, f_src, g_src, theta,
                                         monkeypatch):
-        member = family_data(data(f_src, g_src), theta)
+        member = scaled(data(f_src, g_src), theta)
         rng = random.Random(11)
         points = [complex(rng.uniform(-0.9, 0.9), rng.uniform(-0.9, 0.9))
                   for _ in range(25)]
@@ -616,11 +629,11 @@ class TestDetH:
 
 class TestConjugate:
     """The conjugate surface is the theta = pi/2 member; its data are
-    family_data(d, pi/2) = (-i F, -i G) up to rounding."""
+    scaled(d, pi/2) = (-i F, -i G) up to rounding."""
 
     def test_conjugate_data_is_quarter_turn(self):
         d = data("exp(z)", "z")
-        conj_patch = surface_from_data(family_data(d, math.pi / 2))
+        conj_patch = surface_from_data(scaled(d, math.pi / 2))
         quarter = surface_from_data(d, math.pi / 2)
         for u, v in [(0.5, 0.5), (-0.7, 0.1), (0.0, -0.9)]:
             a, b = conj_patch(u, v), quarter(u, v)
@@ -631,7 +644,7 @@ class TestConjugate:
     def test_double_conjugate_is_half_turn(self):
         d = data("z^2 + 2", "z")
         twice = surface_from_data(
-            family_data(family_data(d, math.pi / 2), math.pi / 2))
+            scaled(scaled(d, math.pi / 2), math.pi / 2))
         half = surface_from_data(d, math.pi)
         for u, v in [(0.3, 0.6), (-0.4, -0.8)]:
             a, b = twice(u, v), half(u, v)
@@ -657,5 +670,5 @@ class TestConjugate:
     def test_conjugate_preserves_metric(self):
         d = data("exp(z)", "z")
         w = 0.4 + 0.7j
-        conj = family_data(d, math.pi / 2)
+        conj = scaled(d, math.pi / 2)
         assert abs(metric_at(d, w) - metric_at(conj, w)) < 1e-12

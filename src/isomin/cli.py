@@ -113,23 +113,17 @@ def _threads_from_env() -> None:
         raise CliError(EXIT_INPUT, f"DMIN_THREADS must be >= 1, got {n}")
 
 
-def _parse_complex_pair(ast_src: str, flag: str):
+def _parse_flag(parse, src: str, flag: str):
+    # parse is parse_expr for --F/--G, parse_real_expr for the u, v flags
     try:
-        return parse_expr(ast_src, variables=("z",))
-    except ParseError as err:
-        raise CliError(EXIT_INPUT, f"{flag}: {err}") from None
-
-
-def _parse_real(ast_src: str, flag: str):
-    try:
-        return parse_real_expr(ast_src, variables=("u", "v"))
+        return parse(src)
     except ParseError as err:
         raise CliError(EXIT_INPUT, f"{flag}: {err}") from None
 
 
 def _weier_data(cfg: argparse.Namespace) -> WeierstrassData:
-    f_ast = _parse_complex_pair(cfg.f_src, "--F")
-    g_ast = _parse_complex_pair(cfg.g_src, "--G")
+    f_ast = _parse_flag(parse_expr, cfg.f_src, "--F")
+    g_ast = _parse_flag(parse_expr, cfg.g_src, "--G")
     base = complex(*cfg.base) if cfg.base is not None else 0j
     return WeierstrassData(f_ast, g_ast, base=base, domain=cfg.domain)
 
@@ -225,8 +219,8 @@ def _source(cfg: argparse.Namespace, kind: str):
             raise CliError(EXIT_INPUT, str(err)) from None
         return patch, f"catalog:{cfg.catalog}"
     if kind == "graph":
-        return (graph_patch(_parse_real(cfg.graph_src, "--graph"), cfg.domain),
-                f"graph:{cfg.graph_src}")
+        height = _parse_flag(parse_real_expr, cfg.graph_src, "--graph")
+        return graph_patch(height, cfg.domain), f"graph:{cfg.graph_src}"
     if kind == "weierstrass":
         return _weier_data(cfg), f"weierstrass:F={cfg.f_src},G={cfg.g_src}"
     return None, "minkowski:" + ",".join(cfg.x_srcs)
@@ -453,8 +447,8 @@ def cmd_reconstruct(cfg: argparse.Namespace) -> int:
         if len(given) != 3:
             raise CliError(EXIT_INPUT,
                            "reconstruct needs --h11/--h12/--h22 or --forms-csv")
-        asts = tuple(_parse_real(src, flag) for src, flag in
-                     zip(cfg.h_srcs, ("--h11", "--h12", "--h22")))
+        asts = tuple(_parse_flag(parse_real_expr, src, flag) for src, flag
+                     in zip(cfg.h_srcs, ("--h11", "--h12", "--h22")))
         forms = PrescribedForms.from_expressions(*asts, cfg.domain)
         dom = cfg.domain
         grid = cfg.grid or (33, 33)
@@ -510,7 +504,7 @@ def cmd_embed(cfg: argparse.Namespace) -> int:
     src, label = _source(cfg, kind)
 
     if kind == "minkowski":
-        asts = tuple(_parse_real(x_src, flag) for x_src, flag
+        asts = tuple(_parse_flag(parse_real_expr, x_src, flag) for x_src, flag
                      in zip(cfg.x_srcs, ("--x1", "--x2", "--x3", "--x4")))
         surface = chart_patch(asts, cfg.domain, Vec4M)
         loci = None

@@ -9,13 +9,17 @@ form.  Surfaces given by expression trees (graphs and charts) carry
 exact jets from symbolic differentiation; any other patch is
 differentiated by Richardson-extrapolated central differences.
 SurfacePatch is also the surface type of the Minkowski side of the
-correspondence (see minkowski), whose points are four-vectors.
+correspondence (see minkowski), whose points are four-vectors, and
+_componentwise gives both sides' vector types (Vec021 here, Vec4M there)
+their one vector arithmetic.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
+from operator import add, mul, neg, sub, truediv
 from typing import Callable, NamedTuple
 
 from .expr import Expr, Lit, Var, compile_real, differentiate
@@ -25,24 +29,38 @@ class DegenerateMetricError(Exception):
     """The induced metric is singular at the requested point."""
 
 
+def _componentwise(cls):
+    """The one vector arithmetic of Vec021 and minkowski.Vec4M, component
+    by component: + and - with a vector of the same type, * by a scalar on
+    either side (always component * scalar), / by a scalar, unary -."""
+    new = tuple.__new__
+
+    def __add__(a, b):
+        return new(cls, map(add, a, b)) if type(b) is cls else NotImplemented
+
+    def __sub__(a, b):
+        return new(cls, map(sub, a, b)) if type(b) is cls else NotImplemented
+
+    def __mul__(a, s):
+        return new(cls, map(mul, a, repeat(s)))
+
+    def __truediv__(a, s):
+        return new(cls, map(truediv, a, repeat(s)))
+
+    def __neg__(a):
+        return new(cls, map(neg, a))
+
+    cls.__add__, cls.__sub__, cls.__neg__ = __add__, __sub__, __neg__
+    cls.__mul__ = cls.__rmul__ = __mul__
+    cls.__truediv__ = __truediv__
+    return cls
+
+
+@_componentwise
 class Vec021(NamedTuple):
     x: float
     y: float
     z: float
-
-    def __add__(self, other: "Vec021") -> "Vec021":
-        return Vec021(self.x + other.x, self.y + other.y, self.z + other.z)
-
-    def __sub__(self, other: "Vec021") -> "Vec021":
-        return Vec021(self.x - other.x, self.y - other.y, self.z - other.z)
-
-    def __mul__(self, s: float) -> "Vec021":
-        return Vec021(self.x * s, self.y * s, self.z * s)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, s: float) -> "Vec021":
-        return Vec021(self.x / s, self.y / s, self.z / s)
 
 
 XI = Vec021(0.0, 0.0, 1.0)

@@ -11,7 +11,8 @@ induced metric by the Gauss equation, and the locus where the second
 form of the original patch dies.  Both sides of the correspondence are
 geometry.SurfacePatch: a surface here is a patch whose values are Vec4M,
 either a chart (geometry.chart_patch with vec=Vec4M) or the lift of a
-patch (iota_lift).  Every surface reads its partials through
+patch (iota_lift), and Vec4M has the one vector arithmetic of Vec021
+(geometry._componentwise).  Every surface reads its partials through
 geometry._jets: its own jets function when it has one (expression charts
 and every lift, which maps the jets of its patch), else a 17-point
 stencil on its evaluator; the Brioschi curvature of
@@ -24,41 +25,20 @@ from typing import Callable, NamedTuple
 
 from .geometry import (DegenerateMetricError, FundamentalForms, Rect,
                        SurfacePatch, Vec021, brioschi_curvature, default_step,
-                       _OFFSETS, _axis, _clusters, _jets, _rich1)
+                       _OFFSETS, _axis, _clusters, _componentwise, _jets,
+                       _rich1)
 
 
 class NonSpacelikeError(Exception):
     """Induced Gram matrix fails positive definiteness."""
 
 
-class NotInSliceError(Exception):
-    """The surface leaves the null slice {x1 = x4}."""
-
-
+@_componentwise
 class Vec4M(NamedTuple):
     x1: float
     x2: float
     x3: float
     x4: float
-
-    def __add__(self, other: "Vec4M") -> "Vec4M":
-        return Vec4M(self.x1 + other.x1, self.x2 + other.x2,
-                     self.x3 + other.x3, self.x4 + other.x4)
-
-    def __sub__(self, other: "Vec4M") -> "Vec4M":
-        return Vec4M(self.x1 - other.x1, self.x2 - other.x2,
-                     self.x3 - other.x3, self.x4 - other.x4)
-
-    def __mul__(self, c: float) -> "Vec4M":
-        return Vec4M(self.x1 * c, self.x2 * c, self.x3 * c, self.x4 * c)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, c: float) -> "Vec4M":
-        return Vec4M(self.x1 / c, self.x2 / c, self.x3 / c, self.x4 / c)
-
-    def __neg__(self) -> "Vec4M":
-        return Vec4M(-self.x1, -self.x2, -self.x3, -self.x4)
 
     @property
     def sup_norm(self) -> float:
@@ -262,32 +242,3 @@ def vanishing_h_locus(forms_at: Callable[[float, float], FundamentalForms],
     out.sort(key=lambda c: (c.point[0] ** 2 + c.point[1] ** 2, c.point))
     return out
 
-
-def slice_project(s: SurfacePatch, tol: float = 1e-9,
-                  grid: tuple[int, int] = (17, 17)) -> SurfacePatch:
-    """Inverse of the embedding on the null slice {x1 = x4}.
-
-    Samples the surface first and raises with the worst offender if any
-    sample leaves the slice by more than tol; the returned patch then
-    simply drops the first coordinate.
-    """
-    dom = s.domain
-    nu, nv = grid
-    us = _axis(dom.u0, dom.u1, nu)
-    vs = _axis(dom.v0, dom.v1, nv)
-    worst, where = 0.0, (dom.u0, dom.v0)
-    for u in us:
-        for v in vs:
-            p = s(u, v)
-            gap = abs(p.x1 - p.x4)
-            if gap > worst:
-                worst, where = gap, (u, v)
-    if worst > tol:
-        raise NotInSliceError(
-            f"|x1 - x4| = {worst:.3e} at {where} exceeds tol {tol:.1e}")
-
-    def evaluator(u: float, v: float) -> Vec021:
-        p = s(u, v)
-        return Vec021(p.x2, p.x3, p.x4)
-
-    return SurfacePatch(evaluator, dom)

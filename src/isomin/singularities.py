@@ -16,7 +16,7 @@ from operator import le
 from typing import NamedTuple, Sequence
 
 from .expr import Expr, EvalError, compile_expr, differentiate
-from .geometry import Rect, _axis
+from .geometry import Rect, _axis, default_step
 from .weierstrass import WeierstrassData, surface_from_data
 
 
@@ -271,14 +271,11 @@ def jacobian_rank_at(data: WeierstrassData, w: complex,
         analytic = 0
 
     patch = surface_from_data(data)
-    h = 1e-4 * max(data.domain.extent, 1.0)
+    h = default_step(data.domain)
     u, v = w.real, w.imag
 
     def row(du: float, dv: float):
-        p = patch(u + du, v + dv)
-        m = patch(u - du, v - dv)
-        return [(p.x - m.x) / (2 * h), (p.y - m.y) / (2 * h),
-                (p.z - m.z) / (2 * h)]
+        return (patch(u + du, v + dv) - patch(u - du, v - dv)) / (2 * h)
 
     s1, s2 = _singular_values(row(h, 0.0), row(0.0, h))
     numeric = sum(s > 1e-6 * max(1.0, s1) for s in (s1, s2))

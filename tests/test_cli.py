@@ -5,6 +5,7 @@ module entry point and the installed console script. Output files go to
 tmp_path.
 """
 
+import importlib
 import json
 import os
 import random
@@ -581,6 +582,22 @@ class TestListAndConfig:
         monkeypatch.setenv("DMIN_THREADS", "2")
         rc, _, _ = run(capsys, ["list"])
         assert rc == 0
+
+    def test_console_script_entry_point(self, capsys, monkeypatch):
+        # what the installed script runs, resolved from pyproject.toml
+        # itself, so this runs without the script on PATH
+        tomllib = pytest.importorskip("tomllib")
+        with open(os.path.join(os.path.dirname(SRC), "pyproject.toml"),
+                  "rb") as fh:
+            target = tomllib.load(fh)["project"]["scripts"]["isomin"]
+        assert target == "isomin.cli:main"
+        module, _, attr = target.partition(":")
+        entry = getattr(importlib.import_module(module), attr)
+        assert entry is main
+        monkeypatch.setattr(sys, "argv", ["isomin", "list"])
+        rc = entry()
+        assert rc == 0
+        assert json.loads(capsys.readouterr().out)["schema"] == 1
 
     @pytest.mark.skipif(shutil.which("isomin") is None,
                         reason="console script not on PATH")

@@ -4,10 +4,11 @@ import cmath
 import hashlib
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from isomin.expr import (
     FUNCTIONS,
@@ -668,8 +669,16 @@ MEMBERS = st.one_of(
               _KERNEL_CALLS, _LOW, _polys(4, powers=True)))
 
 
+# exp(2*u + 0)*v + 0 at a subnormal v: the derivative of the primitive
+# computes v*0.5*(exp(2*u + 0)*2), and 0.5*5e-324 underflows to 0, so the
+# bound needs an absolute floor where the scale itself is subnormal
+_UNDERFLOW = BinOp("+", BinOp("*", Call("exp", BinOp(
+    "+", BinOp("*", _lit(2.0), Var("u")), _lit(0.0))), Var("v")), _lit(0.0))
+
+
 @settings(max_examples=300, deadline=None)
 @given(tree=MEMBERS, u=st.floats(-1.0, 1.0), v=st.floats(-1.0, 1.0))
+@example(tree=_UNDERFLOW, u=0.0, v=5e-324)
 def test_primitive_differentiates_back(tree, u, v):
     prim = primitive(tree, "u")
     assert prim is not None, to_source(tree)
@@ -677,7 +686,8 @@ def test_primitive_differentiates_back(tree, u, v):
     got, want = compile_real(deriv)(u, v), compile_real(tree)(u, v)
     env = {"u": complex(u), "v": complex(v)}
     scale = _magnitude(deriv, env) + _magnitude(tree, env)
-    assert abs(got - want) <= 1e-12 * scale, (to_source(tree), to_source(prim))
+    bound = max(1e-12 * scale, sys.float_info.min)
+    assert abs(got - want) <= bound, (to_source(tree), to_source(prim))
 
 
 @pytest.mark.parametrize("src, want", [

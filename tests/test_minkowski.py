@@ -12,11 +12,10 @@ from isomin.expr import EvalError, parse_expr, parse_real_expr
 from isomin.geometry import (Rect, SurfacePatch, Vec021, chart_patch,
                              default_step, deg_inner, fundamental_forms,
                              graph_patch, _stencil)
-from isomin.minkowski import (FlatZmcReport, NonSpacelikeError,
-                              NotInSliceError, Vec4M, gaussian_curvature_induced,
-                              iota_embed, iota_lift, lorentz_inner,
-                              mean_curvature_vector, normal_second_form,
-                              slice_project, vanishing_h_locus,
+from isomin.minkowski import (FlatZmcReport, NonSpacelikeError, Vec4M,
+                              gaussian_curvature_induced, iota_embed,
+                              iota_lift, lorentz_inner, mean_curvature_vector,
+                              normal_second_form, vanishing_h_locus,
                               verify_flat_zmc, _curvatures)
 from isomin.weierstrass import WeierstrassData, surface_from_data
 
@@ -336,32 +335,9 @@ class TestVanishingHLocus:
         assert not clusters[0].isolated
 
 
-class TestSliceProject:
-    def test_roundtrip_through_embedding(self):
-        patch = graph("u^3 - 3*u*v^2")
-        back = slice_project(iota_lift(patch))
-        for u, v in [(0.5, 0.5), (-0.8, 0.1), (0.0, 0.0)]:
-            p, q = patch(u, v), back(u, v)
-            assert abs(p.x - q.x) < 1e-15
-            assert abs(p.y - q.y) < 1e-15
-            assert abs(p.z - q.z) < 1e-15
-
-    def test_quartic_surface_projects_to_graph(self):
-        s = mink_chart("u^3 - 3*u*v^2", "u", "v", "u^3 - 3*u*v^2", SQUARE)
-        patch = slice_project(s)
-        p = patch(0.4, 0.3)
-        assert abs(p.x - 0.4) < 1e-15
-        assert abs(p.y - 0.3) < 1e-15
-        assert abs(p.z - (0.4 ** 3 - 3 * 0.4 * 0.3 ** 2)) < 1e-15
-
-    def test_off_slice_surface_rejected(self):
-        s = mink_chart("0", "u", "v", "u", SQUARE)
-        with pytest.raises(NotInSliceError):
-            slice_project(s)
-
-
-# the vector records are tuples underneath; their arithmetic must stay
-# componentwise and never fall through to concatenation or repetition
+# the vector records are tuples underneath; their one shared arithmetic
+# (geometry._componentwise) must stay componentwise and never fall
+# through to concatenation or repetition
 
 @pytest.mark.parametrize("vec, n", [(Vec021, 3), (Vec4M, 4)])
 def test_vector_arithmetic_is_componentwise(vec, n):
@@ -372,6 +348,16 @@ def test_vector_arithmetic_is_componentwise(vec, n):
     for s in (2, 2.5, -0.0, True):
         assert a * s == s * a == vec(*(x * s for x in a))
     assert a / 4 == vec(*(x / 4 for x in a))
-    for result in (a + b, a - b, a * 2, 2 * a, a / 4):
+    assert -b == vec(*(-x for x in b))
+    for result in (a + b, a - b, a * 2, 2 * a, a / 4, -a):
         assert type(result) is vec and len(result) == n
     assert repr(-0.0 * a) == repr(vec(*(-0.0,) * n))
+    # negation flips the sign of a zero, as -x does
+    assert repr(-vec(*(0.0,) * n)) == repr(vec(*(-0.0,) * n))
+    # a sum or difference takes a vector of the same type only
+    for other in (tuple(b), Vec021(1.0, 2.0, 3.0) if n == 4
+                  else Vec4M(1.0, 2.0, 3.0, 4.0)):
+        with pytest.raises(TypeError):
+            a + other
+        with pytest.raises(TypeError):
+            a - other

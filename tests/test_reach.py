@@ -9,8 +9,9 @@ definition, by ``isomin.__all__``, or by the acceptance or golden tests.
 A public method or property of a library class passes when its name is
 read as an attribute (``x.name``) by a module of the package or by the
 acceptance or golden tests.  Record fields (of a dataclass or a
-``NamedTuple``) are exempt: ``repr`` shows them, and the
-``validate_data`` golden pins that text.
+``NamedTuple``) are not checked: ``repr`` shows them, and the
+``validate_data`` golden pins that text.  No definition is exempt: the
+inverse slice map, the one public function no command reached, is gone.
 """
 
 import ast
@@ -23,11 +24,6 @@ PACKAGE = ROOT / "src" / "isomin"
 LIBRARY = ("catalog", "expr", "geometry", "minkowski", "quadrature",
            "reconstruct", "singularities", "weierstrass")
 USERS = ("test_acceptance.py", "test_golden.py")
-
-# the inverse half of the paper's one-to-one correspondence (a surface in
-# the null slice of R^4_1 back to R^{0,2,1}); reaching it from the CLI
-# changes the embed output schema, which is a change of its own
-EXEMPT = frozenset({"slice_project"})
 
 
 def _names(node) -> set[str]:
@@ -61,7 +57,7 @@ def unreached() -> list[str]:
         per_stmt = [_names(stmt) for stmt in body]
         for k, stmt in enumerate(body):
             if not isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) \
-                    or stmt.name.startswith("_") or stmt.name in EXEMPT:
+                    or stmt.name.startswith("_"):
                 continue
             if stmt.name not in reached and not any(
                     stmt.name in used

@@ -152,9 +152,9 @@ def get(name: str, lam: float = 1.0) -> CatalogEntry:
     return builder()
 
 
-def entries(lam: float = 1.0) -> Iterator[CatalogEntry]:
+def entries() -> Iterator[CatalogEntry]:
     for name in names():
-        yield get(name, lam)
+        yield get(name)
 
 
 def minimal_entries() -> Iterator[CatalogEntry]:

@@ -1,6 +1,7 @@
 """Command line front end.
 
-Subcommands:
+Subcommands, each accepting only the flags _SUBCOMMANDS lists for it
+from _FLAGS, where every flag is declared once (any other exits 2):
     gen          mesh a member of a holomorphic-pair family
     analyze      per-sample forms, curvatures and a summary verdict
     singular     locate and classify zeros of the conformal factor
@@ -9,10 +10,10 @@ Subcommands:
     list         show the built-in reference surfaces
 
 Exit codes: 0 success (including honest "fail"/"not d-minimal" verdicts),
-2 bad input (a parse error, a non-finite number, an expression that fails
-to evaluate, a domain smaller than the sampling margins), 3 integration
-failure, 4 degenerate or non-spacelike samples beyond the allowed
-budget, 5 incompatible prescribed forms.
+2 bad input (a parse error, a non-finite number in a flag or a --forms-csv
+table, an expression that fails to evaluate, a domain smaller than the
+sampling margins), 3 integration failure, 4 degenerate or non-spacelike
+samples beyond the allowed budget, 5 incompatible prescribed forms.
 
 Numbers in CSV/OBJ output are printed with a fixed 12-digit format and
 JSON floats are rounded the same way, so identical configurations
@@ -25,7 +26,6 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 
 from .catalog import UnknownSurfaceError, entries, get
@@ -96,21 +96,6 @@ def _parse_grid(text: str) -> tuple[int, int]:
     except ValueError:
         raise CliError(EXIT_INPUT, f"--grid: could not parse {text!r}") from None
     return n, m
-
-
-def _threads_from_env() -> None:
-    # DMIN_THREADS is reserved: every computation runs on one thread per
-    # process (gen forks processes on large grids), but the variable is
-    # validated so misconfigured pipelines fail loudly instead of silently
-    raw = os.environ.get("DMIN_THREADS")
-    if raw is None:
-        return
-    try:
-        n = int(raw)
-    except ValueError:
-        raise CliError(EXIT_INPUT, f"DMIN_THREADS must be an integer, got {raw!r}") from None
-    if n < 1:
-        raise CliError(EXIT_INPUT, f"DMIN_THREADS must be >= 1, got {n}")
 
 
 def _parse_flag(parse, src: str, flag: str):
@@ -409,12 +394,17 @@ def _forms_from_csv(path: str) -> tuple[PrescribedForms, tuple[int, int]]:
     if not rows or any(k not in rows[0] for k in needed):
         raise CliError(EXIT_INPUT,
                        "--forms-csv: header must contain u,v,h11,h12,h22")
-    try:
-        table = {(float(r["u"]), float(r["v"])):
-                 (float(r["h11"]), float(r["h12"]), float(r["h22"]))
-                 for r in rows}
-    except (TypeError, ValueError):
-        raise CliError(EXIT_INPUT, "--forms-csv: non-numeric entry") from None
+    table = {}
+    for r in rows:
+        try:
+            u, v, *h = (float(r[k]) for k in needed)
+        except (TypeError, ValueError):
+            raise CliError(EXIT_INPUT, "--forms-csv: non-numeric entry") from None
+        for k, x in zip(needed, (u, v, *h)):
+            if not math.isfinite(x):
+                raise CliError(EXIT_INPUT, f"--forms-csv: {k} must be "
+                               f"finite, got {x} at node ({u}, {v})")
+        table[(u, v)] = h
     us = sorted({u for u, _ in table})
     vs = sorted({v for _, v in table})
     nu, nv = len(us), len(vs)
@@ -565,13 +555,44 @@ def cmd_list(cfg: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-_COMMANDS = {
-    "gen": cmd_gen,
-    "analyze": cmd_analyze,
-    "singular": cmd_singular,
-    "reconstruct": cmd_reconstruct,
-    "embed": cmd_embed,
-    "list": cmd_list,
+# every flag once, with its add_argument keywords; _join_value_flags joins
+# each to its value, which may start with '-' (a bound, -u*v)
+_FLAGS = {
+    "--F": dict(dest="f_src", help="holomorphic F(z)"),
+    "--G": dict(dest="g_src", help="holomorphic G(z)"),
+    "--graph": dict(dest="graph_src", help="height expression in u, v"),
+    "--catalog": dict(help="reference surface name"),
+    "--lam": dict(type=float, default=1.0, help="dlambda_geodesic parameter"),
+    "--h11": {}, "--h12": {}, "--h22": {},
+    "--forms-csv": dict(help="node table u,v,h11,h12,h22 instead of expressions"),
+    "--x1": {}, "--x2": {}, "--x3": {}, "--x4": {},
+    "--theta": dict(type=float, default=0.0, help="associated family angle"),
+    "--base": dict(help="base point re,im (reconstruct: u0,v0)"),
+    "--domain": dict(default="-1,1,-1,1", help="parameter rectangle u0,u1,v0,v1"),
+    "--grid": dict(help="sample counts N,M"),
+    "--tol": dict(type=float),
+    "--out": dict(help="output file (default stdout)"),
+    "--format": dict(dest="fmt", default="", choices=("", "obj", "csv", "json")),
+}
+
+_SAMPLING = ("--domain", "--grid", "--tol", "--out")
+
+# name -> (function, help, the flags it accepts)
+_SUBCOMMANDS = {
+    "gen": (cmd_gen, "mesh a family member from --F/--G",
+            ("--F", "--G", "--theta", "--base", *_SAMPLING, "--format")),
+    "analyze": (cmd_analyze, "forms, curvatures and verdict",
+                ("--F", "--G", "--graph", "--catalog", "--lam", "--base",
+                 *_SAMPLING, "--format")),
+    "singular": (cmd_singular, "zeros of the conformal factor",
+                 ("--F", "--G", "--base", *_SAMPLING)),
+    "reconstruct": (cmd_reconstruct, "graph from a prescribed form",
+                    ("--h11", "--h12", "--h22", "--forms-csv", "--base",
+                     *_SAMPLING, "--format")),
+    "embed": (cmd_embed, "flat zero-mean-curvature check",
+              ("--F", "--G", "--graph", "--catalog", "--lam", "--x1", "--x2",
+               "--x3", "--x4", "--theta", "--base", *_SAMPLING)),
+    "list": (cmd_list, "built-in reference surfaces", ("--out",)),
 }
 
 
@@ -581,70 +602,14 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Surfaces with a degenerate product: generation, "
                     "analysis, reconstruction and embedding checks.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--domain", default="-1,1,-1,1",
-                       help="parameter rectangle u0,u1,v0,v1")
-        p.add_argument("--grid", default=None, help="sample counts N,M")
-        p.add_argument("--tol", type=float, default=None)
-        p.add_argument("--out", default=None, help="output file (default stdout)")
-        p.add_argument("--format", dest="fmt", default="",
-                       choices=("", "obj", "csv", "json"))
-
-    p = sub.add_parser("gen", help="mesh a family member from --F/--G")
-    p.add_argument("--F", dest="f_src", required=True)
-    p.add_argument("--G", dest="g_src", required=True)
-    p.add_argument("--theta", type=float, default=0.0)
-    p.add_argument("--base", default=None, help="base point re,im")
-    common(p)
-
-    p = sub.add_parser("analyze", help="forms, curvatures and verdict")
-    p.add_argument("--F", dest="f_src", default=None)
-    p.add_argument("--G", dest="g_src", default=None)
-    p.add_argument("--graph", dest="graph_src", default=None,
-                   help="height expression in u, v")
-    p.add_argument("--catalog", default=None, help="reference surface name")
-    p.add_argument("--lam", type=float, default=1.0)
-    p.add_argument("--base", default=None)
-    common(p)
-
-    p = sub.add_parser("singular", help="zeros of the conformal factor")
-    p.add_argument("--F", dest="f_src", required=True)
-    p.add_argument("--G", dest="g_src", required=True)
-    p.add_argument("--base", default=None)
-    common(p)
-
-    p = sub.add_parser("reconstruct", help="graph from a prescribed form")
-    p.add_argument("--h11", default=None)
-    p.add_argument("--h12", default=None)
-    p.add_argument("--h22", default=None)
-    p.add_argument("--forms-csv", dest="forms_csv", default=None,
-                   help="node table u,v,h11,h12,h22 instead of expressions")
-    p.add_argument("--base", default=None, help="integration base u0,v0")
-    common(p)
-
-    p = sub.add_parser("embed", help="flat zero-mean-curvature check")
-    p.add_argument("--F", dest="f_src", default=None)
-    p.add_argument("--G", dest="g_src", default=None)
-    p.add_argument("--graph", dest="graph_src", default=None)
-    p.add_argument("--catalog", default=None)
-    p.add_argument("--lam", type=float, default=1.0)
-    p.add_argument("--x1", default=None)
-    p.add_argument("--x2", default=None)
-    p.add_argument("--x3", default=None)
-    p.add_argument("--x4", default=None)
-    p.add_argument("--theta", type=float, default=0.0)
-    p.add_argument("--base", default=None)
-    common(p)
-
-    p = sub.add_parser("list", help="built-in reference surfaces")
-    common(p)
-
+    defaults = {}
+    for name, (_, help_text, flags) in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag in flags:
+            action = p.add_argument(flag, **_FLAGS[flag])
+            defaults[action.dest] = action.default
     # a flag that a subcommand lacks reads as its default
-    parser.set_defaults(f_src=None, g_src=None, graph_src=None, catalog=None,
-                        lam=1.0, theta=0.0, base=None, forms_csv=None,
-                        h11=None, h12=None, h22=None,
-                        x1=None, x2=None, x3=None, x4=None)
+    parser.set_defaults(**defaults)
     return parser
 
 
@@ -661,7 +626,6 @@ def _checked(ns: argparse.Namespace) -> argparse.Namespace:
         ns.x_srcs = xs
     ns.domain = d = _parse_domain(ns.domain)
     ns.grid = _parse_grid(ns.grid) if ns.grid else None
-    _threads_from_env()
     for flag, values in (("--tol", (ns.tol or 0.0,)),
                          ("--theta", (ns.theta,)), ("--lam", (ns.lam,)),
                          ("--domain", (d.u0, d.u1, d.v0, d.v1)),
@@ -676,20 +640,11 @@ def _checked(ns: argparse.Namespace) -> argparse.Namespace:
     return ns
 
 
-# flags whose values may start with '-' (negative bounds, expressions
-# like -u*v); joined with '=' so argparse does not read them as options
-_VALUE_FLAGS = frozenset((
-    "--domain", "--base", "--grid", "--tol", "--theta", "--lam",
-    "--F", "--G", "--h11", "--h12", "--h22",
-    "--x1", "--x2", "--x3", "--x4", "--graph",
-))
-
-
 def _join_value_flags(argv: list[str]) -> list[str]:
     out: list[str] = []
     i = 0
     while i < len(argv):
-        if argv[i] in _VALUE_FLAGS and i + 1 < len(argv):
+        if argv[i] in _FLAGS and i + 1 < len(argv):
             out.append(f"{argv[i]}={argv[i + 1]}")
             i += 2
         else:
@@ -704,7 +659,7 @@ def main(argv: list[str] | None = None) -> int:
         argv = sys.argv[1:]
     ns = parser.parse_args(_join_value_flags(list(argv)))
     try:
-        return _COMMANDS[ns.command](_checked(ns))
+        return _SUBCOMMANDS[ns.command][0](_checked(ns))
     except CliError as err:
         failure = err
     except IntegrationError as err:

@@ -372,6 +372,28 @@ class TestReconstruct:
                                   "--h11", "2"])
         assert rc == 2
 
+    @pytest.mark.parametrize("column, node, value", [
+        ("h11", (-1.0, -1.0), "nan"),
+        ("h12", (0.0, 0.5), "nan"),
+        ("h22", (0.5, -0.5), "inf"),
+    ], ids=["corner-nan", "interior-nan", "interior-inf"])
+    def test_forms_csv_non_finite_exits_2(self, capsys, tmp_path, column,
+                                          node, value):
+        # the Codazzi check reads interior nodes only and a NaN gap passes
+        # every comparison, so the table itself is checked
+        src = tmp_path / "forms.csv"
+        out = tmp_path / "graph.csv"
+        fns = {c: (lambda u, v: 2.0) for c in ("h11", "h12", "h22")}
+        fns[column] = lambda u, v: float(value) if (u, v) == node else 2.0
+        self.write_forms(src, fns["h11"], fns["h12"], fns["h22"])
+        rc, stdout, err = run(capsys, ["reconstruct", "--forms-csv", str(src),
+                                       "--out", str(out)])
+        assert rc == 2
+        assert stdout == ""
+        assert not out.exists()
+        assert err == (f"isomin reconstruct: --forms-csv: {column} must be "
+                       f"finite, got {value} at node {node}\n")
+
     def test_neither_mode_rejected(self, capsys):
         rc, _, err = run(capsys, ["reconstruct"])
         assert rc == 2
@@ -575,13 +597,49 @@ class TestListAndConfig:
                                   "--tol", "-1e-6"])
         assert rc == 2
 
-    def test_thread_env_validated(self, capsys, monkeypatch):
-        monkeypatch.setenv("DMIN_THREADS", "zero")
-        rc, _, err = run(capsys, ["list"])
+    @pytest.mark.parametrize("args", [
+        ["list", "--domain", "0,1,0,1"],
+        ["list", "--grid", "3,3"],
+        ["list", "--tol", "1e-6"],
+        ["list", "--format", "json"],
+        ["singular", "--F", "z", "--G", "1", "--format", "json"],
+        ["embed", "--catalog", "helicoid2", "--format", "json"],
+    ], ids=["list-domain", "list-grid", "list-tol", "list-format",
+            "singular-format", "embed-format"])
+    def test_flag_the_subcommand_does_not_read_is_refused(self, capsys, args):
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args", [
+        ["gen", "--G", "1"],
+        ["singular", "--G", "1"],
+        ["gen", "--F", "", "--G", "1"],
+    ], ids=["gen", "singular", "gen-empty-F"])
+    def test_weierstrass_commands_need_both_functions(self, capsys, args):
+        rc, out, err = run(capsys, args)
         assert rc == 2
-        monkeypatch.setenv("DMIN_THREADS", "2")
-        rc, _, _ = run(capsys, ["list"])
-        assert rc == 0
+        assert f"{args[0]} needs --F and --G" in err
+        assert out == ""
+
+    def test_every_flag_is_read(self):
+        # a flag in the table that no code reads would be a setting that
+        # does nothing: each dest must be read as cfg.<dest> or ns.<dest>
+        import argparse
+        import ast
+        from isomin import cli
+        with open(cli.__file__, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        read = {node.attr for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute)
+                and isinstance(node.ctx, ast.Load)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in ("cfg", "ns")}
+        dests = {argparse.ArgumentParser().add_argument(flag, **kw).dest
+                 for flag, kw in cli._FLAGS.items()}
+        assert len(dests) == len(cli._FLAGS)
+        assert dests - read == set()
 
     def test_console_script_entry_point(self, capsys, monkeypatch):
         # what the installed script runs, resolved from pyproject.toml

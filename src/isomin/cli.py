@@ -558,15 +558,15 @@ def cmd_list(cfg: argparse.Namespace) -> int:
 # every flag once, with its add_argument keywords; _join_value_flags joins
 # each to its value, which may start with '-' (a bound, -u*v)
 _FLAGS = {
-    "--F": dict(dest="f_src", help="holomorphic F(z)"),
-    "--G": dict(dest="g_src", help="holomorphic G(z)"),
+    "--F": dict(dest="f_src"),
+    "--G": dict(dest="g_src"),
     "--graph": dict(dest="graph_src", help="height expression in u, v"),
     "--catalog": dict(help="reference surface name"),
-    "--lam": dict(type=float, default=1.0, help="dlambda_geodesic parameter"),
+    "--lam": dict(type=float, default=1.0),
     "--h11": {}, "--h12": {}, "--h22": {},
     "--forms-csv": dict(help="node table u,v,h11,h12,h22 instead of expressions"),
     "--x1": {}, "--x2": {}, "--x3": {}, "--x4": {},
-    "--theta": dict(type=float, default=0.0, help="associated family angle"),
+    "--theta": dict(type=float, default=0.0),
     "--base": dict(help="base point re,im (reconstruct: u0,v0)"),
     "--domain": dict(default="-1,1,-1,1", help="parameter rectangle u0,u1,v0,v1"),
     "--grid": dict(help="sample counts N,M"),
@@ -575,23 +575,23 @@ _FLAGS = {
     "--format": dict(dest="fmt", default="", choices=("", "obj", "csv", "json")),
 }
 
-_SAMPLING = ("--domain", "--grid", "--tol", "--out")
+_SHARED = ("--domain", "--grid", "--tol", "--out")
 
 # name -> (function, help, the flags it accepts)
 _SUBCOMMANDS = {
     "gen": (cmd_gen, "mesh a family member from --F/--G",
-            ("--F", "--G", "--theta", "--base", *_SAMPLING, "--format")),
+            ("--F", "--G", "--theta", "--base", *_SHARED, "--format")),
     "analyze": (cmd_analyze, "forms, curvatures and verdict",
                 ("--F", "--G", "--graph", "--catalog", "--lam", "--base",
-                 *_SAMPLING, "--format")),
+                 *_SHARED, "--format")),
     "singular": (cmd_singular, "zeros of the conformal factor",
-                 ("--F", "--G", "--base", *_SAMPLING)),
+                 ("--F", "--G", "--base", *_SHARED)),
     "reconstruct": (cmd_reconstruct, "graph from a prescribed form",
                     ("--h11", "--h12", "--h22", "--forms-csv", "--base",
-                     *_SAMPLING, "--format")),
+                     *_SHARED, "--format")),
     "embed": (cmd_embed, "flat zero-mean-curvature check",
               ("--F", "--G", "--graph", "--catalog", "--lam", "--x1", "--x2",
-               "--x3", "--x4", "--theta", "--base", *_SAMPLING)),
+               "--x3", "--x4", "--theta", "--base", *_SHARED)),
     "list": (cmd_list, "built-in reference surfaces", ("--out",)),
 }
 

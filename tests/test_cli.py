@@ -5,6 +5,8 @@ module entry point and the installed console script. Output files go to
 tmp_path.
 """
 
+import argparse
+import ast
 import importlib
 import json
 import os
@@ -15,6 +17,7 @@ import sys
 
 import pytest
 
+from isomin import cli
 from isomin.cli import main
 
 
@@ -626,9 +629,6 @@ class TestListAndConfig:
     def test_every_flag_is_read(self):
         # a flag in the table that no code reads would be a setting that
         # does nothing: each dest must be read as cfg.<dest> or ns.<dest>
-        import argparse
-        import ast
-        from isomin import cli
         with open(cli.__file__, encoding="utf-8") as fh:
             tree = ast.parse(fh.read())
         read = {node.attr for node in ast.walk(tree)

@@ -11,9 +11,11 @@ from _FLAGS, where every flag is declared once (any other exits 2):
 
 Exit codes: 0 success (including honest "fail"/"not d-minimal" verdicts),
 2 bad input (a parse error, a non-finite number in a flag or a --forms-csv
-table, an expression that fails to evaluate, a domain smaller than the
-sampling margins), 3 integration failure, 4 degenerate or non-spacelike
-samples beyond the allowed budget, 5 incompatible prescribed forms.
+table, a node listed twice in that table, an expression that fails to
+evaluate, a domain smaller than the sampling margins), 3 integration
+failure, 4 degenerate or non-spacelike samples beyond the allowed budget,
+5 incompatible prescribed forms (a Codazzi residual above tol, or node
+values whose two integration orders disagree).
 
 Numbers in CSV/OBJ output are printed with a fixed 12-digit format and
 JSON floats are rounded the same way, so identical configurations
@@ -35,8 +37,8 @@ from .geometry import (DegenerateMetricError, FundamentalForms, Rect, _axis,
                        graph_patch, mean_curvature, relative_gauss_curvature)
 from .minkowski import Vec4M, iota_lift, vanishing_h_locus, verify_flat_zmc
 from .quadrature import IntegrationError
-from .reconstruct import (CodazziViolationError, PrescribedForms,
-                          codazzi_check, surface_from_forms)
+from .reconstruct import (CodazziViolationError, GridMismatchError,
+                          PrescribedForms, codazzi_check, surface_from_forms)
 from .singularities import (ContourError, MultiplicityError,
                             RankDisagreementError, singular_report)
 from .weierstrass import (WeierstrassData, grid_eval, metric_at,
@@ -404,6 +406,9 @@ def _forms_from_csv(path: str) -> tuple[PrescribedForms, tuple[int, int]]:
             if not math.isfinite(x):
                 raise CliError(EXIT_INPUT, f"--forms-csv: {k} must be "
                                f"finite, got {x} at node ({u}, {v})")
+        if (u, v) in table:
+            raise CliError(EXIT_INPUT,
+                           f"--forms-csv: node ({u}, {v}) listed twice")
         table[(u, v)] = h
     us = sorted({u for u, _ in table})
     vs = sorted({v for _, v in table})
@@ -457,6 +462,10 @@ def cmd_reconstruct(cfg: argparse.Namespace) -> int:
                          "verdict: incompatible\n")
         sys.stderr.write(f"{err}\n")
         return EXIT_CODAZZI
+    except GridMismatchError as err:
+        # the central-difference Codazzi residual never reads a corner
+        # node; a bad one shows as two integration orders that disagree
+        raise CliError(EXIT_CODAZZI, str(err)) from None
     residual = f"codazzi_residual_max: {_fmt(report.max_residual)}\n"
 
     nu, nv = grid

@@ -120,36 +120,6 @@ def _axis(lo: float, hi: float, n: int, inset: float = 0.0) -> list[float]:
     return xs
 
 
-def _clusters(mask) -> list[list[tuple[int, int]]]:
-    """8-connected components of the True entries of a 2-D mask.
-
-    Seeds are taken in row-major order and each component lists its
-    members in depth-first visiting order.
-    """
-    n, m = len(mask), len(mask[0])
-    seen = [[False] * m for _ in range(n)]
-    out = []
-    for i in range(n):
-        for j in range(m):
-            if not mask[i][j] or seen[i][j]:
-                continue
-            stack = [(i, j)]
-            seen[i][j] = True
-            members = []
-            while stack:
-                a, b = stack.pop()
-                members.append((a, b))
-                for da in (-1, 0, 1):
-                    for db in (-1, 0, 1):
-                        na, nb = a + da, b + db
-                        if 0 <= na < n and 0 <= nb < m \
-                                and mask[na][nb] and not seen[na][nb]:
-                            seen[na][nb] = True
-                            stack.append((na, nb))
-            out.append(members)
-    return out
-
-
 @dataclass(frozen=True)
 class SurfacePatch:
     """A parametrised piece of surface, in R^{0,2,1} (Vec021 values) or

@@ -25,8 +25,7 @@ from typing import Callable, NamedTuple
 
 from .geometry import (DegenerateMetricError, FundamentalForms, Rect,
                        SurfacePatch, Vec021, brioschi_curvature, default_step,
-                       _OFFSETS, _axis, _clusters, _componentwise, _jets,
-                       _rich1)
+                       _OFFSETS, _axis, _componentwise, _jets, _rich1)
 
 
 class NonSpacelikeError(Exception):
@@ -196,6 +195,36 @@ class LocusCluster(NamedTuple):
     point: tuple[float, float]
     node_count: int
     isolated: bool
+
+
+def _clusters(mask) -> list[list[tuple[int, int]]]:
+    """8-connected components of the True entries of a 2-D mask.
+
+    Seeds are taken in row-major order and each component lists its
+    members in depth-first visiting order.
+    """
+    n, m = len(mask), len(mask[0])
+    seen = [[False] * m for _ in range(n)]
+    out = []
+    for i in range(n):
+        for j in range(m):
+            if not mask[i][j] or seen[i][j]:
+                continue
+            stack = [(i, j)]
+            seen[i][j] = True
+            members = []
+            while stack:
+                a, b = stack.pop()
+                members.append((a, b))
+                for da in (-1, 0, 1):
+                    for db in (-1, 0, 1):
+                        na, nb = a + da, b + db
+                        if 0 <= na < n and 0 <= nb < m \
+                                and mask[na][nb] and not seen[na][nb]:
+                            seen[na][nb] = True
+                            stack.append((na, nb))
+            out.append(members)
+    return out
 
 
 def vanishing_h_locus(forms_at: Callable[[float, float], FundamentalForms],

@@ -8,9 +8,8 @@ without zeros, produces a conformal minimal immersion
 whose pullback metric is |F|^2 (du^2 + dv^2).  Rotating the integrand by
 exp(-i theta) sweeps the associated family; theta = pi/2 is the conjugate
 surface, equivalently the data (-i F, -i G).  Zeros of F are exactly the
-points where the immersion degenerates, which the singularities module
-picks apart; here they only show up as flagged cells in validation
-reports.
+points where the immersion degenerates; the singularities module finds
+and classifies them.
 """
 
 from __future__ import annotations
@@ -22,9 +21,9 @@ import threading
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
-from .expr import Expr, EvalError, compile_expr, differentiate
+from .expr import Expr, compile_expr, differentiate
 from .geometry import (FundamentalForms, Rect, SurfacePatch, Vec021,
-                       default_step, _axis, _clusters, _stencil)
+                       default_step, _axis, _stencil)
 from .quadrature import integrate_segment
 
 
@@ -241,97 +240,6 @@ def grid_eval(data: WeierstrassData, theta: float = 0.0,
         return us, vs, _rows(data, rot, us, vs, quad_tol)
     blocks = [vs[nv * k // n:nv * (k + 1) // n] for k in range(n)]
     return us, vs, _split_rows(data, rot, us, blocks, quad_tol)
-
-
-class ValidationReport(NamedTuple):
-    min_abs_f: float
-    min_at: complex
-    singular_regions: tuple[complex, ...]
-    flagged_cells: int
-    phi_identity_exact: bool
-    eval_failures: tuple[str, ...]
-    cell_tol: float
-
-
-def validate_data(data: WeierstrassData, grid: tuple[int, int] = (33, 33),
-                  tol: float | None = None) -> ValidationReport:
-    """Scan |F| over the domain and flag candidate singular cells.
-
-    Cells whose sampled |F| dips below a resolution-matched threshold are
-    clustered (8-neighbour adjacency) and each cluster reported once.
-    The triple (F, -i F, G) satisfies phi1^2 + phi2^2 = 0 by algebra, not
-    numerics, so that identity is reported as exact.  Segment hulls from
-    the base point are sampled so branch-cut crossings surface here
-    rather than as mysterious integration failures later.
-    """
-    f_fn, g_fn, fp_fn, _ = data.compiled
-    dom = data.domain
-    nu, nv = grid
-    us = _axis(dom.u0, dom.u1, nu)
-    vs = _axis(dom.v0, dom.v1, nv)
-    failures: list[str] = []
-
-    absf = [[math.inf] * nv for _ in range(nu)]
-    slopes = []
-    min_val, min_at = math.inf, complex(dom.u0, dom.v0)
-    for i, u in enumerate(us):
-        for j, v in enumerate(vs):
-            w = complex(u, v)
-            try:
-                val = abs(f_fn(w))
-            except EvalError as exc:
-                failures.append(f"F at {w}: {exc}")
-                continue
-            absf[i][j] = val
-            if val < min_val:
-                min_val, min_at = val, w
-            try:
-                slopes.append(abs(fp_fn(w)))
-            except EvalError:
-                pass
-
-    if tol is None:
-        slopes.sort()
-        slope = slopes[len(slopes) // 2] if slopes else 1.0
-        du = (dom.u1 - dom.u0) / (nu - 1)
-        dv = (dom.v1 - dom.v0) / (nv - 1)
-        tol = 2.0 * math.hypot(du, dv) * max(slope, 1e-12)
-
-    def cell_min(i: int, j: int) -> float:
-        return min(absf[i][j], absf[i + 1][j], absf[i][j + 1],
-                   absf[i + 1][j + 1])
-
-    flagged = [[cell_min(i, j) < tol for j in range(nv - 1)]
-               for i in range(nu - 1)]
-    regions: list[complex] = []
-    for cluster in _clusters(flagged):
-        best = min(cluster, key=lambda c: cell_min(*c))
-        corners = [(best[0], best[1]), (best[0] + 1, best[1]),
-                   (best[0], best[1] + 1), (best[0] + 1, best[1] + 1)]
-        bi, bj = min(corners, key=lambda c: absf[c[0]][c[1]])
-        regions.append(complex(us[bi], vs[bj]))
-
-    # sample the hull of integration segments for evaluation failures
-    for u in us[::4]:
-        for v in vs[::4]:
-            w_end = complex(u, v)
-            for t in (0.25, 0.5, 0.75):
-                w = data.base + t * (w_end - data.base)
-                for name, fn in (("F", f_fn), ("G", g_fn)):
-                    try:
-                        fn(w)
-                    except EvalError as exc:
-                        failures.append(f"{name} at {w}: {exc}")
-
-    return ValidationReport(
-        min_abs_f=min_val,
-        min_at=min_at,
-        singular_regions=tuple(regions),
-        flagged_cells=sum(map(sum, flagged)),
-        phi_identity_exact=True,
-        eval_failures=tuple(failures),
-        cell_tol=tol,
-    )
 
 
 def metric_at(data: WeierstrassData, w: complex) -> float:

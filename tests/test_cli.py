@@ -7,15 +7,19 @@ tmp_path.
 
 import argparse
 import ast
+import contextlib
 import importlib
+import io
 import json
 import os
 import random
 import shutil
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from isomin import cli
 from isomin.cli import main
@@ -397,10 +401,82 @@ class TestReconstruct:
         assert err == (f"isomin reconstruct: --forms-csv: {column} must be "
                        f"finite, got {value} at node {node}\n")
 
+    def test_forms_csv_corner_spike_exits_5(self, capsys, tmp_path):
+        # the central-difference Codazzi residual never reads a corner
+        # node, so the spike passes it and the two integration orders
+        # are what disagree
+        src = tmp_path / "forms.csv"
+        out = tmp_path / "graph.csv"
+        self.write_forms(src, lambda u, v: 0.0, lambda u, v: 0.0,
+                         lambda u, v: 1000.0 if (u, v) == (-1.0, -1.0)
+                         else 0.0)
+        rc, stdout, err = run(capsys, ["reconstruct", "--forms-csv", str(src),
+                                       "--out", str(out)])
+        assert rc == 5
+        assert stdout == ""
+        assert not out.exists()
+        assert err == ("isomin reconstruct: L-order integrations disagree "
+                       "by 6.250e+01 (> 10*tol = 2.500e+00); data "
+                       "incompatible at this resolution\n")
+
+    def test_forms_csv_repeated_node_exits_2(self, capsys, tmp_path):
+        src = tmp_path / "forms.csv"
+        out = tmp_path / "graph.csv"
+        self.write_forms(src, lambda u, v: 0.0, lambda u, v: 0.0,
+                         lambda u, v: 0.0)
+        with src.open("a") as fh:
+            fh.write("0.0,0.0,5.0,0.0,0.0\n")
+        rc, stdout, err = run(capsys, ["reconstruct", "--forms-csv", str(src),
+                                       "--out", str(out)])
+        assert rc == 2
+        assert stdout == ""
+        assert not out.exists()
+        assert err == ("isomin reconstruct: --forms-csv: node (0.0, 0.0) "
+                       "listed twice\n")
+
     def test_neither_mode_rejected(self, capsys):
         rc, _, err = run(capsys, ["reconstruct"])
         assert rc == 2
         assert "--forms-csv" in err
+
+
+# the Hessian of a cubic with one rim node moved: main exits 0, 2 (an
+# even node count puts the centre base between nodes) or 5, and says
+# compatible and writes --out only when it exits 0
+@settings(max_examples=60, deadline=None)
+@given(nu=st.integers(3, 7), nv=st.integers(3, 7),
+       coef=st.lists(st.floats(-10.0, 10.0), min_size=7, max_size=7),
+       side=st.integers(0, 3), pos=st.integers(0, 6),
+       component=st.integers(0, 2), amount=st.floats(-1e6, 1e6))
+@example(nu=5, nv=5, coef=[0.0] * 7, side=0, pos=0, component=2,
+         amount=1000.0)
+def test_forms_csv_exit_codes(nu, nv, coef, side, pos, component, amount):
+    a, b, c, d, e, f, g = coef
+    us = [-1.0 + 2.0 * i / (nu - 1) for i in range(nu)]
+    vs = [-1.0 + 2.0 * j / (nv - 1) for j in range(nv)]
+    moved = [(0, pos % nv), (nu - 1, pos % nv),
+             (pos % nu, 0), (pos % nu, nv - 1)][side]
+    lines = ["u,v,h11,h12,h22"]
+    for i, u in enumerate(us):
+        for j, v in enumerate(vs):
+            h = [6 * a * u + 2 * b * v + 2 * e, 2 * b * u + 2 * c * v + f,
+                 2 * c * u + 6 * d * v + 2 * g]
+            if (i, j) == moved:
+                h[component] += amount
+            lines.append(",".join(map(repr, [u, v, *h])))
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        src = os.path.join(tmp, "forms.csv")
+        out = os.path.join(tmp, "graph.csv")
+        with open(src, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+        with contextlib.redirect_stdout(stdout), \
+                contextlib.redirect_stderr(stderr):
+            rc = main(["reconstruct", "--forms-csv", src, "--out", out])
+        wrote = os.path.exists(out)
+    assert rc in (0, 2, 5)
+    assert ("verdict: compatible" in stdout.getvalue()) == (rc == 0)
+    assert wrote == (rc == 0)
 
 
 # the class of every sample of each catalog entry's analyze; no exact

@@ -29,7 +29,7 @@ from isomin.geometry import (
 )
 from isomin.minkowski import iota_lift, verify_flat_zmc
 from isomin.singularities import find_zeros
-from isomin.weierstrass import WeierstrassData, grid_eval, validate_data
+from isomin.weierstrass import WeierstrassData, grid_eval
 
 SQ2 = Rect(-2.0, 2.0, -2.0, 2.0)
 
@@ -219,14 +219,10 @@ class TestGrid:
         lambda n: grid_eval(WeierstrassData(parse_expr("exp(z)"),
                                             parse_expr("z"), domain=SQ2),
                             nu=3, nv=n),
-        lambda n: validate_data(WeierstrassData(parse_expr("exp(z)"),
-                                                parse_expr("z"), domain=SQ2),
-                                grid=(n, 3)),
         lambda n: find_zeros(parse_expr("z"), SQ2, grid=(3, n)),
         lambda n: verify_flat_zmc(
             iota_lift(graph_patch(lambda u, v: u * v, SQ2)), grid=(n, 3)),
-    ], ids=["axis", "grid_eval", "validate_data", "find_zeros",
-            "verify_flat_zmc"])
+    ], ids=["axis", "grid_eval", "find_zeros", "verify_flat_zmc"])
     @pytest.mark.parametrize("n", [0, 1])
     def test_sweeps_need_two_nodes_per_axis(self, sweep, n):
         with pytest.raises(ValueError, match="at least 2 nodes"):

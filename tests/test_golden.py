@@ -1,4 +1,4 @@
-"""Byte-identity goldens for the CLI and the singular-cell scan.
+"""Byte-identity goldens for the CLI.
 
 Each case runs one command in-process and hashes its exit code, its
 stdout and its output file.  The digests were recorded from the program
@@ -13,9 +13,6 @@ import hashlib
 import pytest
 
 from isomin.cli import main
-from isomin.expr import parse_expr
-from isomin.geometry import Rect
-from isomin.weierstrass import WeierstrassData, validate_data
 
 GEN = ["gen", "--F", "exp(z)", "--G", "z^2", "--theta", "0.7",
        "--base", "0.1,-0.2", "--grid", "12,10"]
@@ -122,8 +119,6 @@ GOLDEN = {
         "78ba6122fd720e39e8c0e27e5ebad309cd5aaae311aeb1876aee4c90947b4c9c",
     "list":
         "783d79e03b55633d91c93e6ea427a87bcfb3a37d5517132fdc29a4ed1cbbf20c",
-    "validate-two-clusters":
-        "b4aec4ab1289d374a9bc5fb8aebf22b12b69f0c335a2b5864cf8d6ba95a54242",
 }
 
 
@@ -162,22 +157,6 @@ def case_digest(name, capsys, tmp_path):
     return digest.hexdigest()
 
 
-def validate_report():
-    data = WeierstrassData(parse_expr("z^2 - 0.25"), parse_expr("1"),
-                           base=0.1 + 0.1j, domain=Rect(-1, 1, -1, 1))
-    report = validate_data(data, grid=(65, 65))
-    assert len(report.singular_regions) >= 2
-    return repr(report)
-
-
-def validate_digest():
-    return hashlib.sha256(validate_report().encode()).hexdigest()
-
-
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_cli_output_bytes_pinned(name, capsys, tmp_path):
     assert case_digest(name, capsys, tmp_path) == GOLDEN[name]
-
-
-def test_validate_data_report_pinned():
-    assert validate_digest() == GOLDEN["validate-two-clusters"]

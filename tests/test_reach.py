@@ -9,8 +9,8 @@ definition, by ``isomin.__all__``, or by the acceptance or golden tests.
 A public method or property of a library class passes when its name is
 read as an attribute (``x.name``) by a module of the package or by the
 acceptance or golden tests.  Record fields (of a dataclass or a
-``NamedTuple``) are not checked: ``repr`` shows them, and the
-``validate_data`` golden pins that text.  No definition is exempt.
+``NamedTuple``) are not checked: ``repr`` and unpacking show them.  No
+definition is exempt.
 """
 
 import ast

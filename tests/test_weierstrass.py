@@ -28,8 +28,7 @@ from isomin.minkowski import _curvatures, iota_lift
 from isomin.quadrature import IntegrationError
 from isomin.weierstrass import (WeierstrassData, det_h_from_data, grid_eval,
                                 integrate_holomorphic, metric_at,
-                                second_form_from_data, surface_from_data,
-                                validate_data)
+                                second_form_from_data, surface_from_data)
 
 SQUARE = Rect(-1.0, 1.0, -1.0, 1.0)
 
@@ -424,37 +423,6 @@ def test_sample_anchored_h_within_base_anchored_rounding(a, c, g, theta,
     # the Richardson second differences weigh each value's rounding by
     # about 23 / h^2; 256 leaves room for the quadrature's own rounding
     assert (h_sample - h_base).sup_norm <= 256.0 * floor
-
-
-class TestValidation:
-    def test_nonvanishing_data_pass(self):
-        report = validate_data(data(*LOG_SHEET[:2]))
-        assert report.flagged_cells == 0
-        assert not report.eval_failures
-        assert abs(report.min_abs_f - math.exp(-1.0)) < 1e-12
-        assert report.phi_identity_exact
-
-    def test_single_zero_flagged(self):
-        report = validate_data(data(*SADDLE[:2]))
-        assert report.flagged_cells > 0
-        assert not report.eval_failures
-        assert len(report.singular_regions) == 1
-        assert abs(report.singular_regions[0]) < 0.1
-
-    def test_two_zeros_give_two_regions(self):
-        # 33x33 cannot separate the |F| valleys (the saddle between the
-        # zeros sits below the resolution threshold); 65x65 can
-        report = validate_data(data("z^2 - 0.25", "1"), grid=(65, 65))
-        assert len(report.singular_regions) == 2
-        spots = sorted(report.singular_regions, key=lambda w: w.real)
-        assert abs(spots[0] - (-0.5)) < 0.1
-        assert abs(spots[1] - 0.5) < 0.1
-
-    def test_branch_cut_reported_not_crashed(self):
-        # log has a cut through the domain; validation should record
-        # evaluation failures (at the origin) rather than raise
-        report = validate_data(data("log(z)", "1"))
-        assert isinstance(report.eval_failures, tuple)
 
 
 class TestSecondFormFromData:

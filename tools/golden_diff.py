@@ -4,11 +4,11 @@ Usage::
 
     python tools/golden_diff.py REV_A REV_B
 
-Every case of ``tests/test_golden.py`` (the CLI runs and the
-``validate_data`` report) runs once against the ``src`` tree of each git
-revision, exported with ``git archive`` into a temporary directory.  The
-case list is the one in this checkout's ``tests/test_golden.py``, so both
-revisions run the same commands.  For each case the script prints
+Every case of ``tests/test_golden.py`` runs once against the ``src`` tree
+of each git revision, exported with ``git archive`` into a temporary
+directory.  The case list is the one in this checkout's
+``tests/test_golden.py``, so both revisions run the same commands.  For
+each case the script prints
 
 * whether the exit codes and the non-numeric text agree (a case that
   argparse refuses on one revision shows as its exit code, 2);
@@ -58,8 +58,6 @@ with tempfile.TemporaryDirectory() as tmp:
             rc = "exception: " + traceback.format_exc().splitlines()[-1]
         text = out.read_text() if out is not None and out.exists() else ""
         results[name] = {"rc": rc, "stdout": buf.getvalue(), "file": text}
-    results["validate-two-clusters"] = {
-        "rc": 0, "stdout": tg.validate_report(), "file": ""}
 pathlib.Path(dest).write_text(json.dumps(results))
 """
 

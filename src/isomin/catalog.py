@@ -108,18 +108,13 @@ def minimal_entries() -> Iterator[CatalogEntry]:
             yield entry
 
 
-def rotational_profile_check(c1: float, c2: float,
-                             x_range: tuple[float, float] = (1.0, math.e),
-                             steps: int = 1000) -> float:
+def rotational_profile_check(c1: float, c2: float) -> float:
     """Integrate the rotational-minimality profile equation y'' = -y'/x
-    with classic RK4 and return the largest deviation from the closed
-    form y = c1 log x + c2 over the range.
-
-    The equation degenerates at x = 0, so the range must avoid it.
+    with 1000 classic RK4 steps and return the largest deviation from
+    the closed form y = c1 log x + c2 on [1, e], away from the
+    degenerate point x = 0.
     """
-    x0, x1 = x_range
-    if x0 <= 0.0 or x1 <= x0:
-        raise ValueError("x_range must satisfy 0 < x0 < x1")
+    x0, x1, steps = 1.0, math.e, 1000
 
     def rhs(x: float, y: float, p: float) -> tuple[float, float]:
         return p, -p / x

@@ -9,15 +9,17 @@ from _FLAGS, where every flag is declared once (any other exits 2):
     embed        check the flat zero-mean-curvature conditions in R^4_1
     list         show the built-in reference surfaces
 
-Only gen and reconstruct take --base; analyze, singular and embed anchor
---F/--G at the domain centre, since none of their outputs depends on it.
+Only gen and reconstruct take --base.  --F/--G data are anchored at
+--base, or at the domain centre when none is given; the outputs of
+analyze, singular and embed do not depend on the anchor.
 
 Exit codes: 0 success (including honest "fail"/"not d-minimal" verdicts),
 2 bad input (a parse error, a non-finite number in a flag or a --forms-csv
 table, a node listed twice in that table, an expression that fails to
 evaluate, a domain smaller than the sampling margins), 3 integration
 failure, 4 degenerate or non-spacelike samples beyond the allowed budget,
-or a singular point whose two rank computations disagree, 5 incompatible
+or a singular point whose rank from the zeros of G differs from the
+count of the Jacobian's singular values above the cut, 5 incompatible
 prescribed forms (a Codazzi residual above tol, or node values whose two
 integration orders disagree).
 
@@ -112,12 +114,12 @@ def _parse_flag(parse, src: str, flag: str):
         raise CliError(EXIT_INPUT, f"{flag}: {err}") from None
 
 
-def _weier_data(cfg: argparse.Namespace, base=None) -> WeierstrassData:
-    """--F and --G on --domain, anchored at base (re, im), by default at
-    the domain centre."""
+def _weier_data(cfg: argparse.Namespace) -> WeierstrassData:
+    """--F and --G on --domain, anchored at --base, by default at the
+    domain centre."""
     f_ast = _parse_flag(parse_expr, cfg.f_src, "--F")
     g_ast = _parse_flag(parse_expr, cfg.g_src, "--G")
-    base = complex(*(base or cfg.domain.centre))
+    base = complex(*cfg.base) if cfg.base else None
     return WeierstrassData(f_ast, g_ast, base=base, domain=cfg.domain)
 
 
@@ -150,7 +152,7 @@ def _json_text(payload: dict) -> str:
 def cmd_gen(cfg: argparse.Namespace) -> int:
     if not cfg.f_src or not cfg.g_src:
         raise CliError(EXIT_INPUT, "gen needs --F and --G")
-    data = _weier_data(cfg, cfg.base or (0.0, 0.0))
+    data = _weier_data(cfg)
     nu, nv = cfg.grid or (64, 64)
     quad_tol = cfg.tol if cfg.tol is not None else 1e-10
     us, vs, rows = grid_eval(data, theta=cfg.theta, nu=nu, nv=nv,
@@ -267,7 +269,7 @@ def cmd_analyze(cfg: argparse.Namespace) -> int:
         for i, u in enumerate(us):
             try:
                 forms = forms_at(u, v)
-            except (ZeroDivisionError, DegenerateMetricError):
+            except DegenerateMetricError:
                 forms = None
             g = metric(u, v, forms)
             if forms is None:
@@ -310,7 +312,7 @@ def cmd_analyze(cfg: argparse.Namespace) -> int:
             try:
                 left, right = h_at(u - step, v), h_at(u + step, v)
                 down, up = h_at(u, v - step), h_at(u, v + step)
-            except (ZeroDivisionError, DegenerateMetricError):
+            except DegenerateMetricError:
                 continue
             d_u = [(r - l) / (2 * step) for l, r in zip(left, right)]
             d_v = [(t - b) / (2 * step) for b, t in zip(down, up)]

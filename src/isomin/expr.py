@@ -415,10 +415,9 @@ def compile_expr(ast: Expr, variables: tuple[str, ...] = ("z",)
     return _compiled(ast, variables, False, repr(ast))
 
 
-def compile_real(ast: Expr, variables: tuple[str, ...] = ("u", "v")
-                 ) -> Callable[..., float]:
-    """Compile a real-variable tree; rejects non-real values at runtime."""
-    return _compiled(ast, variables, True, repr(ast))
+def compile_real(ast: Expr) -> Callable[[float, float], float]:
+    """Compile a real tree in u and v; rejects non-real values at runtime."""
+    return _compiled(ast, ("u", "v"), True, repr(ast))
 
 
 # differentiation ----------------------------------------------------------

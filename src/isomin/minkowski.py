@@ -236,11 +236,11 @@ def vanishing_h_locus(forms_at: Callable[[float, float], FundamentalForms],
     """Grid clusters where the second form forms_at(u, v).h vanishes.
 
     Nodes of the _LOCUS_GRID lattice with ‖h‖∞ < _LOCUS_TOL merge by
-    8-connectivity; a node where forms_at raises ZeroDivisionError or
-    DegenerateMetricError is not a hit.  A cluster is isolated when it
-    spans at most a couple of cells and no other cluster comes within
-    five grid cells; anything larger is flagged as a suspected totally
-    geodesic region, not a singular point.
+    8-connectivity; a node where forms_at raises DegenerateMetricError
+    is not a hit.  A cluster is isolated when it spans at most a couple
+    of cells and no other cluster comes within five grid cells; anything
+    larger is flagged as a suspected totally geodesic region, not a
+    singular point.
     """
     nu, nv = _LOCUS_GRID
     margin = 0.02 * max(domain.extent, 1.0)
@@ -252,7 +252,7 @@ def vanishing_h_locus(forms_at: Callable[[float, float], FundamentalForms],
         for v in vs:
             try:
                 forms = forms_at(u, v)
-            except (ZeroDivisionError, DegenerateMetricError):
+            except DegenerateMetricError:
                 row.append(False)
                 continue
             norm = max(abs(forms.h11), abs(forms.h12), abs(forms.h22))

@@ -4,7 +4,9 @@ The immersion degenerates exactly where F vanishes.  This module finds
 those points (grid scan for local minima of |F| plus Newton polishing),
 measures their multiplicity with the argument principle and reports the
 rank of the Jacobian of the generated map, which drops to 1 when only F
-vanishes and to 0 when G vanishes with it.
+vanishes and to 0 when G vanishes with it.  That rank is read from the
+zeros of G and checked once against the singular values of the patch's
+first partials.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from operator import le
 from typing import NamedTuple, Sequence
 
 from .expr import Expr, EvalError, compile_expr, differentiate
-from .geometry import Rect, _axis, default_step
+from .geometry import Rect, _axis, _jets
 from .weierstrass import WeierstrassData, surface_from_data
 
 
@@ -29,7 +31,7 @@ class MultiplicityError(Exception):
 
 
 class RankDisagreementError(Exception):
-    """Two computations of a Jacobian rank disagree."""
+    """The rank from the zeros of G and the singular-value rank differ."""
 
 
 class SingularPoint(NamedTuple):
@@ -251,39 +253,15 @@ def _singular_values(r1: Sequence[float], r2: Sequence[float]
     return math.ldexp(s1, exp), math.ldexp(cross / s1, exp)
 
 
-def jacobian_rank_at(data: WeierstrassData, w: complex,
-                     tol: float = 1e-8) -> int:
-    """Rank of the differential of the generated map at w.
+def jacobian_rank_at(data: WeierstrassData, w: complex) -> int:
+    """Numeric rank of the differential of the generated map at w.
 
-    Analytically: 2 where F != 0, else 1 where G != 0, else 0.  The same
-    number is recomputed from the singular values of the central
-    finite-difference 2x3 Jacobian of the actual surface; a disagreement
-    raises, because it means the generator and the data drifted apart.
+    The singular values of the 2x3 Jacobian (f_u, f_v), the patch's own
+    first partials from geometry._jets, above 1e-6 * max(1, sigma_1).
     """
-    f_val = data.compiled.f(w)
-    g_val = data.compiled.g(w)
-    if abs(f_val) > tol:
-        analytic = 2
-    elif abs(g_val) > tol:
-        analytic = 1
-    else:
-        analytic = 0
-
-    patch = surface_from_data(data)
-    h = default_step(data.domain)
-    u, v = w.real, w.imag
-
-    def row(du: float, dv: float):
-        return (patch(u + du, v + dv) - patch(u - du, v - dv)) / (2 * h)
-
-    s1, s2 = _singular_values(row(h, 0.0), row(0.0, h))
-    numeric = sum(s > 1e-6 * max(1.0, s1) for s in (s1, s2))
-    if numeric != analytic:
-        raise RankDisagreementError(
-            f"rank at {w}: analytic {analytic} (|F|={abs(f_val):.2e}, "
-            f"|G|={abs(g_val):.2e}) vs SVD {numeric} "
-            f"(sigma={s1:.3e}, {s2:.3e})")
-    return analytic
+    f_u, f_v = _jets(surface_from_data(data), w.real, w.imag)[:2]
+    s1, s2 = _singular_values(f_u, f_v)
+    return sum(s > 1e-6 * max(1.0, s1) for s in (s1, s2))
 
 
 def singular_report(data: WeierstrassData, grid: tuple[int, int] = (64, 64),
@@ -294,8 +272,8 @@ def singular_report(data: WeierstrassData, grid: tuple[int, int] = (64, 64),
     zero or to the boundary, whichever is smaller.  When F and G vanish
     together the ties are broken by polishing G's own zero from the same
     seed and comparing locations, not by thresholding alone.  A rank that
-    differs from jacobian_rank_at's, whose G vanishes where |G| <=
-    max(sqrt(tol), 1e-6), raises RankDisagreementError.
+    differs from jacobian_rank_at's, the count of the patch's singular
+    values above the 1e-6 cut, raises RankDisagreementError.
     """
     zeros, unconverged = find_zeros(data.F, data.domain, grid, tol,
                                     with_diagnostics=True)
@@ -320,8 +298,7 @@ def singular_report(data: WeierstrassData, grid: tuple[int, int] = (64, 64),
             zg, ok = _newton(g_fn, g_dfn, w, tol, dom)
             g_vanishes = bool(ok and abs(zg - w) <= max(10.0 * tol, 1e-8))
         rank = 1 if not g_vanishes else 0
-        # jacobian_rank_at raises when its |G| and SVD ranks disagree
-        checked = jacobian_rank_at(data, w, tol=max(math.sqrt(tol), 1e-6))
+        checked = jacobian_rank_at(data, w)
         if checked != rank:
             raise RankDisagreementError(
                 f"rank at {w}: {rank} from the zeros of G (|G|={g_here:.2e}) "

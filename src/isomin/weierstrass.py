@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 from .expr import Expr, compile_expr, differentiate
-from .geometry import (FundamentalForms, Rect, SurfacePatch, Vec021,
-                       default_step, _axis, _stencil)
+from .geometry import (DegenerateMetricError, FundamentalForms, Rect,
+                       SurfacePatch, Vec021, default_step, _axis, _stencil)
 from .quadrature import integrate_segment
 
 
@@ -40,20 +40,22 @@ class CompiledData(NamedTuple):
 class WeierstrassData:
     """Holomorphic pair with its base point and parameter rectangle.
 
-    The rectangle is convex, so every straight segment from the base
-    point stays inside it and the path integrals below are well defined
-    without any path bookkeeping.  ``compiled`` holds F, G and their
-    derivatives compiled once, so per-point callers never hash the
-    expression trees again.
+    The base point defaults to the rectangle's centre.  The rectangle is
+    convex, so every straight segment from the base point stays inside
+    it and the path integrals below are well defined without any path
+    bookkeeping.  ``compiled`` holds F, G and their derivatives compiled
+    once, so per-point callers never hash the expression trees again.
     """
 
     F: Expr
     G: Expr
-    base: complex = 0j
+    base: complex | None = None
     domain: Rect = Rect(-1.0, 1.0, -1.0, 1.0)
     compiled: CompiledData = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if self.base is None:
+            object.__setattr__(self, "base", complex(*self.domain.centre))
         if not self.domain.contains(self.base.real, self.base.imag):
             raise ValueError(
                 f"base point {self.base} outside domain {self.domain}")
@@ -275,7 +277,7 @@ def second_form_from_data(data: WeierstrassData, w: complex,
         f_val, g_val, fp, gp = r * f_val, r * g_val, r * fp, r * gp
     abs_f = abs(f_val)
     if abs_f <= tol:
-        raise ZeroDivisionError(
+        raise DegenerateMetricError(
             f"|F({w})| = {abs_f:.3e}: singular point, forms undefined")
     re_g_u = gp.real
     re_g_v = -gp.imag
@@ -304,7 +306,7 @@ def det_h_from_data(data: WeierstrassData, w: complex) -> float:
     f_val, g_val, fp, gp = _data_values(data, w)
     abs_f, abs_g = abs(f_val), abs(g_val)
     if abs_f == 0.0:
-        raise ZeroDivisionError(f"|F({w})| = 0: singular point")
+        raise DegenerateMetricError(f"|F({w})| = 0: singular point")
     if abs_g < 1e-300:
         return -abs(gp) ** 2
     cross_f = fp * f_val.conjugate()

@@ -164,15 +164,6 @@ class TestRotationalProfile:
         for c1, c2 in [(1.0, 0.0), (2.0, -1.0), (-0.5, 3.0)]:
             assert rotational_profile_check(c1, c2) < 1e-7
 
-    def test_profile_on_other_interval(self):
-        assert rotational_profile_check(1.5, 0.25, x_range=(0.5, 4.0)) < 1e-6
-
-    def test_invalid_range_rejected(self):
-        with pytest.raises(ValueError):
-            rotational_profile_check(1.0, 0.0, x_range=(-1.0, 2.0))
-        with pytest.raises(ValueError):
-            rotational_profile_check(1.0, 0.0, x_range=(2.0, 1.0))
-
 
 def _fingerprint(entry) -> str:
     """sha256 prefix of an entry's facts, domain, flat flag and its

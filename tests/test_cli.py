@@ -245,13 +245,23 @@ class TestSingular:
 
     def test_rank_the_cross_check_disputes_exits_4(self, capsys):
         # G's zero 1e-7 away is not F's, so the printed rank would be 1,
-        # but |G| = 1e-7 is under jacobian_rank_at's threshold of 1e-5
+        # but the Jacobian's one nonzero singular value, |G| = 1e-7, is
+        # under jacobian_rank_at's cut of 1e-6
         rc, out, err = run(capsys, ["singular", "--F", "z", "--G", "z-1e-7"])
         assert rc == 4
         assert out == ""
         assert err.startswith("isomin singular: singular analysis failed: "
                               "rank at 0j: 1 from the zeros of G")
         assert "vs 0 from jacobian_rank_at" in err
+
+    @pytest.mark.parametrize("g_src", ["z-2e-6", "z-1e-5"])
+    def test_g_small_but_not_zero_is_rank_one(self, capsys, g_src):
+        # |G| at F's zero is above the singular-value cut of 1e-6, so
+        # both rank rules read 1
+        rc, out, err = run(capsys, ["singular", "--F", "z", "--G", g_src])
+        assert (rc, err) == (0, "")
+        (pt,) = json.loads(out)["points"]
+        assert (pt["rank"], pt["g_vanishes"]) == (1, False)
 
 
 @pytest.mark.parametrize("command", ["analyze", "singular", "embed"])
@@ -262,6 +272,14 @@ def test_weierstrass_data_off_the_origin(capsys, command):
                                 "--domain", "1,2,1,2", "--grid", "5,5"])
     assert (rc, err) == (0, "")
     assert json.loads(out)["command"] == command
+
+
+def test_gen_off_the_origin_anchors_at_the_centre(capsys):
+    rc, out, err = run(capsys, ["gen", "--F", "z", "--G", "1",
+                                "--domain", "1,2,1,2", "--grid", "3,3"])
+    assert (rc, err) == (0, "")
+    verts, _ = parse_obj(out)
+    assert max(map(abs, verts[4])) <= 1e-12  # the vertex at (1.5, 1.5)
 
 
 class TestReconstruct:

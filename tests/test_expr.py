@@ -523,7 +523,7 @@ def test_compiled_matches_tree_walk_bit_for_bit(tree, z):
        u=_SCALARS, v=_SCALARS)
 def test_compiled_real_matches_tree_walk_bit_for_bit(tree, u, v):
     want = _walk_value(tree, {"u": u, "v": v}, real=True)
-    got = _compiled_value(compile_real(tree, ("u", "v")), u, v)
+    got = _compiled_value(compile_real(tree), u, v)
     assert got == want, to_source(tree)
 
 

@@ -266,8 +266,8 @@ class TestExactGraphJets:
         ast = parse_real_expr("u^3-3*u*v^2+u*v")
         calls = []
 
-        def counted(tree, variables=("u", "v")):
-            fn = compile_real(tree, variables)
+        def counted(tree):
+            fn = compile_real(tree)
             if tree != ast:
                 return fn
             return lambda u, v: calls.append((u, v)) or fn(u, v)

@@ -11,6 +11,12 @@ read as an attribute (``x.name``) by a module of the package or by the
 acceptance or golden tests.  Record fields (of a dataclass or a
 ``NamedTuple``) are not checked: ``repr`` and unpacking show them.  No
 definition is exempt.
+
+A parameter with a default, of a public library function or of a
+public method of a public library class, passes when some call in the
+package or in the acceptance or golden tests binds it, by keyword or
+by position.  Calls are matched by the name they call, as above; a
+parameter no such call ever sets is a constant in disguise.
 """
 
 import ast
@@ -93,3 +99,72 @@ def test_every_public_definition_is_reached():
 
 def test_every_public_member_is_reached():
     assert unreached_members() == []
+
+
+
+def _calls_by_name(trees) -> dict[str, list[ast.Call]]:
+    """Every call in the trees, under the name it calls: f for f(...),
+    attr for x.attr(...)."""
+    calls: dict[str, list[ast.Call]] = {}
+    for tree in trees:
+        for sub in ast.walk(tree):
+            if isinstance(sub, ast.Call):
+                func = sub.func
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                calls.setdefault(name, []).append(sub)
+    return calls
+
+
+def _passes(call: ast.Call, name: str, position: int | None) -> bool:
+    """Whether the call binds the parameter: by keyword, by a ** or by
+    position (a * at or before it counts)."""
+    if any(k.arg in (name, None) for k in call.keywords):
+        return True
+    args = call.args
+    return position is not None and (
+        len(args) > position or any(isinstance(a, ast.Starred) for a in args))
+
+
+def _defaulted(fn: ast.FunctionDef, method: bool):
+    """(name, position) of each parameter of fn with a default; position
+    counts from the first argument a call writes, None for keyword-only."""
+    positional = fn.args.posonlyargs + fn.args.args
+    static = any(getattr(d, "id", None) == "staticmethod"
+                 for d in fn.decorator_list)
+    skip = 1 if method and not static else 0
+    first = len(positional) - len(fn.args.defaults)
+    out = [(a.arg, k - skip) for k, a in enumerate(positional) if k >= first]
+    out += [(a.arg, None) for a, d in zip(fn.args.kwonlyargs,
+                                          fn.args.kw_defaults) if d is not None]
+    return out
+
+
+def single_value_defaults() -> list[str]:
+    """Parameters with a default, of public library functions and of the
+    public methods of public library classes, that no call in the
+    package or in the acceptance or golden tests passes."""
+    trees = _package()
+    calls = _calls_by_name([*trees.values(),
+                            *(_parse(ROOT / "tests" / user) for user in USERS)])
+    found = []
+    for mod in LIBRARY:
+        for stmt in trees[mod].body:
+            if isinstance(stmt, ast.FunctionDef):
+                fns = [(stmt, stmt.name, False)]
+            elif isinstance(stmt, ast.ClassDef):
+                fns = [(m, f"{stmt.name}.{m.name}", True) for m in stmt.body
+                       if isinstance(m, ast.FunctionDef)]
+            else:
+                continue
+            for fn, qual, method in fns:
+                if any(part.startswith("_") for part in qual.split(".")):
+                    continue
+                found += [f"{mod}.{qual}.{name}"
+                          for name, pos in _defaulted(fn, method)
+                          if not any(_passes(c, name, pos)
+                                     for c in calls.get(fn.name, ()))]
+    return found
+
+
+def test_every_default_is_passed_somewhere():
+    assert single_value_defaults() == []

@@ -22,8 +22,9 @@ from hypothesis import assume, example, given, settings, strategies as st
 import isomin.weierstrass as weierstrass
 from isomin.expr import BinOp, Call, Lit, Var, compile_expr, differentiate, \
     parse_expr
-from isomin.geometry import (Rect, _axis, default_step, fundamental_forms,
-                             mean_curvature, patch_jets)
+from isomin.geometry import (DegenerateMetricError, Rect, _axis,
+                             default_step, fundamental_forms, mean_curvature,
+                             patch_jets)
 from isomin.minkowski import _curvatures, iota_lift
 from isomin.quadrature import IntegrationError
 from isomin.weierstrass import (WeierstrassData, det_h_from_data, grid_eval,
@@ -455,7 +456,7 @@ class TestSecondFormFromData:
         assert forms.h11 == 0.0 and forms.h12 == 0.0 and forms.h22 == 0.0
 
     def test_singular_point_raises(self):
-        with pytest.raises(ZeroDivisionError):
+        with pytest.raises(DegenerateMetricError):
             second_form_from_data(data(*SADDLE[:2]), 0j)
 
     def test_matches_finite_differences(self):
@@ -490,8 +491,8 @@ def _outcome(call) -> str:
     """
     try:
         forms = call()
-    except ZeroDivisionError as exc:
-        return f"ZeroDivisionError: {exc}"
+    except DegenerateMetricError as exc:
+        return f"DegenerateMetricError: {exc}"
     return repr(type(forms)(*(x + 0.0 for x in forms)))
 
 
@@ -517,7 +518,7 @@ def test_rotated_values_equal_tree_scaled_data(f_src, g_src, theta, w,
     """The closed forms of the theta member, from F, G, F' and G'
     multiplied by the rotor, equal those of the tree-scaled data by repr
     up to the sign of a zero; at a zero of F both raise the same
-    ZeroDivisionError."""
+    DegenerateMetricError."""
     f_ast = parse_expr(f_src)
     if at_zero:
         f_ast = BinOp("*", BinOp("-", Var("z"), Lit(w)), f_ast)

@@ -101,7 +101,6 @@ def test_every_public_member_is_reached():
     assert unreached_members() == []
 
 
-
 def _calls_by_name(trees) -> dict[str, list[ast.Call]]:
     """Every call in the trees, under the name it calls: f for f(...),
     attr for x.attr(...)."""

@@ -84,6 +84,11 @@ CASES = {
                                  "--theta", "0.7", "--grid", "3,3"], False),
     # names, flags, domains and notes of the catalog
     "list": (["list"], False),
+    # |F| reaches e^15 on the domain, so a segment's value is far above
+    # the absolute tolerance: recorded while the quadrature had no
+    # round-off stop, when this refused with exit 3 and printed nothing
+    "gen-large-modulus": (["gen", "--F", "exp(15*z)", "--G", "1",
+                           "--grid", "4,4"], False),
 }
 
 GOLDEN = {
@@ -119,6 +124,8 @@ GOLDEN = {
         "78ba6122fd720e39e8c0e27e5ebad309cd5aaae311aeb1876aee4c90947b4c9c",
     "list":
         "783d79e03b55633d91c93e6ea427a87bcfb3a37d5517132fdc29a4ed1cbbf20c",
+    "gen-large-modulus":
+        "6287af74aad3b917a89c5439f344047420fcf7e089e04e310d3c41259b0c9332",
 }
 
 

@@ -353,9 +353,7 @@ _TEMPLATE = """\
 def _f({params}):
     try:
 {converts}        _r = {body}
-        if _type(_r) is not _complex:
-            _r = _complex(_r)
-    except _ZeroDivisionError:
+{convert}    except _ZeroDivisionError:
         raise _failed("division by zero", _names, {args}) from None
     except _OverflowError:
         raise _failed("overflow", _names, {args}) from None
@@ -365,12 +363,39 @@ def _f({params}):
         raise _failed("overflow: result is not finite", _names, {args})
 {tail}"""
 
+# emitted only for a tree whose value can be real (see _returns_complex)
+_CONVERT = """\
+        if _type(_r) is not _complex:
+            _r = _complex(_r)
+"""
+
 _REAL_TAIL = """\
     if _abs(_r.imag) > 1e-9 * (1.0 + _abs(_r.real)):
         raise _failed("expression does not evaluate to a real value",
                       _names, {args})
     return _r.real
 """
+
+
+def _returns_complex(node: Expr, variables: tuple[str, ...]) -> bool:
+    """Whether the emitted code of the tree yields a complex for any
+    arguments: the converted variables, non-real literals and cmath
+    calls are complex, and so is +, -, * or / with a complex operand; a
+    power is complex when its base is, since a real base to an integer
+    power stays real.  An unbound name reads the generator's namespace,
+    which holds the float inf."""
+    if isinstance(node, Lit):
+        return bool(node.value.imag)
+    if isinstance(node, Var):
+        return node.name in variables
+    if isinstance(node, Call):
+        return True
+    if isinstance(node, Neg):
+        return _returns_complex(node.arg, variables)
+    if node.op == "^":
+        return _returns_complex(node.lhs, variables)
+    return (_returns_complex(node.lhs, variables)
+            or _returns_complex(node.rhs, variables))
 
 
 def _generate(ast: Expr, variables: tuple[str, ...], real: bool) -> Callable:
@@ -387,7 +412,9 @@ def _generate(ast: Expr, variables: tuple[str, ...], real: bool) -> Callable:
         converts="".join(
             f"        _x{k} = {a} if _type({a}) is _complex else _complex({a})\n"
             for k, a in enumerate(params)),
-        body=body, args=args,
+        body=body,
+        convert="" if _returns_complex(ast, variables) else _CONVERT,
+        args=args,
         tail=_REAL_TAIL.format(args=args) if real else "    return _r\n")
     ns = dict(_NAMESPACE, _names=variables)
     ns.update((f"_k{k}", c) for k, c in enumerate(consts))

@@ -3,11 +3,15 @@
 A 16-point rule is spectrally accurate for the analytic integrands the
 surface generator produces; adaptivity only kicks in when an integrand
 misbehaves, and a depth limit converts genuine non-convergence into an
-error instead of a silent bad value.
+error instead of a silent bad value.  A level is accepted when its two
+halves agree with the whole to the absolute tolerance, or to 50 machine
+epsilons of their value (QUADPACK's round-off stop), since no bisection
+can resolve a residual below the rounding of the value itself.
 """
 
 from __future__ import annotations
 
+import sys
 from typing import Callable
 
 # (node, weight) pairs of the 16-point rule on [-1, 1]: the reprs of
@@ -34,6 +38,7 @@ _RULE = (
 
 
 _MAX_DEPTH = 30  # bisection levels below the whole interval
+_ROUNDOFF = 50 * sys.float_info.epsilon  # QUADPACK's 50*epmach
 
 
 class IntegrationError(Exception):
@@ -54,20 +59,27 @@ def _refine(f, a: float, b: float, whole: complex, tol: float,
     mid = 0.5 * (a + b)
     left = _panel(f, a, mid, origin, step)
     right = _panel(f, mid, b, origin, step)
-    if abs(left + right - whole) <= tol:
-        return left + right
+    value = left + right
+    err = abs(value - whole)
+    if err <= tol or err <= _ROUNDOFF * abs(value):
+        return value
     if depth <= 0:
         raise IntegrationError(
-            f"no convergence on [{a}, {b}] (residual "
-            f"{abs(left + right - whole):.3e} > {tol:.3e})")
+            f"no convergence on [{a}, {b}] (residual {err:.3e} > "
+            f"{max(tol, _ROUNDOFF * abs(value)):.3e})")
     return (_refine(f, a, mid, left, 0.5 * tol, depth - 1, origin, step)
             + _refine(f, mid, b, right, 0.5 * tol, depth - 1, origin, step))
 
 
 def adaptive_quad(f: Callable, a: float, b: float, tol: float = 1e-10,
                   origin=-0.0, step=1.0) -> complex:
-    """Integrate t -> f(origin + t * step) over [a, b] to absolute
-    tolerance tol, bisecting at most 30 levels deep.
+    """Integrate t -> f(origin + t * step) over [a, b], bisecting at
+    most 30 levels deep.
+
+    A level whose halves agree with the whole to within tol (halved at
+    each bisection) or to within 50 machine epsilons of their own value
+    is accepted, so tol is absolute until it falls below the rounding of
+    the value.
 
     The defaults integrate f itself: -0.0 + t * 1.0 is t for every
     float t, the sign of a zero included.

@@ -7,6 +7,7 @@ tmp_path.
 
 import argparse
 import ast
+import cmath
 import contextlib
 import importlib
 import io
@@ -18,6 +19,7 @@ import subprocess
 import sys
 import tempfile
 
+import mpmath
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -126,6 +128,27 @@ class TestGen:
         assert payload["schema"] == 1
         assert payload["grid"] == [4, 6]
         assert len(payload["vertices"]) == 24
+
+    @pytest.mark.parametrize("F", ["exp(15*z)", "exp(z^2+15*z)"])
+    def test_large_modulus_data_integrates(self, capsys, F):
+        # |F| reaches e^15 and e^16 on the domain, so every segment's
+        # value lies far above the absolute tolerance
+        rc, out, err = run(capsys, ["gen", "--F", F, "--G", "1",
+                                    "--grid", "4,4"])
+        assert (rc, err) == (0, "")
+        verts, _ = parse_obj(out)
+        lattice = [complex(-1 + 2 * i / 3, -1 + 2 * j / 3)
+                   for j in range(4) for i in range(4)]
+        with mpmath.workdps(30):
+            for (x, y, z), w in zip(verts, lattice, strict=True):
+                if F == "exp(15*z)":
+                    ref = (cmath.exp(15 * w) - 1) / 15
+                else:
+                    ref = complex(w * mpmath.quad(
+                        lambda t: mpmath.exp((t * w) ** 2 + 15 * t * w),
+                        [0, 1]))
+                assert abs(complex(x, y) - ref) <= 1e-8 * max(1, abs(ref))
+                assert abs(z - w.real) <= 1e-8
 
     def test_byte_identical_reruns(self, capsys, tmp_path):
         a, b = tmp_path / "a.obj", tmp_path / "b.obj"

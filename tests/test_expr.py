@@ -29,6 +29,7 @@ from isomin.expr import (
     primitive,
     to_source,
 )
+from isomin.expr import _NAMESPACE, _REAL_TAIL, _emit
 
 
 def ev(src, w):
@@ -525,6 +526,74 @@ def test_compiled_real_matches_tree_walk_bit_for_bit(tree, u, v):
     want = _walk_value(tree, {"u": u, "v": v}, real=True)
     got = _compiled_value(compile_real(tree), u, v)
     assert got == want, to_source(tree)
+
+
+# the generated frame as it was before the result conversion became
+# conditional: the two conversion lines were emitted for every tree
+_TODAYS_TEMPLATE = """\
+def _f({params}):
+    try:
+{converts}        _r = {body}
+        if _type(_r) is not _complex:
+            _r = _complex(_r)
+    except _ZeroDivisionError:
+        raise _failed("division by zero", _names, {args}) from None
+    except _OverflowError:
+        raise _failed("overflow", _names, {args}) from None
+    except (_ValueError, _EvalError) as _exc:
+        raise _failed(_str(_exc), _names, {args}) from None
+    if not _isfinite(_r):
+        raise _failed("overflow: result is not finite", _names, {args})
+{tail}"""
+
+
+def _todays_frame(ast, variables, real):
+    params = [f"_a{k}" for k in range(len(variables))]
+    consts = []
+    body = _emit(ast, {v: f"_x{k}" for k, v in enumerate(variables)}, consts)
+    args = f"({', '.join(params)},)" if params else "()"
+    code = _TODAYS_TEMPLATE.format(
+        params=", ".join(params),
+        converts="".join(
+            f"        _x{k} = {a} if _type({a}) is _complex else _complex({a})\n"
+            for k, a in enumerate(params)),
+        body=body, args=args,
+        tail=_REAL_TAIL.format(args=args) if real else "    return _r\n")
+    ns = dict(_NAMESPACE, _names=variables)
+    ns.update((f"_k{k}", c) for k, c in enumerate(consts))
+    exec(code, ns)
+    return ns["_f"]
+
+
+# a real base to an integer power is a float; an unbound name reads the
+# generator's namespace, where inf is a float
+@settings(max_examples=400, deadline=None)
+@example(tree=BinOp("^", Lit(2 + 0j), Var("z")), z=3, bound=True)
+@example(tree=BinOp("/", Lit(1 + 0j), Var("inf")), z=1, bound=True)
+@example(tree=Neg(BinOp("^", Lit(-2 + 0j), Var("z"))), z=1 + 0j, bound=True)
+@given(tree=_trees(st.one_of(st.sampled_from([Var("z"), Var("inf")]),
+                             _LITERALS)),
+       z=_POINTS, bound=st.booleans())
+def test_frame_matches_todays_template(tree, z, bound):
+    variables, args = (("z",), (z,)) if bound else ((), ())
+
+    def outcome(fn):
+        try:
+            return _compiled_value(fn, *args)
+        except NameError as exc:  # z unbound
+            return f"NameError: {exc}"
+
+    want = outcome(_todays_frame(tree, variables, False))
+    assert outcome(compile_expr(tree, variables)) == want, to_source(tree)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tree=_trees(st.one_of(st.sampled_from([Var("u"), Var("v")]),
+                             _REALS.map(lambda x: Lit(complex(x, 0.0))))),
+       u=_SCALARS, v=_SCALARS)
+def test_real_frame_matches_todays_template(tree, u, v):
+    want = _compiled_value(_todays_frame(tree, ("u", "v"), True), u, v)
+    assert _compiled_value(compile_real(tree), u, v) == want, to_source(tree)
 
 
 def test_negative_literal_base_keeps_its_parentheses():

@@ -1,5 +1,10 @@
-"""The fused segment map against the lambda formulation it replaced."""
+"""The fused segment map against the lambda formulation it replaced, and
+the round-off stop against the absolute-only rule it extends."""
 
+import operator
+import sys
+
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,8 +14,12 @@ from isomin.expr import (BinOp, Call, EvalError, Lit, Var, compile_expr,
 from isomin.quadrature import (_RULE, IntegrationError, adaptive_quad,
                                integrate_segment)
 
+_EPS = sys.float_info.epsilon
+_ROUNDOFF = 50 * _EPS  # QUADPACK's round-off stop, 50*epmach
+
 # the quadrature as it was written before the segment map moved into the
-# panel: nodes on [a, b], a lambda mapping them onto the segment
+# panel: nodes on [a, b], a lambda mapping them onto the segment; it has
+# the round-off stop, so that it differs from the module only in the map
 
 
 def _old_panel(f, a, b):
@@ -26,12 +35,13 @@ def _old_refine(f, a, b, whole, tol, depth):
     mid = 0.5 * (a + b)
     left = _old_panel(f, a, mid)
     right = _old_panel(f, mid, b)
-    if abs(left + right - whole) <= tol:
+    err = abs(left + right - whole)
+    if err <= tol or err <= _ROUNDOFF * abs(left + right):
         return left + right
     if depth <= 0:
         raise IntegrationError(
-            f"no convergence on [{a}, {b}] (residual "
-            f"{abs(left + right - whole):.3e} > {tol:.3e})")
+            f"no convergence on [{a}, {b}] (residual {err:.3e} > "
+            f"{max(tol, _ROUNDOFF * abs(left + right)):.3e})")
     return (_old_refine(f, a, mid, left, 0.5 * tol, depth - 1)
             + _old_refine(f, mid, b, right, 0.5 * tol, depth - 1))
 
@@ -55,6 +65,75 @@ def _old_integrate_segment(f, w0, w1, tol=1e-10, max_depth=30):
             f"{w1.imag!r}): {err}") from None
 
 
+# the absolute-only rule verbatim, as it stood before the round-off stop
+
+
+def _abs_panel(f, a: float, b: float, origin, step) -> complex:
+    mid = 0.5 * (a + b)
+    half = 0.5 * (b - a)
+    acc = 0j
+    for x, w in _RULE:
+        acc += w * f(origin + (mid + half * x) * step)
+    return half * acc
+
+
+def _abs_refine(f, a: float, b: float, whole: complex, tol: float,
+                depth: int, origin, step) -> complex:
+    mid = 0.5 * (a + b)
+    left = _abs_panel(f, a, mid, origin, step)
+    right = _abs_panel(f, mid, b, origin, step)
+    if abs(left + right - whole) <= tol:
+        return left + right
+    if depth <= 0:
+        raise IntegrationError(
+            f"no convergence on [{a}, {b}] (residual "
+            f"{abs(left + right - whole):.3e} > {tol:.3e})")
+    return (_abs_refine(f, a, mid, left, 0.5 * tol, depth - 1, origin, step)
+            + _abs_refine(f, mid, b, right, 0.5 * tol, depth - 1, origin,
+                          step))
+
+
+def _abs_integrate_segment(f, w0, w1, tol):
+    dw = w1 - w0
+    if dw == 0:
+        return 0j
+    return dw * _abs_refine(f, 0.0, 1.0, _abs_panel(f, 0.0, 1.0, w0, dw),
+                            tol, 30, w0, dw)
+
+
+_MP_FUNCS = {"exp": mpmath.exp, "cos": mpmath.cos, "sinh": mpmath.sinh}
+_MP_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+           "/": operator.truediv, "^": operator.pow}
+
+
+def _mp_walk(node, z):
+    """The tree at z in mpmath arithmetic (the trees of this module)."""
+    if isinstance(node, Lit):
+        return mpmath.mpc(node.value)
+    if isinstance(node, Var):
+        return z
+    if isinstance(node, Call):
+        return _MP_FUNCS[node.fn](_mp_walk(node.arg, z))
+    return _MP_OPS[node.op](_mp_walk(node.lhs, z), _mp_walk(node.rhs, z))
+
+
+def _mp_segment(tree, w0, w1, breaks=()):
+    """(integral of the tree along the segment, integral of its modulus
+    over t in [0, 1]) by mpmath.quad, split at the parameters breaks."""
+    dw = mpmath.mpc(w1 - w0)
+    at = [0, *breaks, 1]
+    with mpmath.workdps(30):
+        value = dw * mpmath.quad(lambda t: _mp_walk(tree, w0 + t * dw), at)
+        modulus = mpmath.quad(lambda t: abs(_mp_walk(tree, w0 + t * dw)), at)
+    return complex(value), float(modulus)
+
+
+def _stop_bound(w0, w1, tol, modulus):
+    """How far the round-off stop may move a segment's value: 2 tol plus
+    100 epsilons of the integral of |f|, both scaled by |w1 - w0|."""
+    return abs(w1 - w0) * (2 * tol + 100 * _EPS * modulus)
+
+
 def _outcome(quad, *args):
     """repr of the value, or the error's type and text."""
     try:
@@ -74,6 +153,13 @@ _SMOOTH = [
 _COORDS = st.floats(-2.0, 2.0)
 _ENDS = st.builds(complex, _COORDS, _COORDS)
 _TOLS = st.sampled_from([1e-6, 1e-10, 1e-14])
+# |F| up to e^30 and e^34 on the drawn segments: the data that exits 3
+# without a round-off stop
+_LARGE = [
+    Call("exp", BinOp("*", Lit(15 + 0j), _Z)),
+    Call("exp", BinOp("+", BinOp("^", _Z, Lit(2 + 0j)),
+                      BinOp("*", Lit(15 + 0j), _Z))),
+]
 
 
 def _pole_near(w0, w1, s, gap):
@@ -100,10 +186,51 @@ def test_segment_matches_the_lambda_formulation(data, w0, w1, tol):
     assert _outcome(integrate_segment, f, w0, w1, tol) == want
 
 
+@settings(max_examples=120, deadline=None)
+@given(data=st.data(), w0=_ENDS, w1=_ENDS, tol=_TOLS)
+def test_roundoff_stop_against_the_absolute_only_rule(data, w0, w1, tol):
+    kind = data.draw(st.sampled_from(["smooth", "large", "pole", "on-path"]))
+    if w0 == w1:
+        w1 = w0 + 1
+    s = data.draw(st.floats(0.0, 1.0))
+    if kind in ("pole", "on-path"):
+        gap = data.draw(st.sampled_from([1e-1, 1e-2, 1e-3]))
+        tree = _pole_near(w0, w1, s, gap if kind == "pole" else 0.0)
+    else:
+        tree = data.draw(st.sampled_from(_LARGE if kind == "large"
+                                         else _SMOOTH))
+    f = compile_expr(tree)
+    try:
+        old = _abs_integrate_segment(f, w0, w1, tol)
+    except IntegrationError:
+        old = None
+    try:
+        new = integrate_segment(f, w0, w1, tol)
+    except IntegrationError:
+        new = None
+    if new is None:
+        # the stop only accepts more levels, so its refusals are the copy's
+        assert old is None
+        # the integral is finite off the path, but a pole 1e-3 away
+        # costs digits to cancellation in z - p, and at tol 1e-14 the
+        # halved tolerance still falls below what the stop accepts
+        assert kind == "on-path" or (kind == "pole" and tol == 1e-14)
+        return
+    if kind == "on-path":
+        # a pole on the path refuses whenever the copy refuses; both
+        # accept only where symmetric nodes cancel it
+        assert old is not None
+        return
+    ref, modulus = _mp_segment(tree, w0, w1, (s,) if kind == "pole" else ())
+    bound = _stop_bound(w0, w1, tol, modulus)
+    assert abs(new - (ref if old is None else old)) <= bound
+
+
 def test_pole_forces_several_levels_and_the_same_failure():
     w0, w1 = complex(-0.5, 0.25), complex(0.75, -0.5)
     calls = []
-    f = compile_expr(_pole_near(w0, w1, 0.3, 1e-3))
+    tree = _pole_near(w0, w1, 0.3, 1e-3)
+    f = compile_expr(tree)
 
     def counted(z):
         calls.append(z)
@@ -112,11 +239,20 @@ def test_pole_forces_several_levels_and_the_same_failure():
     got = integrate_segment(counted, w0, w1, 1e-10)
     assert len(calls) > 48 * 4  # refined well past the first level
     assert repr(got) == repr(_old_integrate_segment(f, w0, w1, 1e-10))
-    # 1e-14 halves at every level, below rounding long before depth 30
+    # 1e-14 halves at every level, below rounding long before depth 30:
+    # the absolute-only rule refuses this finite integral, the round-off
+    # stop gives it
+    with pytest.raises(IntegrationError):
+        _abs_integrate_segment(f, w0, w1, 1e-14)
+    ref, modulus = _mp_segment(tree, w0, w1, (0.3,))
+    got = integrate_segment(f, w0, w1, 1e-14)
+    assert abs(got - ref) <= _stop_bound(w0, w1, 1e-14, modulus)
+    # a pole on the segment still refuses, naming the segment
+    on_path = compile_expr(_pole_near(w0, w1, 0.3, 0.0))
     with pytest.raises(IntegrationError) as new:
-        integrate_segment(f, w0, w1, 1e-14)
+        integrate_segment(on_path, w0, w1, 1e-10)
     with pytest.raises(IntegrationError) as old:
-        _old_integrate_segment(f, w0, w1, 1e-14)
+        _old_integrate_segment(on_path, w0, w1, 1e-10)
     assert str(new.value) == str(old.value)
     assert str(new.value).startswith("segment (-0.5, 0.25) -> (0.75, -0.5): "
                                      "no convergence on [")

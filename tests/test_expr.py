@@ -530,7 +530,7 @@ def test_compiled_real_matches_tree_walk_bit_for_bit(tree, u, v):
 
 # the generated frame as it was before the result conversion became
 # conditional: the two conversion lines were emitted for every tree
-_TODAYS_TEMPLATE = """\
+_ALWAYS_CONVERT_TEMPLATE = """\
 def _f({params}):
     try:
 {converts}        _r = {body}
@@ -547,12 +547,12 @@ def _f({params}):
 {tail}"""
 
 
-def _todays_frame(ast, variables, real):
+def _always_convert_frame(ast, variables, real):
     params = [f"_a{k}" for k in range(len(variables))]
     consts = []
     body = _emit(ast, {v: f"_x{k}" for k, v in enumerate(variables)}, consts)
     args = f"({', '.join(params)},)" if params else "()"
-    code = _TODAYS_TEMPLATE.format(
+    code = _ALWAYS_CONVERT_TEMPLATE.format(
         params=", ".join(params),
         converts="".join(
             f"        _x{k} = {a} if _type({a}) is _complex else _complex({a})\n"
@@ -574,7 +574,7 @@ def _todays_frame(ast, variables, real):
 @given(tree=_trees(st.one_of(st.sampled_from([Var("z"), Var("inf")]),
                              _LITERALS)),
        z=_POINTS, bound=st.booleans())
-def test_frame_matches_todays_template(tree, z, bound):
+def test_frame_matches_the_always_converting_template(tree, z, bound):
     variables, args = (("z",), (z,)) if bound else ((), ())
 
     def outcome(fn):
@@ -583,7 +583,7 @@ def test_frame_matches_todays_template(tree, z, bound):
         except NameError as exc:  # z unbound
             return f"NameError: {exc}"
 
-    want = outcome(_todays_frame(tree, variables, False))
+    want = outcome(_always_convert_frame(tree, variables, False))
     assert outcome(compile_expr(tree, variables)) == want, to_source(tree)
 
 
@@ -591,8 +591,8 @@ def test_frame_matches_todays_template(tree, z, bound):
 @given(tree=_trees(st.one_of(st.sampled_from([Var("u"), Var("v")]),
                              _REALS.map(lambda x: Lit(complex(x, 0.0))))),
        u=_SCALARS, v=_SCALARS)
-def test_real_frame_matches_todays_template(tree, u, v):
-    want = _compiled_value(_todays_frame(tree, ("u", "v"), True), u, v)
+def test_real_frame_matches_the_always_converting_template(tree, u, v):
+    want = _compiled_value(_always_convert_frame(tree, ("u", "v"), True), u, v)
     assert _compiled_value(compile_real(tree), u, v) == want, to_source(tree)
 
 

@@ -209,7 +209,8 @@ def test_roundoff_stop_against_the_absolute_only_rule(data, w0, w1, tol):
     except IntegrationError:
         new = None
     if new is None:
-        # the stop only accepts more levels, so its refusals are the copy's
+        # the stop accepts every level the copy accepts, so it refuses
+        # only where the copy refuses
         assert old is None
         # the integral is finite off the path, but a pole 1e-3 away
         # costs digits to cancellation in z - p, and at tol 1e-14 the

@@ -97,6 +97,12 @@ def get(name: str, lam: float = 1.0) -> CatalogEntry:
     return CatalogEntry(name, patch, *facts)
 
 
+def _takes_lam(name: str) -> bool:
+    """Whether get(name) reads lam: a builder row does, a table row does
+    not; an unknown name is left for get to report."""
+    return not isinstance(_SURFACES.get(name), tuple)
+
+
 def entries() -> Iterator[CatalogEntry]:
     for name in names():
         yield get(name)

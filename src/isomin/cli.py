@@ -9,19 +9,22 @@ from _FLAGS, where every flag is declared once (any other exits 2):
     embed        check the flat zero-mean-curvature conditions in R^4_1
     list         show the built-in reference surfaces
 
-Only gen and reconstruct take --base.  --F/--G data are anchored at
---base, or at the domain centre when none is given; the outputs of
-analyze, singular and embed do not depend on the anchor.
+Every subcommand but list reads exactly one source, picked by the flags
+that select it in _SOURCES: --F/--G, --graph, --catalog, --x1..--x4,
+--h11/--h12/--h22 or --forms-csv.  Any given flag that the picked source
+does not read exits 2; --lam is read only by a catalog entry that takes
+it.  --F/--G data are anchored at --base (gen only), or at the domain
+centre; the outputs of analyze, singular and embed do not depend on it.
 
 Exit codes: 0 success (including honest "fail"/"not d-minimal" verdicts),
-2 bad input (a parse error, a non-finite number in a flag or a --forms-csv
-table, a node listed twice in that table, an expression that fails to
-evaluate, a domain smaller than the sampling margins), 3 integration
-failure, 4 degenerate or non-spacelike samples beyond the allowed budget,
-or a singular point whose rank from the zeros of G differs from the
-count of the Jacobian's singular values above the cut, 5 incompatible
-prescribed forms (a Codazzi residual above tol, or node values whose two
-integration orders disagree).
+2 bad input (no single source, a flag the source does not read, a parse
+error, a non-finite number in a flag or a --forms-csv table, a node listed
+twice in that table, an expression that fails to evaluate, a domain
+smaller than the sampling margins), 3 integration failure, 4 degenerate or
+non-spacelike samples beyond the allowed budget, or a singular point whose
+rank from the zeros of G differs from the count of the Jacobian's singular
+values above the cut, 5 incompatible prescribed forms (a Codazzi residual
+above tol, or node values whose two integration orders disagree).
 
 Numbers in CSV/OBJ output are printed with a fixed 12-digit format and
 JSON floats are rounded the same way, so identical configurations
@@ -36,7 +39,7 @@ import json
 import math
 import sys
 
-from .catalog import UnknownSurfaceError, entries, get
+from .catalog import UnknownSurfaceError, _takes_lam, entries, get
 from .expr import EvalError, ParseError, parse_expr, parse_real_expr
 from .geometry import (DegenerateMetricError, FundamentalForms, Rect, _axis,
                        chart_patch, classify_point, fundamental_forms,
@@ -150,8 +153,6 @@ def _json_text(payload: dict) -> str:
 
 
 def cmd_gen(cfg: argparse.Namespace) -> int:
-    if not cfg.f_src or not cfg.g_src:
-        raise CliError(EXIT_INPUT, "gen needs --F and --G")
     data = _weier_data(cfg)
     nu, nv = cfg.grid or (64, 64)
     quad_tol = cfg.tol if cfg.tol is not None else 1e-10
@@ -164,13 +165,9 @@ def cmd_gen(cfg: argparse.Namespace) -> int:
     if fmt == "obj":
         _emit(cfg, _obj_mesh(verts, nu, nv))
     elif fmt == "csv":
-        rows = ["u,v,x,y,z"]
-        for j in range(nv):
-            for i in range(nu):
-                x, y, z = verts[j * nu + i]
-                rows.append(",".join((_fmt(us[i]), _fmt(vs[j]),
-                                      _fmt(x), _fmt(y), _fmt(z))))
-        _emit(cfg, "\n".join(rows) + "\n")
+        lines = ["u,v,x,y,z"] + [",".join(map(_fmt, (u, v, *p))) for v, row
+                                 in zip(vs, rows) for u, p in zip(us, row)]
+        _emit(cfg, "\n".join(lines) + "\n")
     else:
         payload = {
             "schema": 1,
@@ -184,48 +181,35 @@ def cmd_gen(cfg: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _single_source(cfg: argparse.Namespace, allow_x: bool = False) -> str:
-    picked = [name for name, val in (
-        ("catalog", cfg.catalog),
-        ("graph", cfg.graph_src),
-        ("weierstrass", cfg.f_src or cfg.g_src),
-        ("minkowski", cfg.x_srcs if allow_x else None),
-    ) if val]
-    if len(picked) != 1:
-        extra = ", or --x1..--x4" if allow_x else ""
-        raise CliError(EXIT_INPUT,
-                       "need exactly one source: --catalog, --graph, "
-                       f"or --F with --G{extra}")
-    if picked[0] == "weierstrass" and not (cfg.f_src and cfg.g_src):
-        raise CliError(EXIT_INPUT, "--F and --G must be given together")
-    return picked[0]
+def _real_exprs(cfg: argparse.Namespace, srcs: tuple[str, ...]) -> tuple:
+    """srcs, the values of cfg.source's selecting flags, parsed in u, v."""
+    return tuple(_parse_flag(parse_real_expr, src, flag)
+                 for src, flag in zip(srcs, _SOURCES[cfg.source][0]))
 
 
-def _source(cfg: argparse.Namespace, kind: str):
-    """(patch or data, label) for the source _single_source picked.
+def _source(cfg: argparse.Namespace):
+    """(patch or data, label) of cfg.source.
 
     Catalog and graph sources give a SurfacePatch, Weierstrass sources
-    their WeierstrassData and an explicit Minkowski chart None.
+    their WeierstrassData and --x1..--x4 their chart in R^4_1.
     """
-    if kind == "catalog":
-        try:
-            patch = get(cfg.catalog, lam=cfg.lam).patch
-        except UnknownSurfaceError as err:
-            raise CliError(EXIT_INPUT, str(err)) from None
-        return patch, f"catalog:{cfg.catalog}"
-    if kind == "graph":
-        height = _parse_flag(parse_real_expr, cfg.graph_src, "--graph")
+    if cfg.source == "catalog":
+        return get(cfg.catalog, lam=cfg.lam).patch, f"catalog:{cfg.catalog}"
+    if cfg.source == "graph":
+        height, = _real_exprs(cfg, (cfg.graph_src,))
         return graph_patch(height, cfg.domain), f"graph:{cfg.graph_src}"
-    if kind == "weierstrass":
+    if cfg.source == "weierstrass":
         return _weier_data(cfg), f"weierstrass:F={cfg.f_src},G={cfg.g_src}"
-    return None, "minkowski:" + ",".join(cfg.x_srcs)
+    xs = (cfg.x1, cfg.x2, cfg.x3, cfg.x4)
+    return (chart_patch(_real_exprs(cfg, xs), cfg.domain, Vec4M),
+            "minkowski:" + ",".join(xs))
 
 
-def _forms_sampler(cfg: argparse.Namespace, kind: str, src, tol: float):
+def _forms_sampler(cfg: argparse.Namespace, src, tol: float):
     """forms_at(u, v): closed forms of the --theta member for Weierstrass
     data (|F| <= max(tol, 1e-12) is a zero of F), the patch's exact jets
     for a catalog or graph patch."""
-    if kind == "weierstrass":
+    if cfg.source == "weierstrass":
         def forms_at(u: float, v: float) -> FundamentalForms:
             return second_form_from_data(src, complex(u, v),
                                          max(tol, 1e-12), cfg.theta)
@@ -236,18 +220,17 @@ def _forms_sampler(cfg: argparse.Namespace, kind: str, src, tol: float):
 
 
 def cmd_analyze(cfg: argparse.Namespace) -> int:
-    kind = _single_source(cfg)
     nu, nv = cfg.grid or (33, 33)
     tol = cfg.tol if cfg.tol is not None else 1e-6
     fmt = cfg.fmt or "csv"
     if fmt == "obj":
         raise CliError(EXIT_INPUT, "analyze writes csv or json, not obj")
-    src, label = _source(cfg, kind)
-    forms_at = _forms_sampler(cfg, kind, src, tol)
+    src, label = _source(cfg)
+    forms_at = _forms_sampler(cfg, src, tol)
     dom = src.domain
 
     nan = float("nan")
-    if kind == "weierstrass":
+    if cfg.source == "weierstrass":
         # the metric columns are |F|^2 even where the forms are undefined
         def metric(u: float, v: float, forms) -> tuple[float, float, float]:
             g = metric_at(src, complex(u, v))
@@ -296,7 +279,7 @@ def cmd_analyze(cfg: argparse.Namespace) -> int:
     # second form that blows up toward a singular point reports how well
     # the identity holds, not how large h got.
     codazzi_max = None
-    if kind == "weierstrass" or src.flat:
+    if cfg.source == "weierstrass" or src.flat:
         def h_at(uu: float, vv: float):
             f = forms_at(uu, vv)
             return f.h11, f.h12, f.h22
@@ -346,9 +329,8 @@ def cmd_analyze(cfg: argparse.Namespace) -> int:
 
     if cfg.out:
         if fmt == "csv":
-            lines = ["u,v,g11,g12,g22,h11,h12,h22,H,K,class"]
-            for r in rows:
-                lines.append(",".join([_fmt(x) for x in r[:10]] + [r[10]]))
+            lines = ["u,v,g11,g12,g22,h11,h12,h22,H,K,class"] + [
+                ",".join([*map(_fmt, r[:10]), r[10]]) for r in rows]
             _emit(cfg, "\n".join(lines) + "\n")
         else:
             payload = dict(summary)
@@ -360,8 +342,6 @@ def cmd_analyze(cfg: argparse.Namespace) -> int:
 
 
 def cmd_singular(cfg: argparse.Namespace) -> int:
-    if not cfg.f_src or not cfg.g_src:
-        raise CliError(EXIT_INPUT, "singular needs --F and --G")
     data = _weier_data(cfg)
     grid = cfg.grid or (64, 64)
     tol = cfg.tol if cfg.tol is not None else 1e-10
@@ -436,10 +416,7 @@ def _forms_from_csv(path: str) -> tuple[PrescribedForms, tuple[int, int]]:
 
 
 def cmd_reconstruct(cfg: argparse.Namespace) -> int:
-    given = [s for s in cfg.h_srcs if s]
-    if cfg.forms_csv:
-        if given:
-            raise CliError(EXIT_INPUT, "--forms-csv excludes --h11/--h12/--h22")
+    if cfg.source == "forms-csv":
         forms, grid = _forms_from_csv(cfg.forms_csv)
         dom = forms.domain
         du = (dom.u1 - dom.u0) / (grid[0] - 1)
@@ -447,11 +424,7 @@ def cmd_reconstruct(cfg: argparse.Namespace) -> int:
         # sampled data carries the trapezoid's own discretization error
         tol = cfg.tol if cfg.tol is not None else max(du, dv) ** 2
     else:
-        if len(given) != 3:
-            raise CliError(EXIT_INPUT,
-                           "reconstruct needs --h11/--h12/--h22 or --forms-csv")
-        asts = tuple(_parse_flag(parse_real_expr, src, flag) for src, flag
-                     in zip(cfg.h_srcs, ("--h11", "--h12", "--h22")))
+        asts = _real_exprs(cfg, (cfg.h11, cfg.h12, cfg.h22))
         forms = PrescribedForms.from_expressions(*asts, cfg.domain)
         dom = cfg.domain
         grid = cfg.grid or (33, 33)
@@ -505,21 +478,16 @@ def cmd_reconstruct(cfg: argparse.Namespace) -> int:
 
 
 def cmd_embed(cfg: argparse.Namespace) -> int:
-    kind = _single_source(cfg, allow_x=True)
     grid = cfg.grid or (9, 9)
     tol = cfg.tol if cfg.tol is not None else 1e-5
-    src, label = _source(cfg, kind)
+    src, label = _source(cfg)
 
-    if kind == "minkowski":
-        asts = tuple(_parse_flag(parse_real_expr, x_src, flag) for x_src, flag
-                     in zip(cfg.x_srcs, ("--x1", "--x2", "--x3", "--x4")))
-        surface = chart_patch(asts, cfg.domain, Vec4M)
-        loci = None
+    if cfg.source == "minkowski":
+        surface, loci = src, None
     else:
         surface = iota_lift(surface_from_data(src, theta=cfg.theta)
-                            if kind == "weierstrass" else src)
-        loci = vanishing_h_locus(_forms_sampler(cfg, kind, src, tol),
-                                 src.domain)
+                            if cfg.source == "weierstrass" else src)
+        loci = vanishing_h_locus(_forms_sampler(cfg, src, tol), src.domain)
 
     report = verify_flat_zmc(surface, grid=grid, tol=tol)
     if report.spacelike_violations:
@@ -540,13 +508,9 @@ def cmd_embed(cfg: argparse.Namespace) -> int:
     }
     if loci is not None:
         payload["e_locus"] = [
-            {
-                "point": [_jround(c.point[0]), _jround(c.point[1])],
-                "node_count": c.node_count,
-                "isolated": c.isolated,
-            }
-            for c in loci
-        ]
+            {"point": [_jround(c.point[0]), _jround(c.point[1])],
+             "node_count": c.node_count, "isolated": c.isolated}
+            for c in loci]
     _emit(cfg, _json_text(payload))
     return EXIT_OK
 
@@ -572,8 +536,8 @@ def cmd_list(cfg: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-# every flag once, with its add_argument keywords; _join_value_flags joins
-# each to its value, which may start with '-' (a bound, -u*v)
+# every flag once, with its add_argument keywords (default: what it reads
+# as when not given); _join_value_flags joins each to its value, even -u*v
 _FLAGS = {
     "--F": dict(dest="f_src"),
     "--G": dict(dest="g_src"),
@@ -592,7 +556,22 @@ _FLAGS = {
     "--format": dict(dest="fmt", default="", choices=("", "obj", "csv", "json")),
 }
 
+# flag -> the attribute argparse stores its value in
+_DESTS = {flag: kw.get("dest", flag[2:].replace("-", "_"))
+          for flag, kw in _FLAGS.items()}
+
 _SHARED = ("--domain", "--grid", "--tol", "--out")
+
+# source -> (the flags that select it, all of them together; the other
+# flags it reads); a catalog entry reads --lam only if catalog says so
+_SOURCES = {
+    "weierstrass": (("--F", "--G"), ("--theta", "--base", *_SHARED, "--format")),
+    "graph": (("--graph",), (*_SHARED, "--format")),
+    "catalog": (("--catalog",), ("--lam", "--grid", "--tol", "--out", "--format")),
+    "minkowski": (("--x1", "--x2", "--x3", "--x4"), _SHARED),
+    "forms": (("--h11", "--h12", "--h22"), ("--base", *_SHARED, "--format")),
+    "forms-csv": (("--forms-csv",), ("--base", "--tol", "--out", "--format")),
+}
 
 # name -> (function, help, the flags it accepts)
 _SUBCOMMANDS = {
@@ -619,28 +598,46 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Surfaces with a degenerate product: generation, "
                     "analysis, reconstruction and embedding checks.")
     sub = parser.add_subparsers(dest="command", required=True)
-    defaults = {}
     for name, (_, help_text, flags) in _SUBCOMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         for flag in flags:
-            action = p.add_argument(flag, **_FLAGS[flag])
-            defaults[action.dest] = action.default
-    # a flag that a subcommand lacks reads as its default
-    parser.set_defaults(**defaults)
+            # None marks a flag not given; _checked applies the default
+            p.add_argument(flag, **{**_FLAGS[flag], "default": None})
     return parser
 
 
+def _pick_source(ns: argparse.Namespace, given: set[str]) -> str:
+    """The one source of ns.command whose selecting flags were given,
+    once every other given flag is one that source reads."""
+    offered = {name: row for name, row in _SOURCES.items()
+               if set(row[0]) <= set(_SUBCOMMANDS[ns.command][2])}
+    named = [name for name, (select, _) in offered.items()
+             if given & set(select)]
+    if len(named) != 1 or not set(offered[named[0]][0]) <= given:
+        alts = [" and ".join(select) for select, _ in offered.values()]
+        raise CliError(EXIT_INPUT, f"{ns.command} needs " + (
+            alts[0] if len(alts) == 1 else "one of " + "; ".join(alts)))
+    select, reads = offered[named[0]]
+    if named[0] == "catalog" and not _takes_lam(ns.catalog):
+        reads = tuple(flag for flag in reads if flag != "--lam")
+    unread = sorted(given - set(select + reads))
+    if unread:
+        raise CliError(EXIT_INPUT, f"{unread[0]} does not apply to " + " ".join(
+            f"{f} {getattr(ns, _DESTS[f])}" for f in select))
+    return named[0]
+
+
 def _checked(ns: argparse.Namespace) -> argparse.Namespace:
-    """The parsed command line with --base, --domain and --grid parsed in
-    place, the sources h_srcs and x_srcs added, and every value checked."""
+    """The parsed command line with every flag not given set to its
+    default, --base, --domain and --grid parsed in place, every value
+    checked and the source picked as ns.source (except for list)."""
+    # an empty value, such as --F "", counts as not given
+    given = {flag for flag in _SUBCOMMANDS[ns.command][2]
+             if getattr(ns, _DESTS[flag]) not in (None, "")}
+    for flag, kw in _FLAGS.items():
+        if getattr(ns, _DESTS[flag], None) is None:
+            setattr(ns, _DESTS[flag], kw.get("default"))
     ns.base = _parse_floats(ns.base, 2, "--base") if ns.base else None
-    ns.h_srcs = (ns.h11, ns.h12, ns.h22)
-    ns.x_srcs = None
-    xs = (ns.x1, ns.x2, ns.x3, ns.x4)
-    if any(x is not None for x in xs):
-        if not all(x is not None for x in xs):
-            raise CliError(EXIT_INPUT, "--x1..--x4 must be given together")
-        ns.x_srcs = xs
     ns.domain = d = _parse_domain(ns.domain)
     ns.grid = _parse_grid(ns.grid) if ns.grid else None
     for flag, values in (("--tol", (ns.tol or 0.0,)),
@@ -654,6 +651,8 @@ def _checked(ns: argparse.Namespace) -> argparse.Namespace:
         raise CliError(EXIT_INPUT, f"grid must be at least 2x2, got {ns.grid}")
     if ns.tol is not None and ns.tol <= 0:
         raise CliError(EXIT_INPUT, f"tol must be positive, got {ns.tol}")
+    if ns.command != "list":
+        ns.source = _pick_source(ns, given)
     return ns
 
 
@@ -683,9 +682,10 @@ def main(argv: list[str] | None = None) -> int:
         failure = CliError(EXIT_INTEGRATION, f"integration failed: {err}")
     except EvalError as err:
         failure = CliError(EXIT_INPUT, f"evaluation failed: {err}")
-    except ValueError as err:
+    except (ValueError, UnknownSurfaceError) as err:
         # a domain too small for the sampling margins, a base point
-        # outside the domain or off the grid: the library names which
+        # outside the domain or off the grid, an unknown catalog name:
+        # the library names which
         failure = CliError(EXIT_INPUT, str(err))
     sys.stderr.write(f"isomin {ns.command}: {failure}\n")
     return failure.code

@@ -175,8 +175,9 @@ def verify_flat_zmc(s: SurfacePatch, grid: tuple[int, int] = (9, 9),
     dom = s.domain
     margin = 0.05 * max(dom.extent, 1.0)
     nu, nv = grid
-    us = _axis(dom.u0, dom.u1, nu, margin)
-    vs = _axis(dom.v0, dom.v1, nv, margin)
+    # an inset of at most a quarter of each side keeps the lattice inside
+    us = _axis(dom.u0, dom.u1, nu, min(margin, (dom.u1 - dom.u0) / 4))
+    vs = _axis(dom.v0, dom.v1, nv, min(margin, (dom.v1 - dom.v0) / 4))
     worst_h = worst_k = 0.0
     violations: list[tuple[float, float]] = []
     for u in us:
@@ -244,8 +245,11 @@ def vanishing_h_locus(forms_at: Callable[[float, float], FundamentalForms],
     """
     nu, nv = _LOCUS_GRID
     margin = 0.02 * max(domain.extent, 1.0)
-    us = _axis(domain.u0, domain.u1, nu, margin)
-    vs = _axis(domain.v0, domain.v1, nv, margin)
+    # an inset of at most a quarter of each side keeps the lattice inside
+    us = _axis(domain.u0, domain.u1, nu,
+               min(margin, (domain.u1 - domain.u0) / 4))
+    vs = _axis(domain.v0, domain.v1, nv,
+               min(margin, (domain.v1 - domain.v0) / 4))
     hit = []
     for u in us:
         row = []

@@ -119,6 +119,10 @@ def find_zeros(ast: Expr, domain: Rect, grid: tuple[int, int] = (64, 64),
     nu, nv = grid
     us = _axis(domain.u0, domain.u1, nu)
     vs = _axis(domain.v0, domain.v1, nv)
+    if min(nu, nv) < 3:
+        # Newton starts only from interior nodes, and such a grid has none
+        raise ValueError(f"find_zeros needs at least 3 nodes per axis, "
+                         f"got {nu}x{nv}")
     mod = []
     for u in us:
         row = []

@@ -23,7 +23,7 @@ import mpmath
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from isomin import cli
+from isomin import cli, geometry, minkowski
 from isomin.cli import main
 
 
@@ -41,6 +41,13 @@ def parse_obj(text):
         elif line.startswith("f "):
             faces.append(tuple(int(p) for p in line.split()[1:]))
     return verts, faces
+
+
+def write_zero_forms(path):
+    """A --forms-csv node table of the zero form on a 3x3 lattice."""
+    path.write_text("u,v,h11,h12,h22\n" + "".join(
+        f"{u},{v},0,0,0\n" for u in (0, 1, 2) for v in (0, 1, 2)))
+    return path
 
 
 def parse_csv(text):
@@ -276,6 +283,16 @@ class TestSingular:
         assert err.startswith("isomin singular: singular analysis failed: "
                               "rank at 0j: 1 from the zeros of G")
         assert "vs 0 from jacobian_rank_at" in err
+
+    @pytest.mark.parametrize("grid", ["2,2", "2,9", "9,2"])
+    def test_grid_without_interior_node_exits_2(self, capsys, grid):
+        # F vanishes at the origin, but a scan grid with two nodes on an
+        # axis has no interior node to start Newton from
+        rc, out, err = run(capsys, ["singular", "--F", "z", "--G", "1",
+                                    "--grid", grid])
+        assert (rc, out) == (2, "")
+        assert err.startswith("isomin singular: find_zeros needs at least "
+                              "3 nodes per axis")
 
     @pytest.mark.parametrize("g_src", ["z-2e-6", "z-1e-5"])
     def test_g_small_but_not_zero_is_rank_one(self, capsys, g_src):
@@ -554,7 +571,9 @@ CATALOG_CLASSES = {
 @pytest.mark.parametrize("name, lam", [(name, "1") for name in CATALOG_CLASSES]
                          + [("dlambda_geodesic", "-0.5")])
 def test_catalog_class_counts_pinned(capsys, name, lam, n):
-    rc, out, _ = run(capsys, ["analyze", "--catalog", name, "--lam", lam,
+    # only dlambda_geodesic takes --lam; the other entries refuse it
+    lam_args = ["--lam", lam] if name == "dlambda_geodesic" else []
+    rc, out, _ = run(capsys, ["analyze", "--catalog", name, *lam_args,
                               "--grid", f"{n},{n}"])
     assert rc == 0
     want = {CATALOG_CLASSES[name]: n * n}
@@ -653,26 +672,47 @@ class TestLibraryErrors:
         (["analyze", "--graph", "u*v", "--domain", "0,0.001,0,0.001",
           "--grid", "5,5"], 2,
          "(2e-05, 2e-05) closer than 2*step=0.0002 to the domain boundary"),
-        (["embed", "--graph", "u*v", "--domain", "0,0.001,0,0.001",
-          "--grid", "3,3"], 2,
-         "(0.02, 0.02) closer than 2*step=0.0002 to the domain boundary"),
-        (["embed", "--graph", "u*v", "--domain", "0,10,0,0.05",
-          "--grid", "3,3"], 2,
-         "(0.2, 0.2) closer than 2*step=0.002 to the domain boundary"),
-        (["embed", "--F", "exp(z)", "--G", "z", "--domain", "0,0.05,0,0.05",
-          "--grid", "3,3"], 2, "(0.050050000000000004, 0.05) outside "
-         "parameter domain Rect(u0=0.0, u1=0.05, v0=0.0, v1=0.05)"),
     ], ids=["embed-pole", "embed-graph-log", "embed-chart-pole",
-            "reconstruct-pole", "analyze-tiny-domain", "embed-tiny-domain",
-            "embed-thin-domain", "embed-weierstrass-small-domain"])
+            "reconstruct-pole", "analyze-tiny-domain"])
     def test_documented_exit_code(self, capsys, args, code, text):
         rc, _, err = run(capsys, args)
         assert rc == code
         assert err.startswith(f"isomin {args[0]}: {text}")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("args", [
+        ["embed", "--graph", "u*v", "--domain", "0,0.001,0,0.001",
+         "--grid", "3,3"],
+        ["embed", "--graph", "u*v", "--domain", "0,10,0,0.05",
+         "--grid", "3,3"],
+        ["embed", "--F", "exp(z)", "--G", "z", "--domain", "0,0.05,0,0.05",
+         "--grid", "3,3"],
+        ["embed", "--x1", "u", "--x2", "u", "--x3", "v", "--x4", "u",
+         "--domain", "0,0.01,0,0.01"],
+    ], ids=["embed-tiny-domain", "embed-thin-domain",
+            "embed-weierstrass-small-domain", "embed-chart-tiny-domain"])
+    def test_embed_lattices_stay_in_the_domain(self, capsys, monkeypatch,
+                                               args):
+        # the flat-ZMC and locus lattices are inset by at most a quarter
+        # of each side, so on a side shorter than twice the usual inset
+        # every node still lies strictly inside the domain
+        axes = []
+
+        def recording_axis(lo, hi, n, inset=0.0):
+            xs = geometry._axis(lo, hi, n, inset)
+            axes.append((lo, hi, xs))
+            return xs
+
+        monkeypatch.setattr(minkowski, "_axis", recording_axis)
+        rc, out, err = run(capsys, args)
+        assert (rc, err) == (0, "")
+        assert json.loads(out)["verdict"] == "pass"
+        assert len(axes) == (2 if "--x1" in args else 4)
+        for lo, hi, xs in axes:
+            assert all(lo < x < hi for x in xs), (lo, hi, xs)
+
     def test_chart_on_a_small_domain_embeds(self, capsys):
-        # an explicit chart is sampled wherever its margins put it
+        # an explicit chart has no boundary margin of its own
         rc, out, _ = run(capsys, ["embed", "--x1", "u", "--x2", "u",
                                   "--x3", "v", "--x4", "u",
                                   "--domain", "0,0.05,0,0.05"])
@@ -756,6 +796,42 @@ class TestListAndConfig:
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("args, flag, source", [
+        (["embed", "--catalog", "helicoid2", "--theta", "0.7"], "--theta",
+         "--catalog helicoid2"),
+        (["embed", "--catalog", "helicoid2", "--domain", "0,1,0,1"],
+         "--domain", "--catalog helicoid2"),
+        (["embed", "--catalog", "helicoid2", "--lam", "3"], "--lam",
+         "--catalog helicoid2"),
+        (["analyze", "--catalog", "plane", "--grid", "5,5", "--domain",
+          "0,1,0,1"], "--domain", "--catalog plane"),
+        (["analyze", "--catalog", "plane", "--grid", "5,5", "--lam", "3"],
+         "--lam", "--catalog plane"),
+        (["analyze", "--graph", "u*v", "--grid", "5,5", "--lam", "3"],
+         "--lam", "--graph u*v"),
+        (["reconstruct", "--forms-csv", "{T}", "--grid", "3,3"], "--grid",
+         "--forms-csv {T}"),
+        (["reconstruct", "--forms-csv", "{T}", "--domain", "0,9,0,9"],
+         "--domain", "--forms-csv {T}"),
+        (["embed", "--x1", "0", "--x2", "u", "--x3", "v", "--x4", "u*v",
+          "--grid", "3,3", "--theta", "1"], "--theta",
+         "--x1 0 --x2 u --x3 v --x4 u*v"),
+        (["embed", "--x1", "0", "--x2", "u", "--x3", "v", "--x4", "u*v",
+          "--grid", "3,3", "--lam", "2"], "--lam",
+         "--x1 0 --x2 u --x3 v --x4 u*v"),
+    ], ids=["embed-catalog-theta", "embed-catalog-domain", "embed-catalog-lam",
+            "analyze-catalog-domain", "analyze-catalog-lam",
+            "analyze-graph-lam", "reconstruct-csv-grid",
+            "reconstruct-csv-domain", "embed-chart-theta", "embed-chart-lam"])
+    def test_flag_the_source_does_not_read_is_refused(self, capsys, tmp_path,
+                                                      args, flag, source):
+        table = write_zero_forms(tmp_path / "T.csv")
+        args = [a.replace("{T}", str(table)) for a in args]
+        source = source.replace("{T}", str(table))
+        rc, out, err = run(capsys, args)
+        assert (rc, out) == (2, "")
+        assert err == f"isomin {args[0]}: {flag} does not apply to {source}\n"
+
     @pytest.mark.parametrize("args", [
         ["gen", "--G", "1"],
         ["singular", "--G", "1"],
@@ -767,7 +843,13 @@ class TestListAndConfig:
         assert f"{args[0]} needs --F and --G" in err
         assert out == ""
 
-    def test_every_flag_is_read(self):
+    # a value for each flag that selects a source; {T} is a node table
+    SOURCE_VALUES = {"--F": "exp(z)", "--G": "1", "--graph": "u*v",
+                     "--catalog": "dlambda_geodesic", "--x1": "0", "--x2": "u",
+                     "--x3": "v", "--x4": "u*v", "--h11": "0", "--h12": "0",
+                     "--h22": "0", "--forms-csv": "{T}"}
+
+    def test_every_flag_is_read(self, capsys, tmp_path, monkeypatch):
         # a flag in the table that no code reads would be a setting that
         # does nothing: each dest must be read as cfg.<dest> or ns.<dest>
         with open(cli.__file__, encoding="utf-8") as fh:
@@ -777,10 +859,46 @@ class TestListAndConfig:
                 and isinstance(node.ctx, ast.Load)
                 and isinstance(node.value, ast.Name)
                 and node.value.id in ("cfg", "ns")}
-        dests = {argparse.ArgumentParser().add_argument(flag, **kw).dest
-                 for flag, kw in cli._FLAGS.items()}
+        dest_of = {flag: argparse.ArgumentParser().add_argument(flag,
+                                                                **kw).dest
+                   for flag, kw in cli._FLAGS.items()}
+        dests = set(dest_of.values())
         assert len(dests) == len(cli._FLAGS)
         assert dests - read == set()
+
+        # and on each source's own path, every flag that its _SOURCES
+        # entry lists and the subcommand accepts is read by the command
+        # (after _checked, which picks the source)
+        table = write_zero_forms(tmp_path / "T.csv")
+        seen = set()
+
+        class Recording(argparse.Namespace):
+            def __getattribute__(self, name):
+                seen.add(name)
+                return super().__getattribute__(name)
+
+        checked = cli._checked
+        monkeypatch.setattr(cli, "_checked",
+                            lambda ns: Recording(**vars(checked(ns))))
+        paths = 0
+        for command, (_, _, accepted) in cli._SUBCOMMANDS.items():
+            for name, (select, reads) in cli._SOURCES.items():
+                if not set(select) <= set(accepted):
+                    continue
+                listed = [f for f in select + reads if f in accepted]
+                args = [command]
+                for flag in select:
+                    args += [flag, self.SOURCE_VALUES[flag].replace(
+                        "{T}", str(table))]
+                if "--grid" in listed:
+                    args += ["--grid", "3,3"]
+                seen.clear()
+                rc, _, err = run(capsys, args)
+                assert (rc, err) == (0, ""), (args, err)
+                unread = {f for f in listed if dest_of[f] not in seen}
+                assert unread == set(), (command, name)
+                paths += 1
+        assert paths == 11
 
     def test_console_script_entry_point(self, capsys, monkeypatch):
         # what the installed script runs, resolved from pyproject.toml

@@ -45,6 +45,13 @@ class TestFindZeros:
         assert find_zeros(parse_expr("log(0*z)"), SQUARE, grid=(8, 8),
                           with_diagnostics=True) == ([], [])
 
+    @pytest.mark.parametrize("grid", [(2, 2), (2, 5), (5, 2)])
+    def test_grid_without_interior_node_is_refused(self, grid):
+        # Newton starts only from interior nodes, so such a scan would
+        # miss the zero at the origin without a word
+        with pytest.raises(ValueError, match="at least 3 nodes per axis"):
+            find_zeros(parse_expr("z"), SQUARE, grid=grid)
+
     def test_two_symmetric_zeros(self):
         zeros = find_zeros(parse_expr("z^2 - 0.25"), SQUARE)
         assert len(zeros) == 2

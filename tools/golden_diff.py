@@ -16,9 +16,12 @@ each case the script prints
 * the largest absolute and the largest relative change, with the JSON
   field, CSV column or text key it happened in.
 
-The script is evidence for a reviewer when a digest has to be
-re-recorded; the sha256 gate in ``tests/test_golden.py`` is unchanged by
-it.  pytest does not collect this file.
+The script exits 0 when every case has the same exit code and the same
+stdout and output file, byte for byte, on both revisions, and 1 when any
+case differs in any of them (text or numbers), so "every golden
+unchanged" is the exit status of one command.  It is evidence for a reviewer when a digest
+has to be re-recorded; the sha256 gate in ``tests/test_golden.py`` is
+unchanged by it.  pytest does not collect this file.
 """
 
 from __future__ import annotations
@@ -195,7 +198,7 @@ def main(argv: list[str]) -> int:
     print(f"golden cases, {argv[0]} -> {argv[1]}")
     for name in sorted(res_a):
         print(f"{name}: {compare_case(res_a[name], res_b[name])}")
-    return 0
+    return int(res_a != res_b)
 
 
 if __name__ == "__main__":

@@ -19,7 +19,7 @@ from .expr import BinOp, Call, Lit, Var, parse_real_expr
 from .geometry import Rect, SurfacePatch, Vec021, chart_patch, graph_patch
 
 
-class UnknownSurfaceError(KeyError):
+class UnknownSurfaceError(LookupError):
     pass
 
 

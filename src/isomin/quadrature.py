@@ -45,6 +45,25 @@ class IntegrationError(Exception):
     """Quadrature failed to converge within the subdivision budget."""
 
 
+def _converged(err, value, tol, margin=1.0):
+    """Whether a level whose halves sum to value, err away from the
+    whole, is accepted: err within tol or within 50 machine epsilons of
+    |value|, each times margin.  Elementwise on numpy arrays."""
+    return (err <= margin * tol) | (err <= margin * _ROUNDOFF * abs(value))
+
+
+def _nodes(a: float, b: float) -> tuple[float, tuple[float, ...]]:
+    """The half width of [a, b] and the 16 nodes in it, as _panel
+    computes them."""
+    mid = 0.5 * (a + b)
+    half = 0.5 * (b - a)
+    return half, tuple(mid + half * x for x, _ in _RULE)
+
+
+# level 0 of adaptive_quad on [0, 1]: the whole panel, then its halves
+_LEVEL0 = (_nodes(0.0, 1.0), _nodes(0.0, 0.5), _nodes(0.5, 1.0))
+
+
 def _panel(f, a: float, b: float, origin, step) -> complex:
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
@@ -61,7 +80,7 @@ def _refine(f, a: float, b: float, whole: complex, tol: float,
     right = _panel(f, mid, b, origin, step)
     value = left + right
     err = abs(value - whole)
-    if err <= tol or err <= _ROUNDOFF * abs(value):
+    if _converged(err, value, tol):
         return value
     if depth <= 0:
         raise IntegrationError(

@@ -12,6 +12,7 @@ import contextlib
 import importlib
 import io
 import json
+import math
 import os
 import random
 import shutil
@@ -23,7 +24,7 @@ import mpmath
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from isomin import cli, geometry, minkowski
+from isomin import catalog, cli, geometry, minkowski, weierstrass
 from isomin.cli import main
 
 
@@ -247,6 +248,9 @@ class TestAnalyze:
     def test_unknown_catalog_name_exits_2(self, capsys):
         rc, _, err = run(capsys, ["analyze", "--catalog", "helicoid3"])
         assert rc == 2
+        known = ", ".join(catalog.names())
+        assert err == (f"isomin analyze: no surface named 'helicoid3'; "
+                       f"known: {known}\n")
 
 
 class TestSingular:
@@ -950,8 +954,16 @@ def _numpy_imports(args, run=("-m", "isomin.cli")):
                              if m == "numpy" or m.startswith("numpy.")]
 
 
+def _batch_grid(vertices: int) -> str:
+    """--grid value of a two-row grid with vertices vertices (even)."""
+    assert vertices % 2 == 0
+    return f"{vertices // 2},2"
+
+
 class TestStartup:
-    """No command loads numpy."""
+    """Importing the CLI loads no numpy, and no command does, except gen
+    on a grid of at least weierstrass._BATCH_MIN vertices, which loads it
+    where it is installed."""
 
     def test_importing_the_cli_loads_no_numpy(self):
         proc = _python("-c", "import sys, isomin.cli; "
@@ -998,3 +1010,51 @@ class TestStartup:
                        "sys.exit(main(sys.argv[1:]))"))
         assert rc == 0
         assert "numpy" in numpy_modules
+
+    def test_gen_just_below_the_batch_threshold_loads_no_numpy(self):
+        rc, numpy_modules = _numpy_imports(
+            ["gen", "--F", "z", "--G", "1",
+             "--grid", _batch_grid(weierstrass._BATCH_MIN - 2)])
+        assert rc == 0
+        assert numpy_modules == []
+
+    def test_gen_at_the_batch_threshold_loads_numpy(self):
+        rc, numpy_modules = _numpy_imports(
+            ["gen", "--F", "z", "--G", "1",
+             "--grid", _batch_grid(weierstrass._BATCH_MIN)])
+        assert rc == 0
+        assert "numpy" in numpy_modules
+
+
+class TestBatchedGen:
+    """gen above weierstrass._BATCH_MIN, against the scalar rows."""
+
+    SIDE = math.isqrt(weierstrass._BATCH_MIN) + 1
+    GRID = f"{SIDE},{SIDE}"
+
+    @pytest.mark.parametrize("f_src, code, message", [
+        ("exp(800*z)", 2, "evaluation failed: overflow at z="),
+        ("1/z", 3, "integration failed: segment (0.0, 0.0) -> "),
+    ], ids=["overflow", "row-start"])
+    def test_refusal_is_the_scalar_rows_refusal(self, capsys, monkeypatch,
+                                                f_src, code, message):
+        argv = ["gen", "--F", f_src, "--G", "1", "--grid", self.GRID]
+        batched = run(capsys, argv)
+        monkeypatch.setattr(weierstrass, "_BATCH_MIN", self.SIDE ** 2 + 1)
+        scalar = run(capsys, argv)
+        assert batched == scalar
+        assert scalar[0] == code and scalar[1] == ""
+        assert scalar[2].startswith(f"isomin gen: {message}")
+
+    def test_without_numpy_gen_prints_the_scalar_rows(self):
+        argv = ["gen", "--F", "exp(z)", "--G", "z^2", "--theta", "0.7",
+                "--grid", self.GRID]
+        main_ = "from isomin.cli import main; sys.exit(main(sys.argv[1:]))"
+        blocked = _python("-c", "import sys; sys.modules['numpy'] = None; "
+                          + main_, *argv)
+        scalar = _python("-c", "import sys, isomin.weierstrass as w; "
+                         f"w._BATCH_MIN = {self.SIDE ** 2 + 1}; " + main_,
+                         *argv)
+        assert blocked.returncode == scalar.returncode == 0, blocked.stderr
+        assert blocked.stdout == scalar.stdout
+        assert blocked.stdout.count("\nv ") + 1 == self.SIDE ** 2

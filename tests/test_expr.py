@@ -20,6 +20,7 @@ from isomin.expr import (
     ParseError,
     UnknownIdentifierError,
     Var,
+    compile_array,
     compile_expr,
     compile_real,
     differentiate,
@@ -594,6 +595,56 @@ def test_frame_matches_the_always_converting_template(tree, z, bound):
 def test_real_frame_matches_the_always_converting_template(tree, u, v):
     want = _compiled_value(_always_convert_frame(tree, ("u", "v"), True), u, v)
     assert _compiled_value(compile_real(tree), u, v) == want, to_source(tree)
+
+
+# the array frame of grid_eval's batched rows ---------------------------------
+
+_OVERFLOWS = parse_expr("800*z")
+
+
+@settings(max_examples=400, deadline=None)
+@example(tree=BinOp("/", Lit(1 + 0j), Call("exp", _OVERFLOWS)), z=0.9)
+@example(tree=Call("exp", Neg(Call("exp", _OVERFLOWS))), z=0.9)
+@given(tree=_trees(st.one_of(st.just(Var("z")), _LITERALS)), z=_POINTS)
+def test_array_frame_is_not_finite_where_the_scalar_frame_raises(tree, z):
+    # numpy turns some overflows into finite values, 1/exp(720) into 0
+    # where cmath raises; the array frame gives nan there instead
+    try:
+        compile_expr(tree)(z)
+    except EvalError:
+        with np.errstate(all="ignore"):
+            value = compile_array(tree)(np.array([complex(z)]))
+        assert value.shape == (1,)
+        assert not np.isfinite(value[0]), to_source(tree)
+
+
+@settings(max_examples=400, deadline=None)
+@given(tree=st.recursive(
+    st.one_of(st.just(Var("z")), _LITERALS), lambda sub: st.one_of(
+        sub.map(Neg), st.builds(BinOp, st.sampled_from("+-*/"), sub, sub),
+        st.builds(BinOp, st.just("^"), sub,
+                  st.integers(-100, 100).map(lambda n: Lit(complex(n)))))),
+       z=_POINTS)
+def test_array_frame_arithmetic_is_the_scalar_frames(tree, z):
+    # without calls and other powers, both frames round alike
+    try:
+        want = compile_expr(tree)(z)
+    except EvalError:
+        return
+    with np.errstate(all="ignore"):
+        got = compile_array(tree)(np.array([complex(z)]))[0]
+    assert complex(got) == want, to_source(tree)
+
+
+def test_array_frame_keeps_the_argument_shape():
+    z = np.array([[0.5, -1j], [2.0, 0.25 + 0.5j]])
+    for src in ("1", "2*i", "z^3 - 1/z", "exp(-z)*cos(2*z)"):
+        fn = compile_expr(parse_expr(src))
+        with np.errstate(all="ignore"):
+            values = compile_array(parse_expr(src))(z)
+        assert values.shape == z.shape and values.dtype == complex
+        want = np.array([[fn(w) for w in row] for row in z.tolist()])
+        assert np.allclose(values, want, rtol=1e-15, atol=0)
 
 
 def test_negative_literal_base_keeps_its_parentheses():

@@ -14,14 +14,15 @@ import math
 import os
 import random
 import signal
+import sys
 import time
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import isomin.weierstrass as weierstrass
-from isomin.expr import BinOp, Call, Lit, Var, compile_expr, differentiate, \
-    parse_expr
+from isomin.expr import BinOp, Call, EvalError, Lit, Var, compile_expr, \
+    differentiate, parse_expr
 from isomin.geometry import (DegenerateMetricError, Rect, _axis,
                              default_step, fundamental_forms, mean_curvature,
                              patch_jets)
@@ -330,6 +331,132 @@ class TestSplitRows:
             mp.setattr(os, "fork", self.no_fork)
             us, vs, rows = grid_eval(data("exp(z)", "z"), nu=12, nv=10)
         assert len(rows) == 10 and all(len(row) == 12 for row in rows)
+
+
+TRIG = st.tuples(st.sampled_from(["sin", "cos", "sinh", "cosh"]),
+                 st.floats(-2, 2), st.floats(-2, 2)).map(
+    lambda fab: f"{fab[0]}(({fab[1]!r}+{fab[2]!r}*i)*z)")
+BATCHED = st.one_of(POLY, EXP, TRIG,
+                    st.tuples(POLY, st.one_of(EXP, TRIG)).map("*".join))
+
+
+@contextlib.contextmanager
+def _batched(segments: int = weierstrass._BATCH_SEGMENTS):
+    """grid_eval batches every grid, in blocks of about this many row
+    segments, and never forks."""
+    def no_fork():
+        raise AssertionError("forked")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(weierstrass, "_BATCH_MIN", 0)
+        mp.setattr(weierstrass, "_BATCH_SEGMENTS", segments)
+        mp.setattr(os, "fork", no_fork)
+        yield
+
+
+def _serial(d, theta, nu, nv, tol=1e-10):
+    dom = d.domain
+    return weierstrass._rows(d, weierstrass._rotor(theta),
+                             _axis(dom.u0, dom.u1, nu),
+                             _axis(dom.v0, dom.v1, nv), tol)
+
+
+class TestBatchedRows:
+    """Level 0 of the row segments computed by numpy on large grids."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(f_src=BATCHED, g_src=BATCHED, theta=st.floats(-4, 4),
+           base=st.tuples(st.floats(-1, 1), st.floats(-1, 1)),
+           nu=st.integers(2, 12), nv=st.integers(2, 9),
+           segments=st.integers(1, 40))
+    def test_batched_rows_match_the_scalar_rows(self, f_src, g_src, theta,
+                                                base, nu, nv, segments):
+        d = WeierstrassData(parse_expr(f_src), parse_expr(g_src),
+                            base=complex(*base), domain=SQUARE)
+        with _batched(segments):
+            us, vs, rows = grid_eval(d, theta, nu=nu, nv=nv)
+        serial = _serial(d, theta, nu, nv)
+        assert len(rows) == nv and all(len(row) == nu for row in rows)
+        for row, want in zip(rows, serial):
+            for vertex, ref in zip(row, want):
+                for x, y in zip(vertex, ref):
+                    assert abs(x - y) <= 1e-13 * max(1.0, abs(y)), (x, y)
+
+    def test_level0_refusals_go_to_the_scalar_rule(self):
+        # a pole beside row v = 0: level 0 of the segments next to it
+        # misses the margins, so integrate_segment refines them
+        d = data("1/(z-(0.03+0.02*i))", "z")
+        calls = []
+        segment = weierstrass.integrate_segment
+
+        def counted(f, w0, w1, tol=1e-10):
+            calls.append((w0, w1))
+            return segment(f, w0, w1, tol)
+
+        with _batched(), pytest.MonkeyPatch.context() as mp:
+            mp.setattr(weierstrass, "integrate_segment", counted)
+            rows = grid_eval(d, 0.4, nu=21, nv=21)[2]
+        serial = _serial(d, 0.4, 21, 21)
+        # two row starts per row, and a few refined segments near the pole
+        assert 2 * 21 < len(calls) < 2 * 21 + 20
+        for row, want in zip(rows, serial):
+            for vertex, ref in zip(row, want):
+                for x, y in zip(vertex, ref):
+                    assert abs(x - y) <= 1e-13 * max(1.0, abs(y))
+
+    @pytest.mark.parametrize("segments", [10_000, 30],
+                             ids=["one-block", "later-block"])
+    @pytest.mark.parametrize("f_src", ["exp(800*z)", "1/exp(800*z)",
+                                       "exp(-exp(800*z))", "exp(-800*i*z)"])
+    def test_overflow_raises_the_serial_error(self, f_src, segments):
+        # numpy overflows to inf, or through 1/inf to 0, where cmath
+        # raises; the block reruns through the scalar rows (exp(-800*i*z)
+        # overflows only on the last rows)
+        d = data(f_src, "1")
+        with pytest.raises(EvalError) as serial:
+            _serial(d, 0.0, 12, 12)
+        with _batched(segments), pytest.raises(EvalError) as batched:
+            grid_eval(d, 0.0, nu=12, nv=12)
+        assert str(batched.value) == str(serial.value)
+
+    def test_non_finite_block_that_the_scalar_rows_accept(self):
+        # (z-z+1)*1e200*1e200 overflows to inf+0j in both frames, and 1
+        # over it is 0: the array frame gives nan, the block reruns
+        d = data("1/((z-z+1)*1e200*1e200) + z", "1")
+        with _batched(40):
+            rows = grid_eval(d, 0.3, nu=9, nv=7)[2]
+        assert repr(rows) == repr(_serial(d, 0.3, 9, 7))
+
+    def test_integration_error_is_the_serial_one(self):
+        # poles on rows 2 and 5 of a 5 x 7 grid
+        d = TestSplitRows.poles_at((5, 2))
+        with pytest.raises(IntegrationError) as serial:
+            _serial(d, 0.3, 5, 7)
+        with _batched(8), pytest.raises(IntegrationError) as batched:
+            grid_eval(d, 0.3, nu=5, nv=7)
+        assert str(batched.value) == str(serial.value)
+
+    def test_threshold_picks_the_path(self):
+        d = data("exp(z)", "z^2")
+        paths = []
+        batched, rows_ = weierstrass._batched_rows, weierstrass._rows
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(weierstrass, "_BATCH_MIN", 30)
+            mp.setattr(weierstrass, "_batched_rows",
+                       lambda *a: paths.append("batched") or batched(*a))
+            mp.setattr(weierstrass, "_rows",
+                       lambda *a: paths.append("scalar") or rows_(*a))
+            for nu, nv in ((6, 5), (15, 2), (7, 4), (9, 3)):
+                grid_eval(d, nu=nu, nv=nv)
+        assert paths == ["batched", "batched", "scalar", "scalar"]
+
+    def test_without_numpy_the_scalar_rows_run(self):
+        d = data("exp(z)", "z^2")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(weierstrass, "_BATCH_MIN", 0)
+            mp.setitem(sys.modules, "numpy", None)
+            rows = grid_eval(d, 0.7, nu=6, nv=5)[2]
+        assert repr(rows) == repr(_serial(d, 0.7, 6, 5))
 
 
 class TestMetric:

@@ -3,11 +3,18 @@
 Usage::
 
     python tools/golden_diff.py REV_A REV_B
+    python tools/golden_diff.py REV_A REV_B --bench WORKLOAD --seeds 1,2
 
 Every case of ``tests/test_golden.py`` runs once against the ``src`` tree
 of each git revision, exported with ``git archive`` into a temporary
 directory.  The case list is the one in this checkout's
-``tests/test_golden.py``, so both revisions run the same commands.  For
+``tests/test_golden.py``, so both revisions run the same commands.  With
+``--bench`` the cases are instead the jobs of a benchmark workload, as
+this checkout's ``bench/workloads.py`` builds them for each seed: each
+job runs in a fresh process, and each seed's jobs run in order in one
+temporary directory per revision, so a job finds the files an earlier
+one wrote (inspect's reconstruct reads analyze's ``forms.csv``).  A
+job's streams are its stdout and every file in its ``outputs``.  For
 each case the script prints
 
 * whether the exit codes and the non-numeric text agree (a case that
@@ -17,8 +24,8 @@ each case the script prints
   field, CSV column or text key it happened in.
 
 The script exits 0 when every case has the same exit code and the same
-stdout and output file, byte for byte, on both revisions, and 1 when any
-case differs in any of them (text or numbers), so "every golden
+stdout and output files, byte for byte, on both revisions, and 1 when
+any case differs in any of them (text or numbers), so "every golden
 unchanged" is the exit status of one command.  It is evidence for a reviewer when a digest
 has to be re-recorded; the sha256 gate in ``tests/test_golden.py`` is
 unchanged by it.  pytest does not collect this file.
@@ -26,6 +33,7 @@ unchanged by it.  pytest does not collect this file.
 
 from __future__ import annotations
 
+import argparse
 import io
 import json
 import math
@@ -64,6 +72,10 @@ with tempfile.TemporaryDirectory() as tmp:
 pathlib.Path(dest).write_text(json.dumps(results))
 """
 
+# one bench job, as bench/job.py runs it: the isomin of the first argument
+_JOB = ("import sys; sys.path.insert(0, sys.argv[1]); "
+        "from isomin.cli import main; sys.exit(main(sys.argv[2:]))")
+
 _NUMBER = re.compile(r"(?<![\w.])(?:[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?"
                      r"|NaN|-?Infinity|nan|-?inf)(?![\w.])")
 _STRING = re.compile(r'"(?:[^"\\]|\\.)*"')
@@ -97,11 +109,11 @@ def _tokens(text: str):
     if paths is not None and len(paths) != len(matches):
         paths = None
 
-    fields, pieces, last = [], [], 0
+    fields, pieces, last, line_no = [], [], 0, 1
     for k, m in enumerate(matches):
         pieces.append(text[last:m.start()] + "#")
+        line_no += text.count("\n", last, m.start())
         last = m.end()
-        line_no = text.count("\n", 0, m.start()) + 1
         line_start = text.rfind("\n", 0, m.start()) + 1
         before = text[line_start:m.start()]
         if paths is not None:
@@ -151,7 +163,7 @@ def compare_case(ra: dict, rb: dict) -> str:
     differs = []
     changed = total = 0
     worst_abs, worst_rel = (0.0, None), (0.0, None)
-    for stream in ("stdout", "file"):
+    for stream in [key for key in ra if key != "rc"]:
         same, n, count, w_abs, w_rel = _compare_stream(
             stream, ra[stream], rb[stream])
         total += count
@@ -175,28 +187,74 @@ def compare_case(ra: dict, rb: dict) -> str:
     return "; ".join(parts)
 
 
-def run_revision(rev: str, workdir: Path) -> dict:
-    """Export rev's src tree into workdir and run every golden case on it."""
+def export(rev: str, workdir: Path) -> Path:
+    """Export rev's src tree into workdir; returns the src directory."""
     workdir.mkdir()
     archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev, "src"],
                              check=True, capture_output=True).stdout
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
         tar.extractall(workdir, filter="data")
+    return workdir / "src"
+
+
+def run_revision(rev: str, workdir: Path) -> dict:
+    """Export rev's src tree into workdir and run every golden case on it."""
+    src = export(rev, workdir)
     dest = workdir / "results.json"
-    subprocess.run([sys.executable, "-c", _RUNNER, str(workdir / "src"),
+    subprocess.run([sys.executable, "-c", _RUNNER, str(src),
                     str(ROOT / "tests"), str(dest)], check=True)
     return json.loads(dest.read_text())
 
 
+def run_bench(rev: str, workdir: Path, jobs: dict[int, list]) -> dict:
+    """Export rev's src tree into workdir and run each seed's bench jobs
+    in order, in one directory per seed; keys are 'seed:job'."""
+    src = export(rev, workdir)
+    results = {}
+    for seed, seed_jobs in jobs.items():
+        cwd = workdir / f"seed{seed}"
+        cwd.mkdir()
+        for job in seed_jobs:
+            proc = subprocess.run([sys.executable, "-c", _JOB, str(src),
+                                   *job["argv"]], cwd=cwd, text=True,
+                                  capture_output=True)
+            res = {"rc": proc.returncode, "stdout": proc.stdout}
+            for name in job["outputs"]:
+                path = cwd / name
+                res[name] = path.read_text() if path.exists() else ""
+            results[f"{seed}:{job['name']}"] = res
+    return results
+
+
+def bench_jobs(workload: str, seeds: list[int]) -> dict[int, list]:
+    """The job lists of this checkout's bench/workloads.py."""
+    sys.path[:0] = [str(ROOT / "bench")]
+    import workloads
+    return {seed: workloads.build(workload, seed) for seed in seeds}
+
+
 def main(argv: list[str]) -> int:
-    if len(argv) != 2:
-        sys.stderr.write(__doc__)
-        return 2
+    parser = argparse.ArgumentParser(
+        prog="golden_diff.py", description=__doc__.split("\n", 1)[0])
+    parser.add_argument("revs", nargs=2, metavar="REV")
+    parser.add_argument("--bench", metavar="WORKLOAD",
+                        help="compare a benchmark workload's jobs instead")
+    parser.add_argument("--seeds", default="1",
+                        help="comma-separated seeds for --bench (default 1)")
+    args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
-        res_a, res_b = (run_revision(rev, Path(tmp) / f"rev{k}")
-                        for k, rev in enumerate(argv))
-    print(f"golden cases, {argv[0]} -> {argv[1]}")
-    for name in sorted(res_a):
+        if args.bench:
+            jobs = bench_jobs(args.bench,
+                              [int(s) for s in args.seeds.split(",")])
+            res_a, res_b = (run_bench(rev, Path(tmp) / f"rev{k}", jobs)
+                            for k, rev in enumerate(args.revs))
+            print(f"bench {args.bench} seeds {args.seeds}, "
+                  f"{args.revs[0]} -> {args.revs[1]}")
+        else:
+            res_a, res_b = (run_revision(rev, Path(tmp) / f"rev{k}")
+                            for k, rev in enumerate(args.revs))
+            print(f"golden cases, {args.revs[0]} -> {args.revs[1]}")
+    for name in (res_a if args.bench else sorted(res_a)):
         print(f"{name}: {compare_case(res_a[name], res_b[name])}")
     return int(res_a != res_b)
 

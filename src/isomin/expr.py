@@ -16,7 +16,7 @@ grammar doubles as a real two-variable language for graph surfaces; pass
 
 Evaluation never lets non-finite values escape silently: log(0),
 division by zero and overflow all raise :class:`EvalError`, and give
-nan in the numpy arrays of :func:`compile_array`.
+nan in the array frame of ``isomin._batch``.
 """
 
 from __future__ import annotations
@@ -274,7 +274,7 @@ def _small_int(node: Expr) -> int | None:
 
 # how _emit writes each operator, "^" with a small integer exponent n:
 # inline in the scalar frame; in the array frame a product, quotient or
-# power is a call into its namespace (see _array_namespace)
+# power is a call into its namespace (see isomin._batch)
 _SCALAR_OPS = {**{op: f"({{l}} {op} {{r}})" for op in "+-*/"},
                "^": "(({l}) ** {n})"}
 _ARRAY_OPS = {**_SCALAR_OPS, "*": "_mul({l}, {r})", "/": "_div({l}, {r})",
@@ -459,113 +459,6 @@ def compile_expr(ast: Expr, variables: tuple[str, ...] = ("z",)
 def compile_real(ast: Expr) -> Callable[[float, float], float]:
     """Compile a real tree in u and v; rejects non-real values at runtime."""
     return _compiled(ast, ("u", "v"), True, repr(ast))
-
-
-def _array_namespace(np) -> dict:
-    """Names of the array frame.  Products, quotients and small whole
-    powers take python's complex arithmetic, one rounding per operation,
-    where numpy's complex loops may fuse a multiply and an add or
-    multiply by a reciprocal.  A call, quotient or power gives nan wherever an
-    argument or the value is not finite, so that every point where the
-    scalar frame raises is non-finite here (1/exp(800) is 0 in numpy, an
-    overflow in cmath)."""
-    isfinite, where, real, imag = np.isfinite, np.where, np.real, np.imag
-
-    def mul(a, b):
-        if not (np.iscomplexobj(a) and np.iscomplexobj(b)):
-            return a * b  # a real factor rounds alike either way
-        ar, ai, br, bi = real(a), imag(a), real(b), imag(b)
-        out = np.empty(np.broadcast_shapes(np.shape(a), np.shape(b)),
-                       dtype=complex)
-        re, im = out.real, out.imag
-        np.multiply(ar, br, out=re)
-        re -= ai * bi
-        np.multiply(ar, bi, out=im)
-        im += ai * br
-        return out
-
-    def quot(a, b):
-        # Smith's method, as python divides complex numbers; a zero
-        # divisor gives nan through 0/0
-        if not (np.iscomplexobj(a) or np.iscomplexobj(b)):
-            return np.divide(a, b)
-        a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
-        ar, ai, br, bi = a.real, a.imag, b.real, b.imag
-        wide = abs(br) >= abs(bi)
-        ratio = where(wide, bi / br, br / bi)
-        denom = where(wide, br + bi * ratio, br * ratio + bi)
-        out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
-        out.real = where(wide, ar + ai * ratio, ar * ratio + ai) / denom
-        out.imag = where(wide, ai - ar * ratio, ai * ratio - ar) / denom
-        return out
-
-    def checked(fn):
-        def call(*args):
-            value = fn(*args)
-            ok = isfinite(value)
-            for a in args:
-                ok &= isfinite(a)
-            return value if ok.all() else where(ok, value, np.nan)
-        return call
-
-    exp, log, power = checked(np.exp), checked(np.log), checked(np.power)
-
-    def ipow(a, n):
-        # python's a ** n for |n| <= 100: squarings, and one over the
-        # positive power for n < 0
-        r, m = 1 + 0j, abs(n)
-        while m:
-            if m & 1:
-                r = mul(r, a)
-            m >>= 1
-            if m:
-                a = mul(a, a)
-        return quot(1.0, r) if n < 0 else r
-
-    def pow_(a, b):
-        # _pow_value elementwise: a whole exponent up to 100 multiplies,
-        # a larger one takes python's polar formula, left to the scalar
-        # frame as nan, and any other the principal branch, which is nan
-        # at a = 0 through log
-        n = real(b)
-        whole = (imag(b) == 0) & (n == np.trunc(n))
-        small = where(n < 0, quot(1.0, power(a, -n)), power(a, n))
-        return where(whole, where(abs(n) <= 100, small, np.nan),
-                     exp(mul(b, log(a))))
-
-    def result(value, z):
-        return np.broadcast_to(np.asarray(value, dtype=complex), np.shape(z))
-
-    return {"__builtins__": {}, "inf": math.inf, "_mul": mul,
-            "_div": checked(quot), "_ipow": checked(ipow), "_pow": pow_,
-            "_result": result,
-            **{"_" + name: checked(getattr(np, name)) for name in FUNCTIONS}}
-
-
-@lru_cache(maxsize=64)
-def _compiled_array(ast: Expr, key: str) -> Callable:
-    import numpy as np
-    consts: list[complex] = []
-    body = _emit(ast, {"z": "_x0"}, consts, _ARRAY_OPS)
-    ns = _array_namespace(np)
-    ns.update((f"_k{k}", c) for k, c in enumerate(consts))
-    exec(f"def _f(_x0):\n    return _result({body}, _x0)\n", ns)  # noqa: S102
-    return ns["_f"]
-
-
-def compile_array(ast: Expr) -> Callable:
-    """Compile a tree in z to a function of a numpy array of points.
-
-    The code is _emit's, as in compile_expr, with numpy's ufuncs in
-    place of cmath's functions and python's rounding of complex
-    products, quotients and small whole powers, so only numpy's
-    elementary functions and its powers to any other exponent can round
-    differently.  The value is a complex array of
-    the argument's shape, nan wherever a call, a quotient or a power met
-    a non-finite value, and non-finite wherever the scalar function
-    raises.  Imports numpy.
-    """
-    return _compiled_array(ast, repr(ast))
 
 
 # differentiation ----------------------------------------------------------

@@ -21,10 +21,10 @@ import threading
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
-from .expr import Expr, compile_array, compile_expr, differentiate
+from .expr import Expr, compile_expr, differentiate
 from .geometry import (DegenerateMetricError, FundamentalForms, Rect,
                        SurfacePatch, Vec021, default_step, _axis, _stencil)
-from .quadrature import _LEVEL0, _RULE, _converged, integrate_segment
+from .quadrature import integrate_segment
 
 
 class CompiledData(NamedTuple):
@@ -225,85 +225,6 @@ def _split_rows(data: WeierstrassData, rot: complex, us: list[float],
 # vertices from which numpy's import pays: batched and scalar rows break
 # even near 3,400 on two CPUs, and 4,608 is the golden forked grid
 _BATCH_MIN = 5000
-_BATCH_SEGMENTS = 2048  # row segments per numpy block
-
-
-def _level0(np, fns, w0, dw, tol: float):
-    """(integrals, accepted) of each of fns on the segments w0 -> w0 + dw
-    at level 0 of adaptive_quad, elementwise; None where some value is
-    not finite.  The nodes are _panel's, and each panel sums its 16
-    weighted values one at a time in _RULE order, so a value differs
-    from integrate_segment's only where numpy's elementary functions
-    round differently from cmath's.  A segment counts as accepted only
-    within half of each of the scalar rule's bounds, so that the scalar
-    rule accepts it too."""
-    ts = np.array([t for _, nodes in _LEVEL0 for t in nodes])
-    z = w0 + ts[:, None, None] * dw
-    out = []
-    for fn in fns:
-        values = fn(z)
-        if not np.isfinite(values).all():
-            return None
-        panels = []
-        for p, (half, _) in enumerate(_LEVEL0):
-            acc = 0j
-            for k, (_, weight) in enumerate(_RULE):
-                acc = acc + weight * values[16 * p + k]
-            panels.append(half * acc)
-        whole, left, right = panels
-        value = left + right
-        out.append((dw * value, _converged(abs(value - whole), value, tol,
-                                           0.5)))
-    return out
-
-
-def _batched_rows(np, data: WeierstrassData, rot: complex, us: list[float],
-                  vs: list[float], quad_tol: float) -> list[list[tuple]]:
-    """_rows, with level 0 of every row segment computed by numpy for
-    blocks of rows.  Row starts and every segment that level 0 does not
-    accept go to integrate_segment in the serial loop's order, and a
-    block with a non-finite value reruns through _rows, so the error
-    raised is the serial loop's."""
-    f_fn, g_fn = data.compiled[:2]
-    fns = (compile_array(data.F), compile_array(data.G))
-    per_block = max(1, _BATCH_SEGMENTS // (len(us) - 1))
-    rows: list[list[tuple]] = []
-    with np.errstate(all="ignore"):
-        for j in range(0, len(vs), per_block):
-            block = vs[j:j + per_block]
-            w = np.empty((len(block), len(us)), dtype=complex)
-            w.real = us
-            w.imag = np.array(block)[:, None]
-            level = _level0(np, fns, w[:, :-1], w[:, 1:] - w[:, :-1],
-                            quad_tol)
-            if level is None:
-                rows += _rows(data, rot, us, block, quad_tol)
-                continue
-            (seg_f, ok_f), (seg_g, ok_g) = level
-            start_f = np.empty(len(block), dtype=complex)
-            start_g = np.empty(len(block), dtype=complex)
-            for r, v in enumerate(block):
-                start = complex(us[0], v)
-                start_f[r] = integrate_segment(f_fn, data.base, start,
-                                               quad_tol)
-                start_g[r] = integrate_segment(g_fn, data.base, start,
-                                               quad_tol)
-                for i in np.flatnonzero(~(ok_f[r] & ok_g[r])).tolist():
-                    a, b = complex(us[i], v), complex(us[i + 1], v)
-                    if not ok_f[r, i]:
-                        seg_f[r, i] = integrate_segment(f_fn, a, b, quad_tol)
-                    if not ok_g[r, i]:
-                        seg_g[r, i] = integrate_segment(g_fn, a, b, quad_tol)
-            int_f = np.cumsum(np.column_stack((start_f, seg_f)), axis=1)
-            int_g = np.cumsum(np.column_stack((start_g, seg_g)), axis=1)
-            # rot * int as python multiplies complex numbers, one rounding
-            # per product and sum, where numpy's complex loop may fuse them
-            x = rot.real * int_f.real - rot.imag * int_f.imag
-            y = rot.real * int_f.imag + rot.imag * int_f.real
-            z = rot.real * int_g.real - rot.imag * int_g.imag
-            rows += (list(zip(*xyz)) for xyz in zip(
-                x.tolist(), y.tolist(), z.tolist()))
-    return rows
 
 
 def grid_eval(data: WeierstrassData, theta: float = 0.0,
@@ -313,7 +234,7 @@ def grid_eval(data: WeierstrassData, theta: float = 0.0,
     Returns (us, vs, rows) with rows[j][i] = (x, y, z) at (us[i], vs[j]).
     Each row is its own path integral from the base point (see _rows).
     On grids of at least _BATCH_MIN vertices, where numpy imports,
-    numpy computes level 0 of the row segments (see _batched_rows);
+    numpy computes level 0 of the row segments (see _batch);
     its rounding may move a vertex in its 13th significant digit, and
     the error raised is the serial loop's.  Otherwise, on
     grids of at least 2 * _SPLIT_MIN vertices the rows are cut into
@@ -327,11 +248,12 @@ def grid_eval(data: WeierstrassData, theta: float = 0.0,
     vs = _axis(dom.v0, dom.v1, nv)
     if nu * nv >= _BATCH_MIN:
         try:
-            import numpy
+            import numpy  # noqa: F401
         except ImportError:
             pass
         else:
-            return us, vs, _batched_rows(numpy, data, rot, us, vs, quad_tol)
+            from ._batch import batched_rows
+            return us, vs, batched_rows(data, rot, us, vs, quad_tol)
     n = min(_block_count(nu * nv), nv)
     if n < 2:
         return us, vs, _rows(data, rot, us, vs, quad_tol)

@@ -20,7 +20,6 @@ from isomin.expr import (
     ParseError,
     UnknownIdentifierError,
     Var,
-    compile_array,
     compile_expr,
     compile_real,
     differentiate,
@@ -31,6 +30,7 @@ from isomin.expr import (
     to_source,
 )
 from isomin.expr import _NAMESPACE, _REAL_TAIL, _emit
+from isomin._batch import compile_array
 
 
 def ev(src, w):

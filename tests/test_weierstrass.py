@@ -20,6 +20,7 @@ import time
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+import isomin._batch as _batch
 import isomin.weierstrass as weierstrass
 from isomin.expr import BinOp, Call, EvalError, Lit, Var, compile_expr, \
     differentiate, parse_expr
@@ -341,7 +342,7 @@ BATCHED = st.one_of(POLY, EXP, TRIG,
 
 
 @contextlib.contextmanager
-def _batched(segments: int = weierstrass._BATCH_SEGMENTS):
+def _batched(segments: int = _batch._BATCH_SEGMENTS):
     """grid_eval batches every grid, in blocks of about this many row
     segments, and never forks."""
     def no_fork():
@@ -349,7 +350,7 @@ def _batched(segments: int = weierstrass._BATCH_SEGMENTS):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(weierstrass, "_BATCH_MIN", 0)
-        mp.setattr(weierstrass, "_BATCH_SEGMENTS", segments)
+        mp.setattr(_batch, "_BATCH_SEGMENTS", segments)
         mp.setattr(os, "fork", no_fork)
         yield
 
@@ -439,10 +440,10 @@ class TestBatchedRows:
     def test_threshold_picks_the_path(self):
         d = data("exp(z)", "z^2")
         paths = []
-        batched, rows_ = weierstrass._batched_rows, weierstrass._rows
+        batched, rows_ = _batch.batched_rows, weierstrass._rows
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(weierstrass, "_BATCH_MIN", 30)
-            mp.setattr(weierstrass, "_batched_rows",
+            mp.setattr(_batch, "batched_rows",
                        lambda *a: paths.append("batched") or batched(*a))
             mp.setattr(weierstrass, "_rows",
                        lambda *a: paths.append("scalar") or rows_(*a))

@@ -183,10 +183,8 @@ def batched_rows(data, rot: complex, us: list[float], vs: list[float],
             start_g = np.empty(len(block), dtype=complex)
             for r, v in enumerate(block):
                 start = complex(us[0], v)
-                start_f[r] = segment(f_fn, data.base, start,
-                                               quad_tol)
-                start_g[r] = segment(g_fn, data.base, start,
-                                               quad_tol)
+                start_f[r] = segment(f_fn, data.base, start, quad_tol)
+                start_g[r] = segment(g_fn, data.base, start, quad_tol)
                 for i in np.flatnonzero(~(ok_f[r] & ok_g[r])).tolist():
                     a, b = complex(us[i], v), complex(us[i + 1], v)
                     if not ok_f[r, i]:

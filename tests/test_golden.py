@@ -28,6 +28,17 @@ CASES = {
     "gen-split-obj": (["gen", "--F", "exp(z)", "--G", "z^2", "--theta", "0.7",
                        "--base", "0.1,-0.2", "--grid", "72,64",
                        "--format", "obj"], True),
+    # 80 x 64 = 5,120 vertices, at least weierstrass._BATCH_MIN: the
+    # large-grid path of grid_eval, recorded from numpy's batched rows
+    "gen-large-obj": (["gen", "--F", "exp(z)", "--G", "z^2", "--theta", "0.7",
+                       "--base", "0.1,-0.2", "--grid", "80,64",
+                       "--format", "obj"], True),
+    # the same grid with an F that expr.primitive does not integrate
+    # (exp of a non-affine argument), so it stays on the batched rows
+    "gen-large-nonelementary-obj": (["gen", "--F", "exp(z^2)", "--G", "z",
+                                     "--theta", "0.7", "--base", "0.1,-0.2",
+                                     "--grid", "80,64", "--format", "obj"],
+                                    True),
     # re-recorded when expression graphs got exact jets in place of the
     # 17-point stencil: g11/g22 moved by <= 3e-13, h, H and K by
     # <= 3.2e-7, max_abs_mean_curvature 4.2e-8 -> 0, codazzi_residual_max
@@ -102,6 +113,10 @@ GOLDEN = {
         "28bd8d5f73040dc720b0d1723a0a4d04f1a36a281d71fc93298972484595494c",
     "gen-split-obj":
         "07bfe2600fc10ce20ba5106babce579692ca3f975b9485045078d29e62e3b2ee",
+    "gen-large-obj":
+        "92147400b7a2f030d9a258c7a9fe6c8f9d5ece45a9100f8196e026a780545021",
+    "gen-large-nonelementary-obj":
+        "1c46ca42dcd35d6c6c002716d2f357fc0dbf1de0610dc99554a724a69514cf30",
     "analyze-graph-csv":
         "a12a6af005a0851d799d60d9461514c78482e40352fabbd35e94a7408aaafb55",
     "analyze-weierstrass-zero-json":

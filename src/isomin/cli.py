@@ -135,21 +135,35 @@ def _emit(cfg: argparse.Namespace, text: str) -> None:
 
 
 def _obj_mesh(verts: list[tuple[float, float, float]], nu: int, nv: int) -> str:
-    lines = [f"v {_fmt(x)} {_fmt(y)} {_fmt(z)}" for x, y, z in verts]
-
-    def idx(i: int, j: int) -> int:
-        return j * nu + i + 1
-
-    for j in range(nv - 1):
-        for i in range(nu - 1):
-            a, b, c, d = idx(i, j), idx(i + 1, j), idx(i + 1, j + 1), idx(i, j + 1)
-            lines.append(f"f {a} {b} {c}")
-            lines.append(f"f {a} {c} {d}")
-    return "\n".join(lines) + "\n"
+    # one %-format per line type over the flat values; %.12e is _fmt
+    flat = [c for p in verts for c in p]
+    # vertex j * nu + i is number a = j * nu + i + 1; each cell is the
+    # triangles (a, a+1, a+nu+1) and (a, a+nu+1, a+nu)
+    faces = [k for j in range(nv - 1) for a in range(j * nu + 1, j * nu + nu)
+             for k in (a, a + 1, a + nu + 1, a, a + nu + 1, a + nu)]
+    return ("v %.12e %.12e %.12e\n" * len(verts) % tuple(flat)
+            + "f %d %d %d\nf %d %d %d\n" * (len(faces) // 6) % tuple(faces))
 
 
 def _json_text(payload: dict) -> str:
     return json.dumps(payload, indent=2) + "\n"
+
+
+def _gen_json(head: dict, verts: list[tuple[float, float, float]]) -> str:
+    """_json_text of head with the key "vertices" added last, holding the
+    vertices rounded by _jround; json.dumps writes only the head."""
+    flat = [c for p in verts for c in p]
+    rounded = list(map(float, ("%.12e " * len(flat) % tuple(flat)).split()))
+    body = (",\n    [\n      %r,\n      %r,\n      %r\n    ]" * len(verts)
+            % tuple(rounded))
+    if "n" in body:
+        # an infinity (an integral past the float limit, as for F = 1e307
+        # on a 200-wide domain) or a nan, which json spells differently
+        return _json_text({**head, "vertices": [
+            rounded[k:k + 3] for k in range(0, len(rounded), 3)]})
+    # json.dumps(head, indent=2) ends with "\n}"
+    return (json.dumps(head, indent=2)[:-2] + ',\n  "vertices": ['
+            + body[1:] + "\n  ]\n}\n")
 
 
 def cmd_gen(cfg: argparse.Namespace) -> int:
@@ -165,19 +179,18 @@ def cmd_gen(cfg: argparse.Namespace) -> int:
     if fmt == "obj":
         _emit(cfg, _obj_mesh(verts, nu, nv))
     elif fmt == "csv":
-        lines = ["u,v,x,y,z"] + [",".join(map(_fmt, (u, v, *p))) for v, row
-                                 in zip(vs, rows) for u, p in zip(us, row)]
-        _emit(cfg, "\n".join(lines) + "\n")
+        flat = [c for v, row in zip(vs, rows) for u, p in zip(us, row)
+                for c in (u, v, *p)]
+        _emit(cfg, "u,v,x,y,z\n" + "%.12e,%.12e,%.12e,%.12e,%.12e\n"
+              * len(verts) % tuple(flat))
     else:
-        payload = {
+        _emit(cfg, _gen_json({
             "schema": 1,
             "command": "gen",
             "grid": [nu, nv],
             "domain": [cfg.domain.u0, cfg.domain.u1, cfg.domain.v0, cfg.domain.v1],
             "theta": _jround(cfg.theta),
-            "vertices": [[_jround(x), _jround(y), _jround(z)] for x, y, z in verts],
-        }
-        _emit(cfg, _json_text(payload))
+        }, verts))
     return EXIT_OK
 
 

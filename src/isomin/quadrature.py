@@ -6,13 +6,18 @@ misbehaves, and a depth limit converts genuine non-convergence into an
 error instead of a silent bad value.  A level is accepted when its two
 halves agree with the whole to the absolute tolerance, or to 50 machine
 epsilons of their value (QUADPACK's round-off stop), since no bisection
-can resolve a residual below the rounding of the value itself.
+can resolve a residual below the rounding of the value itself.  A level
+whose halves sum to a non-finite value, from finite integrand values,
+is an overflow, refused as an EvalError without bisecting.
 """
 
 from __future__ import annotations
 
+import cmath
 import sys
 from typing import Callable
+
+from .expr import EvalError
 
 # (node, weight) pairs of the 16-point rule on [-1, 1]: the reprs of
 # numpy.polynomial.legendre.leggauss(16), written out so that importing
@@ -43,6 +48,11 @@ _ROUNDOFF = 50 * sys.float_info.epsilon  # QUADPACK's 50*epmach
 
 class IntegrationError(Exception):
     """Quadrature failed to converge within the subdivision budget."""
+
+
+class _SumOverflow(EvalError):
+    """A level's panel sum is not finite; integrate_segment names the
+    segment ahead of the message."""
 
 
 def _converged(err, value, tol, margin=1.0):
@@ -79,6 +89,8 @@ def _refine(f, a: float, b: float, whole: complex, tol: float,
     left = _panel(f, a, mid, origin, step)
     right = _panel(f, mid, b, origin, step)
     value = left + right
+    if not cmath.isfinite(value):
+        raise _SumOverflow(f"overflow: panel sum is not finite on [{a}, {b}]")
     err = abs(value - whole)
     if _converged(err, value, tol):
         return value
@@ -113,15 +125,16 @@ def integrate_segment(f: Callable[[complex], complex], w0: complex,
                       w1: complex, tol: float = 1e-10) -> complex:
     """Line integral of f along the straight segment from w0 to w1.
 
-    An IntegrationError names the segment's end points in the (u, v)
-    plane ahead of the sub-interval of [0, 1] that failed.
+    An IntegrationError, or the EvalError of a panel sum that is not
+    finite, names the segment's end points in the (u, v) plane ahead of
+    the sub-interval of [0, 1] that failed.
     """
     dw = w1 - w0
     if dw == 0:
         return 0j
     try:
         return dw * adaptive_quad(f, 0.0, 1.0, tol, w0, dw)
-    except IntegrationError as err:
-        raise IntegrationError(
+    except (IntegrationError, _SumOverflow) as err:
+        raise type(err)(
             f"segment ({w0.real!r}, {w0.imag!r}) -> ({w1.real!r}, "
             f"{w1.imag!r}): {err}") from None

@@ -27,7 +27,7 @@ from typing import Callable, NamedTuple, Sequence
 from .expr import (EvalError, Expr, compile_real, differentiate,
                    parse_real_expr, primitive)
 from .geometry import Rect, SurfacePatch, _axis, graph_patch
-from .quadrature import IntegrationError, adaptive_quad
+from .quadrature import IntegrationError, _SumOverflow, adaptive_quad
 
 
 class CodazziViolationError(Exception):
@@ -389,8 +389,8 @@ def _quadrature_height(exprs: tuple[Expr, Expr, Expr],
             bend_u = adaptive_quad(lambda s: (u - s) * h11f(s, v0), u0, u)
             shear = adaptive_quad(lambda s: h12f(s, v0), u0, u)
             bend_v = adaptive_quad(lambda t: (v - t) * h22f(u, t), v0, v)
-        except IntegrationError as err:
-            raise IntegrationError(
+        except (IntegrationError, _SumOverflow) as err:
+            raise type(err)(
                 f"height at ({u!r}, {v!r}) from base ({u0!r}, {v0!r}): "
                 f"{err}") from None
         return (float(bend_u.real) + (v - v0) * float(shear.real)

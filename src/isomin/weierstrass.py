@@ -17,11 +17,12 @@ from __future__ import annotations
 import cmath
 import math
 import os
+import sys
 import threading
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
-from .expr import Expr, compile_expr, differentiate
+from .expr import EvalError, Expr, compile_expr, differentiate, primitive
 from .geometry import (DegenerateMetricError, FundamentalForms, Rect,
                        SurfacePatch, Vec021, default_step, _axis, _stencil)
 from .quadrature import integrate_segment
@@ -226,6 +227,45 @@ def _split_rows(data: WeierstrassData, rot: complex, us: list[float],
 # even near 3,400 on two CPUs, and 4,608 is the golden forked grid
 _BATCH_MIN = 5000
 
+# bound on the closed form's rounding, in machine epsilons of max(1, M),
+# M the largest |P| it evaluates: against 40-digit references the worst
+# vertex of 3,000 drawn pairs was at 10 of them (see the cancellation
+# test in tests/test_weierstrass.py)
+_KAPPA = 64.0
+
+
+def _closed_rows(data: WeierstrassData, rot: complex, us: list[float],
+                 vs: list[float], quad_tol: float) -> list[list[tuple]] | None:
+    """The rows of _rows as rot * (P(w) - P(base)), P the primitives of F
+    and G from expr.primitive; None where either has none, where P fails
+    to evaluate or is not finite at the base or a vertex, or where its
+    rounding, _KAPPA epsilons of max(1, M), could exceed quad_tol."""
+    trees = primitive(data.F), primitive(data.G)
+    if trees[0] is None or trees[1] is None:
+        return None
+    pf, pg = compile_expr(trees[0]), compile_expr(trees[1])
+    try:
+        f0, g0 = pf(data.base), pg(data.base)
+        values = [[(pf(w), pg(w)) for w in [complex(u, v) for u in us]]
+                  for v in vs]
+        top = max(abs(f0), abs(g0), 1.0,
+                  *(max(abs(a), abs(b)) for row in values for a, b in row))
+    except (EvalError, OverflowError):
+        # abs overflows where |P| passes the float limit, and fails the
+        # guard below there anyway
+        return None
+    if _KAPPA * sys.float_info.epsilon * top > quad_tol:
+        return None
+    rows = []
+    for row in values:
+        out = []
+        for a, b in row:
+            zf = rot * (a - f0)
+            zg = rot * (b - g0)
+            out.append((zf.real, zf.imag, zg.real))
+        rows.append(out)
+    return rows
+
 
 def grid_eval(data: WeierstrassData, theta: float = 0.0,
               nu: int = 64, nv: int = 64, quad_tol: float = 1e-10):
@@ -233,10 +273,12 @@ def grid_eval(data: WeierstrassData, theta: float = 0.0,
 
     Returns (us, vs, rows) with rows[j][i] = (x, y, z) at (us[i], vs[j]).
     Each row is its own path integral from the base point (see _rows).
-    On grids of at least _BATCH_MIN vertices, where numpy imports,
-    numpy computes level 0 of the row segments (see _batch);
-    its rounding may move a vertex in its 13th significant digit, and
-    the error raised is the serial loop's.  Otherwise, on
+    On grids of at least _BATCH_MIN vertices, where F and G both have a
+    primitive whose rounding fits quad_tol, the vertices are that closed
+    form (see _closed_rows), serially and without numpy.  Else, there,
+    where numpy imports, numpy computes level 0 of the row segments (see
+    _batch).  Either may move a vertex in its 13th significant digit,
+    and the error raised is the serial loop's.  Otherwise, on
     grids of at least 2 * _SPLIT_MIN vertices the rows are cut into
     contiguous blocks that forked processes integrate side by side, one
     per usable CPU.  The split changes neither the arithmetic nor any
@@ -247,6 +289,9 @@ def grid_eval(data: WeierstrassData, theta: float = 0.0,
     us = _axis(dom.u0, dom.u1, nu)
     vs = _axis(dom.v0, dom.v1, nv)
     if nu * nv >= _BATCH_MIN:
+        rows = _closed_rows(data, rot, us, vs, quad_tol)
+        if rows is not None:
+            return us, vs, rows
         try:
             import numpy  # noqa: F401
         except ImportError:

@@ -954,6 +954,10 @@ def _numpy_imports(args, run=("-m", "isomin.cli")):
                              if m == "numpy" or m.startswith("numpy.")]
 
 
+_MAIN = "import sys; from isomin.cli import main; sys.exit(main(sys.argv[1:]))"
+_NO_NUMPY = "import sys; sys.modules['numpy'] = None; "
+
+
 def _batch_grid(vertices: int) -> str:
     """--grid value of a two-row grid with vertices vertices (even)."""
     assert vertices % 2 == 0
@@ -962,8 +966,8 @@ def _batch_grid(vertices: int) -> str:
 
 class TestStartup:
     """Importing the CLI loads no numpy, and no command does, except gen
-    on a grid of at least weierstrass._BATCH_MIN vertices, which loads it
-    where it is installed."""
+    on a grid of at least weierstrass._BATCH_MIN vertices whose F or G
+    has no primitive, which loads it where it is installed."""
 
     def test_importing_the_cli_loads_no_numpy(self):
         proc = _python("-c", "import sys, isomin.cli; "
@@ -1019,11 +1023,19 @@ class TestStartup:
         assert numpy_modules == []
 
     def test_gen_at_the_batch_threshold_loads_numpy(self):
+        # exp(z^2) has no primitive, so the batched rows run
+        rc, numpy_modules = _numpy_imports(
+            ["gen", "--F", "exp(z^2)", "--G", "1",
+             "--grid", _batch_grid(weierstrass._BATCH_MIN)])
+        assert rc == 0
+        assert "numpy" in numpy_modules
+
+    def test_gen_with_primitives_at_the_threshold_loads_no_numpy(self):
         rc, numpy_modules = _numpy_imports(
             ["gen", "--F", "z", "--G", "1",
              "--grid", _batch_grid(weierstrass._BATCH_MIN)])
         assert rc == 0
-        assert "numpy" in numpy_modules
+        assert numpy_modules == []
 
 
 class TestBatchedGen:
@@ -1047,14 +1059,79 @@ class TestBatchedGen:
         assert scalar[2].startswith(f"isomin gen: {message}")
 
     def test_without_numpy_gen_prints_the_scalar_rows(self):
-        argv = ["gen", "--F", "exp(z)", "--G", "z^2", "--theta", "0.7",
+        # exp(z^2) has no primitive, so neither run takes the closed form
+        argv = ["gen", "--F", "exp(z^2)", "--G", "z^2", "--theta", "0.7",
                 "--grid", self.GRID]
-        main_ = "from isomin.cli import main; sys.exit(main(sys.argv[1:]))"
-        blocked = _python("-c", "import sys; sys.modules['numpy'] = None; "
-                          + main_, *argv)
+        blocked = _python("-c", _NO_NUMPY + _MAIN, *argv)
         scalar = _python("-c", "import sys, isomin.weierstrass as w; "
-                         f"w._BATCH_MIN = {self.SIDE ** 2 + 1}; " + main_,
+                         f"w._BATCH_MIN = {self.SIDE ** 2 + 1}; " + _MAIN,
                          *argv)
         assert blocked.returncode == scalar.returncode == 0, blocked.stderr
         assert blocked.stdout == scalar.stdout
         assert blocked.stdout.count("\nv ") + 1 == self.SIDE ** 2
+
+    @pytest.mark.parametrize("f_src, tol, code", [
+        ("exp(800*z)", None, 2),
+        ("exp(z)", "1e-14", 0),
+    ], ids=["overflow", "tight-tol"])
+    def test_closed_form_falls_back_to_the_quadrature(
+            self, capsys, monkeypatch, f_src, tol, code):
+        argv = ["gen", "--F", f_src, "--G", "z^2", "--grid", self.GRID]
+        if tol:
+            argv += ["--tol", tol]
+        got = run(capsys, argv)
+        # with no primitive found, grid_eval takes its quadrature path
+        monkeypatch.setattr(weierstrass, "primitive", lambda tree: None)
+        assert got == run(capsys, argv)
+        assert got[0] == code
+        if code:
+            assert got[2].startswith(
+                "isomin gen: evaluation failed: overflow at z=")
+
+    def test_closed_form_prints_the_same_bytes_without_numpy(self):
+        argv = ["gen", "--F", "exp(z)", "--G", "z^2", "--theta", "0.7",
+                "--grid", self.GRID, "--format", "csv"]
+        blocked = _python("-c", _NO_NUMPY + _MAIN, *argv)
+        plain = _python("-c", _MAIN, *argv)
+        assert blocked.returncode == plain.returncode == 0, blocked.stderr
+        assert blocked.stdout == plain.stdout
+        assert blocked.stdout.count("\n") == self.SIDE ** 2 + 1
+
+
+def test_panel_sum_overflow_exits_2(capsys):
+    # each integrand value is finite, but the 16-term sums near u = 0.887
+    # overflow; refused at once as an overflow, not bisected 30 levels
+    rc, out, err = run(capsys, ["gen", "--F", "exp(800*z)", "--G", "1",
+                                "--grid", "3502,2"])
+    assert (rc, out) == (2, "")
+    assert err == (
+        "isomin gen: evaluation failed: segment (0.8863181948014853, -1.0) "
+        "-> (0.8868894601542416, -1.0): overflow: panel sum is not finite "
+        "on [0.0, 1.0]\n")
+
+
+_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -1.7976931348623157e308, 1e16,
+                     9.9999999999995e-5, math.inf, -math.inf, math.nan]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(verts=st.lists(st.tuples(_FLOATS, _FLOATS, _FLOATS), min_size=4,
+                      max_size=12),
+       nu=st.integers(2, 4))
+def test_bulk_writers_print_the_per_value_bytes(verts, nu):
+    nv = len(verts) // nu
+    verts = verts[:nu * nv]
+    if nv < 2:
+        return
+    lines = [f"v {cli._fmt(x)} {cli._fmt(y)} {cli._fmt(z)}" for x, y, z in verts]
+    for j in range(nv - 1):
+        for i in range(nu - 1):
+            a, b = j * nu + i + 1, j * nu + i + 2
+            c, d = b + nu, a + nu
+            lines += [f"f {a} {b} {c}", f"f {a} {c} {d}"]
+    assert cli._obj_mesh(verts, nu, nv) == "\n".join(lines) + "\n"
+    head = {"schema": 1, "command": "gen", "theta": 0.5}
+    assert cli._gen_json(head, verts) == cli._json_text(
+        {**head, "vertices": [[cli._jround(x) for x in p] for p in verts]})

@@ -29,7 +29,13 @@ CASES = {
                        "--base", "0.1,-0.2", "--grid", "72,64",
                        "--format", "obj"], True),
     # 80 x 64 = 5,120 vertices, at least weierstrass._BATCH_MIN: the
-    # large-grid path of grid_eval, recorded from numpy's batched rows
+    # large-grid path of grid_eval.  Recorded from numpy's batched rows,
+    # re-recorded when F and G with a primitive took the closed form
+    # rot * (P(w) - P(base)) there: 210 of 45,222 numeric tokens moved,
+    # by <= 1.0e-12 absolute and 6.7e-12 relative (a z of order 1e-5);
+    # against 40-digit mpmath every closed-form token is within 1.4 units
+    # of its 13th significant digit, the batched rows' within 16
+    # (tools/golden_diff.py)
     "gen-large-obj": (["gen", "--F", "exp(z)", "--G", "z^2", "--theta", "0.7",
                        "--base", "0.1,-0.2", "--grid", "80,64",
                        "--format", "obj"], True),
@@ -114,7 +120,7 @@ GOLDEN = {
     "gen-split-obj":
         "07bfe2600fc10ce20ba5106babce579692ca3f975b9485045078d29e62e3b2ee",
     "gen-large-obj":
-        "92147400b7a2f030d9a258c7a9fe6c8f9d5ece45a9100f8196e026a780545021",
+        "a75501c765996f82f89edc0f49cad2a6ff1be3d88cb536cd4e7537961fd93d2a",
     "gen-large-nonelementary-obj":
         "1c46ca42dcd35d6c6c002716d2f357fc0dbf1de0610dc99554a724a69514cf30",
     "analyze-graph-csv":

@@ -186,31 +186,26 @@ def test_segment_matches_the_lambda_formulation(data, w0, w1, tol):
     assert _outcome(integrate_segment, f, w0, w1, tol) == want
 
 
-@settings(max_examples=120, deadline=None)
-@given(data=st.data(), w0=_ENDS, w1=_ENDS, tol=_TOLS)
-def test_roundoff_stop_against_the_absolute_only_rule(data, w0, w1, tol):
-    kind = data.draw(st.sampled_from(["smooth", "large", "pole", "on-path"]))
-    if w0 == w1:
-        w1 = w0 + 1
-    s = data.draw(st.floats(0.0, 1.0))
-    if kind in ("pole", "on-path"):
-        gap = data.draw(st.sampled_from([1e-1, 1e-2, 1e-3]))
-        tree = _pole_near(w0, w1, s, gap if kind == "pole" else 0.0)
-    else:
-        tree = data.draw(st.sampled_from(_LARGE if kind == "large"
-                                         else _SMOOTH))
+def _attempt(quad, f, w0, w1, tol):
+    """(value, None), or (None, the error) where quad refuses."""
+    try:
+        return quad(f, w0, w1, tol), None
+    except (IntegrationError, EvalError) as exc:
+        return None, exc
+
+
+def _check_roundoff_stop(kind, tree, w0, w1, s, tol):
     f = compile_expr(tree)
-    try:
-        old = _abs_integrate_segment(f, w0, w1, tol)
-    except IntegrationError:
-        old = None
-    try:
-        new = integrate_segment(f, w0, w1, tol)
-    except IntegrationError:
-        new = None
+    old, old_err = _attempt(_abs_integrate_segment, f, w0, w1, tol)
+    new, new_err = _attempt(integrate_segment, f, w0, w1, tol)
+    if (isinstance(new_err, EvalError) and isinstance(old_err, EvalError)
+            and str(new_err) == str(old_err)):
+        # the integrand itself failed, at the same point under both rules
+        return
     if new is None:
         # the stop accepts every level the copy accepts, so it refuses
-        # only where the copy refuses
+        # only where the copy refuses; a level whose sum is not finite
+        # is refused as an overflow at once, where the copy bisects it
         assert old is None
         # the integral is finite off the path, but a pole 1e-3 away
         # costs digits to cancellation in z - p, and at tol 1e-14 the
@@ -225,6 +220,51 @@ def test_roundoff_stop_against_the_absolute_only_rule(data, w0, w1, tol):
     ref, modulus = _mp_segment(tree, w0, w1, (s,) if kind == "pole" else ())
     bound = _stop_bound(w0, w1, tol, modulus)
     assert abs(new - (ref if old is None else old)) <= bound
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data(), w0=_ENDS, w1=_ENDS, tol=_TOLS)
+def test_roundoff_stop_against_the_absolute_only_rule(data, w0, w1, tol):
+    kind = data.draw(st.sampled_from(["smooth", "large", "pole", "on-path"]))
+    if w0 == w1:
+        w1 = w0 + 1
+    s = data.draw(st.floats(0.0, 1.0))
+    if kind in ("pole", "on-path"):
+        gap = data.draw(st.sampled_from([1e-1, 1e-2, 1e-3]))
+        tree = _pole_near(w0, w1, s, gap if kind == "pole" else 0.0)
+    else:
+        tree = data.draw(st.sampled_from(_LARGE if kind == "large"
+                                         else _SMOOTH))
+    _check_roundoff_stop(kind, tree, w0, w1, s, tol)
+
+
+def test_roundoff_stop_on_a_subnormal_segment_through_a_pole():
+    # a drawn case: across a segment 1.1e-308 long every node is within
+    # 1.1e-308 of the pole, so 1/(z - p) overflows at the first node, and
+    # both rules raise the integrand's EvalError there
+    w0, w1 = 0j, 1.1125369292536007e-308j
+    tree = _pole_near(w0, w1, 0.0, 0.0)
+    with pytest.raises(EvalError, match="overflow: result is not finite "
+                                        "at z=5.8959256186744e-311j"):
+        integrate_segment(compile_expr(tree), w0, w1, 1e-6)
+    _check_roundoff_stop("on-path", tree, w0, w1, 0.0, 1e-6)
+
+
+def test_non_finite_panel_sum_is_refused_after_one_level():
+    # every value is finite, but 16 of them weighted sum past the float
+    # limit: whole panel and two halves, 48 calls, then the refusal
+    calls = []
+
+    def huge(z):
+        calls.append(z)
+        return 1.7e308 + 0j
+
+    with pytest.raises(EvalError) as info:
+        integrate_segment(huge, 0j, 1 + 0j, 1e-10)
+    assert len(calls) == 48
+    assert str(info.value) == ("segment (0.0, 0.0) -> (1.0, 0.0): overflow: "
+                               "panel sum is not finite on [0.0, 1.0]")
+    assert not isinstance(info.value, IntegrationError)
 
 
 def test_pole_forces_several_levels_and_the_same_failure():

@@ -295,6 +295,18 @@ def test_closed_form_heights_equal_quadrature(h11, h12, h22, base, at):
     assert abs(got - want) <= 1e-12 * scale + 4e-10
 
 
+def test_quadrature_height_names_the_height_of_a_sum_overflow():
+    # every value of h12 is finite, but its panel sums on [0, 1] are not
+    zero = parse_real_expr("0")
+    height = rc._quadrature_height(
+        (zero, parse_real_expr("1.7e308"), zero), (0.0, 0.0))
+    with pytest.raises(EvalError) as info:
+        height(1.0, 0.5)
+    assert str(info.value) == (
+        "height at (1.0, 0.5) from base (0.0, 0.0): overflow: panel sum is "
+        "not finite on [0.0, 1.0]")
+
+
 def test_elementary_input_integrates_without_quadrature(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("quadrature called")

@@ -17,13 +17,14 @@ import signal
 import sys
 import time
 
+import mpmath
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import isomin._batch as _batch
 import isomin.weierstrass as weierstrass
 from isomin.expr import BinOp, Call, EvalError, Lit, Var, compile_expr, \
-    differentiate, parse_expr
+    differentiate, parse_expr, primitive
 from isomin.geometry import (DegenerateMetricError, Rect, _axis,
                              default_step, fundamental_forms, mean_curvature,
                              patch_jets)
@@ -372,10 +373,14 @@ class TestBatchedRows:
            segments=st.integers(1, 40))
     def test_batched_rows_match_the_scalar_rows(self, f_src, g_src, theta,
                                                 base, nu, nv, segments):
+        # every drawn pair has a primitive, so grid_eval would take the
+        # closed form: the batched rows are called directly
         d = WeierstrassData(parse_expr(f_src), parse_expr(g_src),
                             base=complex(*base), domain=SQUARE)
+        us, vs = _axis(-1.0, 1.0, nu), _axis(-1.0, 1.0, nv)
         with _batched(segments):
-            us, vs, rows = grid_eval(d, theta, nu=nu, nv=nv)
+            rows = _batch.batched_rows(d, weierstrass._rotor(theta), us, vs,
+                                       1e-10)
         serial = _serial(d, theta, nu, nv)
         assert len(rows) == nv and all(len(row) == nu for row in rows)
         for row, want in zip(rows, serial):
@@ -438,7 +443,8 @@ class TestBatchedRows:
         assert str(batched.value) == str(serial.value)
 
     def test_threshold_picks_the_path(self):
-        d = data("exp(z)", "z^2")
+        # exp(z^2) has no primitive, so the closed form does not apply
+        d = data("exp(z^2)", "z^2")
         paths = []
         batched, rows_ = _batch.batched_rows, weierstrass._rows
         with pytest.MonkeyPatch.context() as mp:
@@ -452,12 +458,151 @@ class TestBatchedRows:
         assert paths == ["batched", "batched", "scalar", "scalar"]
 
     def test_without_numpy_the_scalar_rows_run(self):
-        d = data("exp(z)", "z^2")
+        d = data("exp(z^2)", "z^2")
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(weierstrass, "_BATCH_MIN", 0)
             mp.setitem(sys.modules, "numpy", None)
             rows = grid_eval(d, 0.7, nu=6, nv=5)[2]
         assert repr(rows) == repr(_serial(d, 0.7, 6, 5))
+
+
+def _primitive_top(d: WeierstrassData, us, vs) -> float:
+    """max(1, M), M the largest |P| of F's and G's primitives at the base
+    and the vertices: the scale of the closed form's rounding."""
+    pf, pg = (compile_expr(primitive(t)) for t in (d.F, d.G))
+    return max([1.0, abs(pf(d.base)), abs(pg(d.base))]
+               + [abs(p(complex(u, v))) for p in (pf, pg)
+                  for u in us for v in vs])
+
+
+def _lit(c: complex) -> str:
+    return f"({c.real!r}+{c.imag!r}*i)"
+
+
+def _term(kind: str, c: complex, a: complex, n: int):
+    """(source of c * z^n * k(a z), or of c * z^n for kind "poly", and its
+    primitive as a function of an mpmath number, written out here)."""
+    mc, ma = mpmath.mpc(c), mpmath.mpc(a)
+    if kind == "poly":
+        return f"{_lit(c)}*z^{n}", lambda z: mc * z ** (n + 1) / (n + 1)
+    if kind == "exp":
+        # integration by parts, n times
+        return (f"{_lit(c)}*z^{n}*exp({_lit(a)}*z)",
+                lambda z: mc * mpmath.exp(ma * z) * mpmath.fsum(
+                    (-1) ** j * math.perm(n, j) * z ** (n - j) / ma ** (j + 1)
+                    for j in range(n + 1)))
+    k = {"sin": lambda x: -mpmath.cos(x), "cos": mpmath.sin,
+         "sinh": mpmath.cosh, "cosh": mpmath.sinh}[kind]
+    return f"{_lit(c)}*{kind}({_lit(a)}*z)", lambda z: mc * k(ma * z) / ma
+
+
+def _polar(lo: float, hi: float):
+    return st.builds(cmath.rect, st.floats(lo, hi), st.floats(-4.0, 4.0))
+
+
+TERMS = st.lists(st.one_of(
+    st.builds(_term, st.just("poly"), _polar(0.2, 3.0), st.just(0j),
+              st.integers(0, 3)),
+    st.builds(_term, st.just("exp"), _polar(0.2, 3.0), _polar(0.02, 2.0),
+              st.integers(0, 2)),
+    st.builds(_term, st.sampled_from(["sin", "cos", "sinh", "cosh"]),
+              _polar(0.2, 3.0), _polar(0.02, 2.0), st.just(0))),
+    min_size=1, max_size=3)
+
+
+class TestClosedRows:
+    """rot * (P(w) - P(base)) on large grids where F and G both have a
+    primitive."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(f_src=BATCHED, g_src=BATCHED, theta=st.floats(-4, 4),
+           base=st.tuples(st.floats(-1, 1), st.floats(-1, 1)),
+           nu=st.integers(2, 12), nv=st.integers(2, 9))
+    def test_closed_rows_match_the_scalar_rows(self, f_src, g_src, theta,
+                                               base, nu, nv):
+        d = WeierstrassData(parse_expr(f_src), parse_expr(g_src),
+                            base=complex(*base), domain=SQUARE)
+        assume(primitive(d.F) is not None and primitive(d.G) is not None)
+        us, vs = _axis(-1.0, 1.0, nu), _axis(-1.0, 1.0, nv)
+        rows = weierstrass._closed_rows(d, weierstrass._rotor(theta), us,
+                                        vs, 1e-10)
+        top = _primitive_top(d, us, vs)
+        if rows is None:
+            # only the guard refuses: every value here is finite
+            assert weierstrass._KAPPA * sys.float_info.epsilon * top > 1e-10
+            return
+        rounding = weierstrass._KAPPA * sys.float_info.epsilon * top
+        for row, want in zip(rows, _serial(d, theta, nu, nv)):
+            for vertex, ref in zip(row, want):
+                for x, y in zip(vertex, ref):
+                    assert abs(x - y) <= rounding + 1e-13 * max(1.0, abs(y))
+
+    @settings(max_examples=60, deadline=None)
+    @given(f_terms=TERMS, g_terms=TERMS, theta=st.floats(-4, 4),
+           centre=st.tuples(st.floats(-1, 1), st.floats(-1, 1)),
+           offset=st.tuples(st.floats(-1, 1), st.floats(-1, 1)),
+           half=st.sampled_from([1e-3, 1.0]))
+    def test_cancellation_within_kappa_epsilons(self, f_terms, g_terms,
+                                                theta, centre, offset, half):
+        # terms with |a| down to 0.02 give |P| up to about 50 times the
+        # integrand, and on the small domain every vertex is within
+        # 1.5e-3 of the base: |P| >> |P(w) - P(base)|.  Seeded draws of
+        # this kind (3,000 of them) put the worst vertex at 10 epsilons
+        # of max(1, M); _KAPPA is 64
+        dom = Rect(centre[0] - half, centre[0] + half,
+                   centre[1] - half, centre[1] + half)
+        base = complex(centre[0] + offset[0] * half,
+                       centre[1] + offset[1] * half)
+        d = WeierstrassData(parse_expr("+".join(s for s, _ in f_terms)),
+                            parse_expr("+".join(s for s, _ in g_terms)),
+                            base=base, domain=dom)
+        assume(primitive(d.F) is not None and primitive(d.G) is not None)
+        us, vs = _axis(dom.u0, dom.u1, 9), _axis(dom.v0, dom.v1, 9)
+        rot = weierstrass._rotor(theta)
+        rows = weierstrass._closed_rows(d, rot, us, vs, 1.0)
+        assert rows is not None
+        bound = weierstrass._KAPPA * sys.float_info.epsilon * \
+            _primitive_top(d, us, vs)
+        with mpmath.workdps(40):
+            def exact(terms, w):
+                return mpmath.fsum(p(mpmath.mpc(w)) for _, p in terms)
+
+            f0, g0 = exact(f_terms, base), exact(g_terms, base)
+            for row, v in zip(rows, vs):
+                for vertex, u in zip(row, us):
+                    zf = rot * (exact(f_terms, complex(u, v)) - f0)
+                    zg = rot * (exact(g_terms, complex(u, v)) - g0)
+                    for x, y in zip(vertex, (zf.real, zf.imag, zg.real)):
+                        assert abs(x - y) <= bound, (float(abs(x - y)), bound)
+
+    def test_large_grid_takes_the_closed_form(self):
+        d = data("exp(z)", "z^2")
+
+        def refused(*args):
+            raise AssertionError("left the closed form")
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(weierstrass, "_BATCH_MIN", 30)
+            mp.setattr(_batch, "batched_rows", refused)
+            mp.setattr(weierstrass, "_rows", refused)
+            mp.setattr(os, "fork", refused)
+            rows = grid_eval(d, 0.7, nu=6, nv=5)[2]
+        us, vs = _axis(-1.0, 1.0, 6), _axis(-1.0, 1.0, 5)
+        assert rows == weierstrass._closed_rows(
+            d, weierstrass._rotor(0.7), us, vs, 1e-10)
+
+    @pytest.mark.parametrize("f_src, tol", [
+        ("exp(800*z)", 1e-10),  # P overflows at u near 0.887
+        ("2*exp(709.5*z)", 1e-10),  # P finite, F not: M fails the guard
+        ("1.5e308*(1+i)", 1e-10),  # P finite, |P| not
+        ("exp(z)", 1e-14),  # a tol below _KAPPA epsilons
+        ("exp(z^2)", 1e-10),  # no primitive
+    ], ids=["overflow", "guard-large-P", "modulus-overflows",
+            "guard-tight-tol", "no-primitive"])
+    def test_falls_back_to_the_quadrature(self, f_src, tol):
+        d = data(f_src, "1")
+        us, vs = _axis(-1.0, 1.0, 7), _axis(-1.0, 1.0, 4)
+        assert weierstrass._closed_rows(d, 1 + 0j, us, vs, tol) is None
 
 
 class TestMetric:

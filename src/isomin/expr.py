@@ -726,6 +726,41 @@ def primitive(ast: Expr, var: str = "z") -> Expr | None:
     return total
 
 
+def majorant(ast: Expr, radius: float, var: str = "z") -> float:
+    """A bound on the sum of the moduli of the tree's terms where
+    |var| <= radius: the modulus of a subtree without var, radius for
+    var, a sum for + and -, a product for * and non-negative integer
+    powers, division by the modulus of a divisor without var, and e^m
+    for exp, sin, cos, sinh and cosh of an argument bounded by m.
+    Anything else is inf.  It sizes the rounding of evaluating the tree,
+    which the value alone does not where terms cancel, as in the
+    integration by parts of primitive.
+    """
+    if _free_of(ast, var):
+        value = _number(ast)
+        return math.inf if value is None else math.hypot(value.real,
+                                                         value.imag)
+    if isinstance(ast, Var):
+        return radius
+    if isinstance(ast, Neg):
+        return majorant(ast.arg, radius, var)
+    if isinstance(ast, Call):
+        m = majorant(ast.arg, radius, var) if ast.fn in _KERNELS else math.inf
+        return math.exp(m) if m < 709.0 else math.inf
+    lhs = majorant(ast.lhs, radius, var)
+    if ast.op in "+-*":
+        rhs = majorant(ast.rhs, radius, var)
+        return lhs * rhs if ast.op == "*" else lhs + rhs
+    if ast.op == "/":
+        div = majorant(ast.rhs, radius, var) if _free_of(ast.rhs, var) else 0.0
+        return lhs / div if div else math.inf
+    n = _small_int(ast.rhs)
+    try:
+        return lhs ** n if n is not None and n >= 0 else math.inf
+    except OverflowError:
+        return math.inf
+
+
 # printing -----------------------------------------------------------------
 
 _PREC_ADD, _PREC_MUL, _PREC_NEG, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4, 5

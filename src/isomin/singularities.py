@@ -112,7 +112,8 @@ def find_zeros(ast: Expr, domain: Rect, grid: tuple[int, int] = (64, 64),
     modulus minima other than zeros).  Zeros closer than half a grid cell
     to each other can merge; callers who expect clusters should scan
     finer.  Duplicates within 10*tol collapse to one zero.  The scan
-    keeps |F| as a list of rows, inf where F fails to evaluate.
+    keeps |F| as a list of rows, inf where F fails to evaluate or |F|
+    overflows.
     """
     fn = compile_expr(ast)
     dfn = compile_expr(differentiate(ast))
@@ -129,7 +130,7 @@ def find_zeros(ast: Expr, domain: Rect, grid: tuple[int, int] = (64, 64),
         for v in vs:
             try:
                 row.append(abs(fn(complex(u, v))))
-            except EvalError:
+            except (EvalError, OverflowError):  # abs overflows past 1.8e308
                 row.append(math.inf)
         mod.append(row)
     seeds = [complex(us[i], vs[j]) for i, j in _seed_cells(mod)]
@@ -281,7 +282,8 @@ def singular_report(data: WeierstrassData, grid: tuple[int, int] = (64, 64),
     """
     zeros, unconverged = find_zeros(data.F, data.domain, grid, tol,
                                     with_diagnostics=True)
-    f_fn, g_fn, f_dfn, g_dfn = data.compiled
+    f_fn, g_fn = data.compiled[:2]
+    f_dfn, g_dfn = (compile_expr(differentiate(t)) for t in (data.F, data.G))
     dom = data.domain
     points: list[SingularPoint] = []
 

@@ -22,19 +22,19 @@ import threading
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
-from .expr import EvalError, Expr, compile_expr, differentiate, primitive
+from .expr import (EvalError, Expr, _div, _failed, _mul, _sub, compile_expr,
+                   differentiate, majorant, primitive)
 from .geometry import (DegenerateMetricError, FundamentalForms, Rect,
                        SurfacePatch, Vec021, default_step, _axis, _stencil)
 from .quadrature import integrate_segment
 
 
 class CompiledData(NamedTuple):
-    """F, G, F' and G' compiled to functions of z."""
+    """F, G and Phi = G' - G F'/F compiled to functions of z."""
 
     f: Callable[[complex], complex]
     g: Callable[[complex], complex]
-    df: Callable[[complex], complex]
-    dg: Callable[[complex], complex]
+    phi: Callable[[complex], complex]
 
 
 @dataclass(frozen=True, slots=True)
@@ -44,8 +44,8 @@ class WeierstrassData:
     The base point defaults to the rectangle's centre.  The rectangle is
     convex, so every straight segment from the base point stays inside
     it and the path integrals below are well defined without any path
-    bookkeeping.  ``compiled`` holds F, G and their derivatives compiled
-    once, so per-point callers never hash the expression trees again.
+    bookkeeping.  ``compiled`` holds F, G and Phi (second_form_from_data)
+    compiled once, so per-point callers never hash the trees again.
     """
 
     F: Expr
@@ -60,10 +60,10 @@ class WeierstrassData:
         if not self.domain.contains(self.base.real, self.base.imag):
             raise ValueError(
                 f"base point {self.base} outside domain {self.domain}")
+        phi = _sub(differentiate(self.G),
+                   _mul(self.G, _div(differentiate(self.F), self.F)))
         object.__setattr__(self, "compiled", CompiledData(
-            compile_expr(self.F), compile_expr(self.G),
-            compile_expr(differentiate(self.F)),
-            compile_expr(differentiate(self.G))))
+            compile_expr(self.F), compile_expr(self.G), compile_expr(phi)))
 
 
 def integrate_holomorphic(ast: Expr, w0: complex, w1: complex) -> complex:
@@ -228,33 +228,36 @@ def _split_rows(data: WeierstrassData, rot: complex, us: list[float],
 _BATCH_MIN = 5000
 
 # bound on the closed form's rounding, in machine epsilons of max(1, M),
-# M the largest |P| it evaluates: against 40-digit references the worst
-# vertex of 3,000 drawn pairs was at 10 of them (see the cancellation
-# test in tests/test_weierstrass.py)
-_KAPPA = 64.0
+# M the majorant of P on the domain: against 40-digit references the
+# worst vertex of 3,000 drawn pairs was at 2.8 of them (see the
+# cancellation test in tests/test_weierstrass.py)
+_KAPPA = 16.0
 
 
 def _closed_rows(data: WeierstrassData, rot: complex, us: list[float],
                  vs: list[float], quad_tol: float) -> list[list[tuple]] | None:
     """The rows of _rows as rot * (P(w) - P(base)), P the primitives of F
     and G from expr.primitive; None where either has none, where P fails
-    to evaluate or is not finite at the base or a vertex, or where its
-    rounding, _KAPPA epsilons of max(1, M), could exceed quad_tol."""
+    to evaluate at the base or a vertex, or where its rounding, _KAPPA
+    epsilons of max(1, M), could exceed quad_tol.  M is the larger
+    expr.majorant of the two on the disc through the domain's farthest
+    corner: the terms of P can cancel, so |P| itself can be far smaller
+    than what its rounding scales with."""
     trees = primitive(data.F), primitive(data.G)
     if trees[0] is None or trees[1] is None:
+        return None
+    dom = data.domain
+    radius = max(math.hypot(u, v) for u in (dom.u0, dom.u1)
+                 for v in (dom.v0, dom.v1))
+    top = max(1.0, *(majorant(t, radius) for t in trees))
+    if not _KAPPA * sys.float_info.epsilon * top <= quad_tol:
         return None
     pf, pg = compile_expr(trees[0]), compile_expr(trees[1])
     try:
         f0, g0 = pf(data.base), pg(data.base)
         values = [[(pf(w), pg(w)) for w in [complex(u, v) for u in us]]
                   for v in vs]
-        top = max(abs(f0), abs(g0), 1.0,
-                  *(max(abs(a), abs(b)) for row in values for a, b in row))
-    except (EvalError, OverflowError):
-        # abs overflows where |P| passes the float limit, and fails the
-        # guard below there anyway
-        return None
-    if _KAPPA * sys.float_info.epsilon * top > quad_tol:
+    except EvalError:
         return None
     rows = []
     for row in values:
@@ -306,15 +309,22 @@ def grid_eval(data: WeierstrassData, theta: float = 0.0,
     return us, vs, _split_rows(data, rot, us, blocks, quad_tol)
 
 
+def _moduli(f_val: complex, w: complex) -> tuple[float, float]:
+    """|F| and |F|^2 from F's value at w; EvalError naming w where
+    either is not finite."""
+    try:
+        abs_f = abs(f_val)
+    except OverflowError:
+        abs_f = math.inf
+    square = abs_f * abs_f
+    if not math.isfinite(square):
+        raise _failed("overflow: |F|^2 is not finite", ("z",), (w,))
+    return abs_f, square
+
+
 def metric_at(data: WeierstrassData, w: complex) -> float:
     """Conformal factor of the pullback metric, |F(w)|^2."""
-    return abs(data.compiled.f(w)) ** 2
-
-
-def _data_values(data: WeierstrassData, w: complex):
-    """F, G, F' and G' at w."""
-    c = data.compiled
-    return c.f(w), c.g(w), c.df(w), c.dg(w)
+    return _moduli(data.compiled.f(w), w)[1]
 
 
 def second_form_from_data(data: WeierstrassData, w: complex,
@@ -322,60 +332,36 @@ def second_form_from_data(data: WeierstrassData, w: complex,
                           ) -> FundamentalForms:
     """Both fundamental forms of the theta member, in closed form.
 
-    The theta member is the theta = 0 surface of the data (r F, r G),
-    r = _rotor(theta), so F, G, F' and G' are each multiplied by r,
-    except at theta = 0 modulo 2*pi.  Holomorphy turns the parameter
-    derivatives of Re G and |F| into algebraic combinations of F, G and
-    their complex derivatives:
+    The metric is |F|^2 (du^2 + dv^2), and the second form is the real
+    part of one holomorphic function, Phi = G' - G F'/F:
 
-        (Re G)_u = Re G',             (Re G)_v = -Im G'
-        |F|_u = Re(F' conj F) / |F|,  |F|_v = -Im(F' conj F) / |F|
+        h11 = Re Phi,   h12 = -Im Phi,   h22 = -h11,   det h = -|Phi|^2
 
-    from which h11 = -h22 and h12 follow without any finite differences.
+    Phi dw^2 is the surface's Hopf differential (H. Hopf, Differential
+    Geometry in the Large, ch. VI), and the Cauchy-Riemann equations of
+    Phi are the Codazzi equations of h.  The theta member is the theta = 0
+    surface of the data (r F, r G), r = _rotor(theta), so its F and Phi
+    are r F and r Phi, except at theta = 0 modulo 2*pi.  F is evaluated
+    first: |F| <= tol raises DegenerateMetricError before Phi, which
+    divides by F, is evaluated.
     """
-    f_val, g_val, fp, gp = _data_values(data, w)
-    if theta % (2.0 * math.pi) != 0.0:
+    c = data.compiled
+    f_val = c.f(w)
+    rotated = theta % (2.0 * math.pi) != 0.0
+    if rotated:
         r = _rotor(theta)
-        f_val, g_val, fp, gp = r * f_val, r * g_val, r * fp, r * gp
-    abs_f = abs(f_val)
+        f_val = r * f_val
+    abs_f, g11 = _moduli(f_val, w)
     if abs_f <= tol:
         raise DegenerateMetricError(
             f"|F({w})| = {abs_f:.3e}: singular point, forms undefined")
-    re_g_u = gp.real
-    re_g_v = -gp.imag
-    cross = fp * f_val.conjugate()
-    abs_f_u = cross.real / abs_f
-    abs_f_v = -cross.imag / abs_f
-    h11 = (re_g_u - (abs_f_u / abs_f) * g_val.real
-           - (abs_f_v / abs_f) * g_val.imag)
-    h12 = (re_g_v - (abs_f_v / abs_f) * g_val.real
-           + (abs_f_u / abs_f) * g_val.imag)
-    g11 = abs_f * abs_f
-    return FundamentalForms(g11, 0.0, g11, h11, h12, -h11)
+    phi = r * c.phi(w) if rotated else c.phi(w)
+    return FundamentalForms(g11, 0.0, g11, phi.real, -phi.imag, -phi.real)
 
 
 def det_h_from_data(data: WeierstrassData, w: complex) -> float:
-    """Determinant of h straight from the data.
-
-    det h = -(|G|_u^2 + |G|_v^2) - |G/F|^2 (|F|_u^2 + |F|_v^2)
-            + 2 |G/F| (|F|_u |G|_u + |F|_v |G|_v)
-
-    |G| is not differentiable at zeros of G, but there the whole
-    expression has the limit -|G'(w)|^2 (the first bracket tends to
-    |G'|^2 and both G/F terms vanish with |G|), which also covers
-    G identically zero.
-    """
-    f_val, g_val, fp, gp = _data_values(data, w)
-    abs_f, abs_g = abs(f_val), abs(g_val)
-    if abs_f == 0.0:
+    """Determinant of h straight from the data, -|Phi(w)|^2 (see
+    second_form_from_data), the same for every member of the family."""
+    if data.compiled.f(w) == 0:
         raise DegenerateMetricError(f"|F({w})| = 0: singular point")
-    if abs_g < 1e-300:
-        return -abs(gp) ** 2
-    cross_f = fp * f_val.conjugate()
-    cross_g = gp * g_val.conjugate()
-    abs_f_u, abs_f_v = cross_f.real / abs_f, -cross_f.imag / abs_f
-    abs_g_u, abs_g_v = cross_g.real / abs_g, -cross_g.imag / abs_g
-    ratio = abs_g / abs_f
-    return (-(abs_g_u ** 2 + abs_g_v ** 2)
-            - ratio ** 2 * (abs_f_u ** 2 + abs_f_v ** 2)
-            + 2.0 * ratio * (abs_f_u * abs_g_u + abs_f_v * abs_g_v))
+    return -abs(data.compiled.phi(w)) ** 2

@@ -26,6 +26,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from isomin import catalog, cli, geometry, minkowski, weierstrass
 from isomin.cli import main
+from isomin.expr import (BinOp, compile_expr, compile_real, differentiate,
+                         parse_expr, parse_real_expr)
 
 
 def run(capsys, args):
@@ -251,6 +253,139 @@ class TestAnalyze:
         known = ", ".join(catalog.names())
         assert err == (f"isomin analyze: no surface named 'helicoid3'; "
                        f"known: {known}\n")
+
+
+def _sweep(forms_at, u: float, v: float, step: float = 1e-3):
+    """(residual, scale) of the flat-coordinate Codazzi identity
+    (h11)_v = (h12)_u, (h12)_v = (h22)_u from central differences of h at
+    +-step around (u, v): the residual |(h11)_v - (h12)_u| +
+    |(h12)_v - (h22)_u|, and the largest |h| the four samples read.
+    analyze printed the residual as codazzi_residual_max before that
+    became exact; kept as a test oracle."""
+    samples = [forms_at(u + du, v + dv) for du, dv in
+               ((-step, 0.0), (step, 0.0), (0.0, -step), (0.0, step))]
+    left, right, down, up = ((f.h11, f.h12, f.h22) for f in samples)
+    d_u = [(r - l) / (2 * step) for l, r in zip(left, right)]
+    d_v = [(t - b) / (2 * step) for b, t in zip(down, up)]
+    return (abs(d_v[0] - d_u[1]) + abs(d_v[1] - d_u[2]),
+            max(abs(x) for x in left + right + down + up))
+
+
+def _graph_third(height: str):
+    """(u, v) -> |(h11)_vvv| + |(h12)_uuu| + |(h12)_vvv| + |(h22)_uuu| for
+    the graph of height, whose h is its Hessian: the partials that bound
+    the truncation of the four central differences of _sweep."""
+    def d(tree, names):
+        for name in names:
+            tree = differentiate(tree, name)
+        return tree
+
+    tree = parse_real_expr(height)
+    fns = [compile_real(d(tree, names))
+           for names in ("uuvvv", "uvuuu", "uvvvv", "vvuuu")]
+    return lambda u, v: sum(abs(fn(u, v)) for fn in fns)
+
+
+def _weierstrass_third(g_src: str, p_src: str):
+    """(u, v) -> 4 |Phi'''(u + iv)| for F = c exp(p) and G, where
+    Phi = G' - G F'/F = G' - G p' is h11 - i h12: each third partial
+    _graph_third sums is the real or the imaginary part of Phi''', up to
+    sign."""
+    g = parse_expr(g_src)
+    phi = BinOp("-", differentiate(g),
+                BinOp("*", g, differentiate(parse_expr(p_src))))
+    fn = compile_expr(differentiate(differentiate(differentiate(phi))))
+    return lambda u, v: 4.0 * abs(fn(complex(u, v)))
+
+
+def _printed_forms_satisfy_the_sweep(tmp_path, monkeypatch, args, third):
+    """Run analyze with --out and check every node it printed: the
+    sampler analyze read reprints its h there, and the _sweep residual is
+    within its truncation, step^2/6 times the largest third partial sum
+    over the five stencil points, plus the rounding of the differences."""
+    samplers = []
+    made = cli._forms_sampler
+    monkeypatch.setattr(cli, "_forms_sampler",
+                        lambda *a: samplers.append(made(*a)) or samplers[-1])
+    out = tmp_path / "forms.csv"
+    assert main(args + ["--out", str(out)]) == 0
+    _, rows = parse_csv(out.read_text())
+    forms_at = samplers[-1]
+    step = 1e-3
+    for row in rows:
+        u, v = float(row[0]), float(row[1])
+        assert [cli._fmt(x) for x in forms_at(u, v)[3:]] == row[5:8]
+        resid, scale = _sweep(forms_at, u, v, step)
+        sup = max(third(u + du, v + dv) for du, dv in
+                  ((0, 0), (-step, 0), (step, 0), (0, -step), (0, step)))
+        bound = (1.01 * step ** 2 / 6 * sup
+                 + 64 * sys.float_info.epsilon * max(1.0, scale) / step)
+        if not resid <= bound:
+            return False
+    return True
+
+
+_COEF = st.floats(-1.5, 1.5).map(lambda x: round(x, 3))
+_HEIGHT = st.lists(st.one_of(
+    st.builds(lambda c, i, j: f"{c!r}*u^{i}*v^{j}", _COEF,
+              st.integers(0, 4), st.integers(0, 4)),
+    st.builds(lambda c, k, a, b: f"{c!r}*{k}({a!r}*u+{b!r}*v)", _COEF,
+              st.sampled_from(["sin", "cos", "exp"]), _COEF, _COEF)),
+    min_size=1, max_size=4).map("+".join)
+_PARTS = st.tuples(_COEF, _COEF)
+_Z_COEF = _PARTS.map(lambda ab: f"({ab[0]!r}+{ab[1]!r}*i)")
+_NONZERO = _PARTS.filter(any).map(lambda ab: f"({ab[0]!r}+{ab[1]!r}*i)")
+_EXPONENT = st.builds(lambda a, b: f"{a}*z+{b}*z^2", _Z_COEF, _Z_COEF)
+_POLY_G = st.lists(_Z_COEF, min_size=1, max_size=4).map(
+    lambda cs: "+".join(f"{c}*z^{k}" for k, c in enumerate(cs)))
+
+
+class TestCodazziOracle:
+    """analyze prints codazzi_residual_max = 0.0 for flat sources, where
+    the identity holds exactly; the finite-difference sweep it replaced
+    checks, within its truncation, that the forms analyze prints obey
+    it, and that a wrong form does not."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(height=_HEIGHT)
+    def test_graph_forms(self, tmp_path_factory, height):
+        with pytest.MonkeyPatch.context() as mp:
+            assert _printed_forms_satisfy_the_sweep(
+                tmp_path_factory.mktemp("graph"), mp,
+                ["analyze", "--graph", height, "--grid", "5,5"],
+                _graph_third(height))
+
+    @settings(max_examples=15, deadline=None)
+    @given(c=_NONZERO, p_src=_EXPONENT, g_src=_POLY_G)
+    def test_weierstrass_forms(self, tmp_path_factory, c, p_src, g_src):
+        # F = c exp(p) has no zeros
+        with pytest.MonkeyPatch.context() as mp:
+            assert _printed_forms_satisfy_the_sweep(
+                tmp_path_factory.mktemp("weierstrass"), mp,
+                ["analyze", "--F", f"{c}*exp({p_src})", "--G", g_src,
+                 "--grid", "5,5"],
+                _weierstrass_third(g_src, p_src))
+
+    @pytest.mark.parametrize("args, third, patched", [
+        (["analyze", "--graph", "u^3*v+sin(u-v)", "--grid", "5,5"],
+         _graph_third("u^3*v+sin(u-v)"), "fundamental_forms"),
+        (["analyze", "--F", "exp(0.5*z)", "--G", "z^2+i*z", "--grid", "5,5"],
+         _weierstrass_third("z^2+i*z", "0.5*z"),
+         "second_form_from_data"),
+    ], ids=["graph", "weierstrass"])
+    def test_a_wrong_form_fails_the_sweep(self, tmp_path, monkeypatch, args,
+                                          third, patched):
+        assert _printed_forms_satisfy_the_sweep(tmp_path, monkeypatch, args,
+                                                third)
+        right = getattr(cli, patched)
+
+        def flipped(*a):
+            forms = right(*a)
+            return forms._replace(h12=-forms.h12)
+
+        monkeypatch.setattr(cli, patched, flipped)
+        assert not _printed_forms_satisfy_the_sweep(tmp_path, monkeypatch,
+                                                    args, third)
 
 
 class TestSingular:
@@ -676,8 +811,19 @@ class TestLibraryErrors:
         (["analyze", "--graph", "u*v", "--domain", "0,0.001,0,0.001",
           "--grid", "5,5"], 2,
          "(2e-05, 2e-05) closer than 2*step=0.0002 to the domain boundary"),
+        # |F| past the float limit, and |F| finite with |F|^2 not
+        (["analyze", "--F", "1.5e308*(1+i)", "--G", "1", "--grid", "3,3"],
+         2, "evaluation failed: overflow: |F|^2 is not finite at "
+            "z=(-0.96-0.96j)"),
+        (["analyze", "--F", "1.5e308", "--G", "1", "--grid", "3,3"], 2,
+         "evaluation failed: overflow: |F|^2 is not finite at "
+         "z=(-0.96-0.96j)"),
+        (["embed", "--F", "1.5e308*(1+i)", "--G", "1", "--grid", "3,3"], 2,
+         "evaluation failed: overflow: |F|^2 is not finite at z="),
     ], ids=["embed-pole", "embed-graph-log", "embed-chart-pole",
-            "reconstruct-pole", "analyze-tiny-domain"])
+            "reconstruct-pole", "analyze-tiny-domain",
+            "analyze-modulus-overflow", "analyze-metric-overflow",
+            "embed-modulus-overflow"])
     def test_documented_exit_code(self, capsys, args, code, text):
         rc, _, err = run(capsys, args)
         assert rc == code
@@ -714,6 +860,14 @@ class TestLibraryErrors:
         assert len(axes) == (2 if "--x1" in args else 4)
         for lo, hi, xs in axes:
             assert all(lo < x < hi for x in xs), (lo, hi, xs)
+
+    def test_singular_of_an_overflowing_constant_is_empty(self, capsys):
+        # the scan counts an overflowing |F| as inf, as it does a failed
+        # evaluation; a nonzero constant has no zero
+        rc, out, err = run(capsys, ["singular", "--F", "1.5e308*(1+i)",
+                                    "--G", "1", "--grid", "4,4"])
+        assert (rc, err) == (0, "")
+        assert json.loads(out)["points"] == []
 
     def test_chart_on_a_small_domain_embeds(self, capsys):
         # an explicit chart has no boundary margin of its own

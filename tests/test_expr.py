@@ -24,6 +24,7 @@ from isomin.expr import (
     compile_real,
     differentiate,
     eval_expr,
+    majorant,
     parse_expr,
     parse_real_expr,
     primitive,
@@ -831,6 +832,49 @@ def test_primitive_trees(src, want):
 ])
 def test_primitive_outside_the_class_is_none(src):
     assert primitive(parse_real_expr(src), "u") is None
+
+
+def _bind(node, name: str, value: float):
+    """The tree with the variable name replaced by the literal value."""
+    if isinstance(node, Var):
+        return _lit(value) if node.name == name else node
+    if isinstance(node, Lit):
+        return node
+    if isinstance(node, Neg):
+        return Neg(_bind(node.arg, name, value))
+    if isinstance(node, Call):
+        return Call(node.fn, _bind(node.arg, name, value))
+    return BinOp(node.op, _bind(node.lhs, name, value),
+                 _bind(node.rhs, name, value))
+
+
+@settings(max_examples=200, deadline=None)
+@given(tree=MEMBERS, v=st.floats(-1.0, 1.0), x=st.floats(-1.0, 1.0),
+       y=st.floats(-1.0, 1.0))
+def test_majorant_bounds_the_primitive_within_its_radius(tree, v, x, y):
+    # the parameter v bound to a number; |x + iy| <= sqrt(2) < 1.5
+    prim = primitive(_bind(tree, "v", v), "u")
+    assert prim is not None
+    try:
+        value = compile_expr(prim, ("u",))(complex(x, y))
+    except EvalError:
+        return
+    assert abs(value) <= majorant(prim, 1.5, "u")
+
+
+@pytest.mark.parametrize("src, radius, want", [
+    ("3*z^3 - z", 2.0, 26.0),
+    ("(1+i)*exp(2*z)/4", 1.0, math.sqrt(2) * math.exp(2) / 4),
+    ("z*sin(z) + cos(z)", 1.0, 2 * math.e),
+    ("v*z", 1.0, math.inf),
+    ("log(z)", 1.0, math.inf),
+    ("1/z", 1.0, math.inf),
+    ("z^(-1)", 1.0, math.inf),
+    ("exp(800*z)", 1.0, math.inf),
+    ("1.5e308*(1+i)*z", 1.0, math.inf),
+])
+def test_majorant_sums_the_moduli_of_the_terms(src, radius, want):
+    assert majorant(parse_expr(src, ("z", "v")), radius) == want
 
 
 def test_primitive_treats_other_variables_as_constants():

@@ -23,11 +23,11 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 import isomin._batch as _batch
 import isomin.weierstrass as weierstrass
-from isomin.expr import BinOp, Call, EvalError, Lit, Var, compile_expr, \
-    differentiate, parse_expr, primitive
-from isomin.geometry import (DegenerateMetricError, Rect, _axis,
-                             default_step, fundamental_forms, mean_curvature,
-                             patch_jets)
+from isomin.expr import BinOp, Call, EvalError, Lit, Var, _div, _mul, _sub, \
+    compile_expr, differentiate, majorant, parse_expr, primitive
+from isomin.geometry import (DegenerateMetricError, FundamentalForms, Rect,
+                             _axis, default_step, fundamental_forms,
+                             mean_curvature, patch_jets)
 from isomin.minkowski import _curvatures, iota_lift
 from isomin.quadrature import IntegrationError
 from isomin.weierstrass import (WeierstrassData, det_h_from_data, grid_eval,
@@ -466,17 +466,31 @@ class TestBatchedRows:
         assert repr(rows) == repr(_serial(d, 0.7, 6, 5))
 
 
-def _primitive_top(d: WeierstrassData, us, vs) -> float:
-    """max(1, M), M the largest |P| of F's and G's primitives at the base
-    and the vertices: the scale of the closed form's rounding."""
-    pf, pg = (compile_expr(primitive(t)) for t in (d.F, d.G))
-    return max([1.0, abs(pf(d.base)), abs(pg(d.base))]
-               + [abs(p(complex(u, v))) for p in (pf, pg)
-                  for u in us for v in vs])
+def _majorant_top(d: WeierstrassData) -> float:
+    """max(1, M), M the larger expr.majorant of F's and G's primitives on
+    the disc through the domain's farthest corner: the scale of the
+    closed form's rounding."""
+    dom = d.domain
+    radius = max(math.hypot(u, v) for u in (dom.u0, dom.u1)
+                 for v in (dom.v0, dom.v1))
+    return max(1.0, *(majorant(primitive(t), radius) for t in (d.F, d.G)))
 
 
 def _lit(c: complex) -> str:
     return f"({c.real!r}+{c.imag!r}*i)"
+
+
+# the primitives K_1, K_2, ... of each kernel k, repeating with period
+# len(chain): K_(m+1) is the primitive of K_m
+_CHAINS = {
+    "exp": [mpmath.exp],
+    "sin": [lambda x: -mpmath.cos(x), lambda x: -mpmath.sin(x),
+            mpmath.cos, mpmath.sin],
+    "cos": [mpmath.sin, lambda x: -mpmath.cos(x),
+            lambda x: -mpmath.sin(x), mpmath.cos],
+    "sinh": [mpmath.cosh, mpmath.sinh],
+    "cosh": [mpmath.sinh, mpmath.cosh],
+}
 
 
 def _term(kind: str, c: complex, a: complex, n: int):
@@ -485,15 +499,13 @@ def _term(kind: str, c: complex, a: complex, n: int):
     mc, ma = mpmath.mpc(c), mpmath.mpc(a)
     if kind == "poly":
         return f"{_lit(c)}*z^{n}", lambda z: mc * z ** (n + 1) / (n + 1)
-    if kind == "exp":
-        # integration by parts, n times
-        return (f"{_lit(c)}*z^{n}*exp({_lit(a)}*z)",
-                lambda z: mc * mpmath.exp(ma * z) * mpmath.fsum(
-                    (-1) ** j * math.perm(n, j) * z ** (n - j) / ma ** (j + 1)
-                    for j in range(n + 1)))
-    k = {"sin": lambda x: -mpmath.cos(x), "cos": mpmath.sin,
-         "sinh": mpmath.cosh, "cosh": mpmath.sinh}[kind]
-    return f"{_lit(c)}*{kind}({_lit(a)}*z)", lambda z: mc * k(ma * z) / ma
+    chain = _CHAINS[kind]
+    # integration by parts, n times
+    return (f"{_lit(c)}*z^{n}*{kind}({_lit(a)}*z)",
+            lambda z: mc * mpmath.fsum(
+                (-1) ** j * math.perm(n, j) * z ** (n - j)
+                * chain[j % len(chain)](ma * z) / ma ** (j + 1)
+                for j in range(n + 1)))
 
 
 def _polar(lo: float, hi: float):
@@ -503,10 +515,8 @@ def _polar(lo: float, hi: float):
 TERMS = st.lists(st.one_of(
     st.builds(_term, st.just("poly"), _polar(0.2, 3.0), st.just(0j),
               st.integers(0, 3)),
-    st.builds(_term, st.just("exp"), _polar(0.2, 3.0), _polar(0.02, 2.0),
-              st.integers(0, 2)),
-    st.builds(_term, st.sampled_from(["sin", "cos", "sinh", "cosh"]),
-              _polar(0.2, 3.0), _polar(0.02, 2.0), st.just(0))),
+    st.builds(_term, st.sampled_from(list(_CHAINS)), _polar(0.2, 3.0),
+              _polar(0.02, 2.0), st.integers(0, 3))),
     min_size=1, max_size=3)
 
 
@@ -515,6 +525,11 @@ class TestClosedRows:
     primitive."""
 
     @settings(max_examples=80, deadline=None)
+    # |P| stays below 2.8 on the square while its terms reach 6,227: the
+    # closed form is 1.8e-13 off, 300 epsilons of max(1, |P|)
+    @example(f_src="exp((0.0+1.1249061228526998*i)*z)",
+             g_src="(2.0+0.0*i)*z^3*sin((0.0+0.25*i)*z)", theta=0.0,
+             base=(0.0, 0.0), nu=2, nv=2)
     @given(f_src=BATCHED, g_src=BATCHED, theta=st.floats(-4, 4),
            base=st.tuples(st.floats(-1, 1), st.floats(-1, 1)),
            nu=st.integers(2, 12), nv=st.integers(2, 9))
@@ -526,12 +541,12 @@ class TestClosedRows:
         us, vs = _axis(-1.0, 1.0, nu), _axis(-1.0, 1.0, nv)
         rows = weierstrass._closed_rows(d, weierstrass._rotor(theta), us,
                                         vs, 1e-10)
-        top = _primitive_top(d, us, vs)
+        rounding = weierstrass._KAPPA * sys.float_info.epsilon * \
+            _majorant_top(d)
         if rows is None:
             # only the guard refuses: every value here is finite
-            assert weierstrass._KAPPA * sys.float_info.epsilon * top > 1e-10
+            assert rounding > 1e-10
             return
-        rounding = weierstrass._KAPPA * sys.float_info.epsilon * top
         for row, want in zip(rows, _serial(d, theta, nu, nv)):
             for vertex, ref in zip(row, want):
                 for x, y in zip(vertex, ref):
@@ -545,10 +560,11 @@ class TestClosedRows:
     def test_cancellation_within_kappa_epsilons(self, f_terms, g_terms,
                                                 theta, centre, offset, half):
         # terms with |a| down to 0.02 give |P| up to about 50 times the
-        # integrand, and on the small domain every vertex is within
-        # 1.5e-3 of the base: |P| >> |P(w) - P(base)|.  Seeded draws of
-        # this kind (3,000 of them) put the worst vertex at 10 epsilons
-        # of max(1, M); _KAPPA is 64
+        # integrand, integration by parts up to n = 3 makes terms that
+        # cancel, and on the small domain every vertex is within 1.5e-3
+        # of the base: |P| >> |P(w) - P(base)|.  Seeded draws of this
+        # kind (3,000 of them) put the worst vertex at 2.8 epsilons of
+        # max(1, M), M the majorant; _KAPPA is 16
         dom = Rect(centre[0] - half, centre[0] + half,
                    centre[1] - half, centre[1] + half)
         base = complex(centre[0] + offset[0] * half,
@@ -562,7 +578,7 @@ class TestClosedRows:
         rows = weierstrass._closed_rows(d, rot, us, vs, 1.0)
         assert rows is not None
         bound = weierstrass._KAPPA * sys.float_info.epsilon * \
-            _primitive_top(d, us, vs)
+            _majorant_top(d)
         with mpmath.workdps(40):
             def exact(terms, w):
                 return mpmath.fsum(p(mpmath.mpc(w)) for _, p in terms)
@@ -574,6 +590,29 @@ class TestClosedRows:
                     zg = rot * (exact(g_terms, complex(u, v)) - g0)
                     for x, y in zip(vertex, (zf.real, zf.imag, zg.real)):
                         assert abs(x - y) <= bound, (float(abs(x - y)), bound)
+
+    @pytest.mark.parametrize("f_term, g_term, tol, kept", [
+        # |P| <= 0.42 on the square, but its terms reach 4e4: the closed
+        # form would be 9.6e-13 off
+        (("poly", 1, 0, 0), ("sin", 3, 0.16, 3), 1e-13, False),
+        # the draw pinned above: 1.8e-13 off, well within 1e-10
+        (("exp", 1, 1.1249061228526998j, 0), ("sin", 2, 0.25j, 3), 1e-10,
+         True),
+    ], ids=["tight-tol", "loose-tol"])
+    def test_tol_holds_where_terms_cancel(self, f_term, g_term, tol, kept):
+        (f_src, pf), (g_src, pg) = _term(*f_term), _term(*g_term)
+        d = WeierstrassData(parse_expr(f_src), parse_expr(g_src),
+                            base=0j, domain=SQUARE)
+        us = vs = _axis(-1.0, 1.0, 2)
+        rows = weierstrass._closed_rows(d, 1 + 0j, us, vs, tol)
+        assert (rows is not None) == kept
+        with mpmath.workdps(40):
+            for row, v in zip(rows or [], vs):
+                for vertex, u in zip(row, us):
+                    w = mpmath.mpc(u, v)
+                    zf, zg = pf(w) - pf(0), pg(w) - pg(0)
+                    for x, y in zip(vertex, (zf.real, zf.imag, zg.real)):
+                        assert abs(x - y) <= tol
 
     def test_large_grid_takes_the_closed_form(self):
         d = data("exp(z)", "z^2")
@@ -753,24 +792,112 @@ class TestSecondFormFromData:
                     assert abs(fd.g11 - cf.g11) < 1e-6, (theta, u, v)
 
 
-def _outcome(call) -> str:
-    """repr of the forms with every zero unsigned, or the error text.
+def _phi_tree(d: WeierstrassData):
+    """Phi = G' - G F'/F, built from the constructors as WeierstrassData
+    builds it."""
+    return _sub(differentiate(d.G),
+                _mul(d.G, _div(differentiate(d.F), d.F)))
 
-    A derivative that folds to the literal 0 evaluates to an unsigned
-    zero in a tree, where a rotated zero value may carry a sign; sums and
-    products of the four values then differ at most in the sign of a zero
-    result (x + 0.0 is x for every other x).  The one caller with
-    theta != 0, vanishing_h_locus, reads absolute values only.
-    """
-    try:
-        forms = call()
-    except DegenerateMetricError as exc:
-        return f"DegenerateMetricError: {exc}"
-    return repr(type(forms)(*(x + 0.0 for x in forms)))
+
+def _four_values(d: WeierstrassData, w: complex, theta: float):
+    """F, G, F' and G' at w from their own trees, each multiplied by the
+    rotor unless theta = 0 modulo 2*pi."""
+    values = [compile_expr(t)(w) for t in
+              (d.F, d.G, differentiate(d.F), differentiate(d.G))]
+    if theta % (2.0 * math.pi) != 0.0:
+        r = weierstrass._rotor(theta)
+        values = [r * x for x in values]
+    return values
+
+
+def _four_value_forms(d: WeierstrassData, w: complex, theta: float):
+    """The forms as second_form_from_data computed them from F, G, F' and
+    G' before Phi was one tree: the derivatives of Re G and |F| in closed
+    form.  Kept as an oracle."""
+    f_val, g_val, fp, gp = _four_values(d, w, theta)
+    abs_f = abs(f_val)
+    cross = fp * f_val.conjugate()
+    abs_f_u = cross.real / abs_f
+    abs_f_v = -cross.imag / abs_f
+    h11 = (gp.real - (abs_f_u / abs_f) * g_val.real
+           - (abs_f_v / abs_f) * g_val.imag)
+    h12 = (-gp.imag - (abs_f_v / abs_f) * g_val.real
+           + (abs_f_u / abs_f) * g_val.imag)
+    return FundamentalForms(abs_f * abs_f, 0.0, abs_f * abs_f,
+                            h11, h12, -h11)
+
+
+def _four_value_det_h(d: WeierstrassData, w: complex) -> float:
+    """det h as det_h_from_data computed it before Phi was one tree, with
+    its limit -|G'|^2 at a zero of G.  Kept as an oracle."""
+    f_val, g_val, fp, gp = _four_values(d, w, 0.0)
+    abs_f, abs_g = abs(f_val), abs(g_val)
+    if abs_g < 1e-300:
+        return -abs(gp) ** 2
+    cross_f = fp * f_val.conjugate()
+    cross_g = gp * g_val.conjugate()
+    abs_f_u, abs_f_v = cross_f.real / abs_f, -cross_f.imag / abs_f
+    abs_g_u, abs_g_v = cross_g.real / abs_g, -cross_g.imag / abs_g
+    ratio = abs_g / abs_f
+    return (-(abs_g_u ** 2 + abs_g_v ** 2)
+            - ratio ** 2 * (abs_f_u ** 2 + abs_f_v ** 2)
+            + 2.0 * ratio * (abs_f_u * abs_g_u + abs_f_v * abs_g_v))
 
 
 _POINT = st.complex_numbers(max_magnitude=0.9, allow_nan=False,
                             allow_infinity=False)
+_THETA = st.one_of(st.just(math.pi), st.just(0.0), st.just(2.0 * math.pi),
+                   st.floats(-7, 7))
+
+
+@settings(max_examples=80, deadline=None)
+@example(f_src="exp(z)", g_src="z^2", theta=1.0, w=0.3 + 0.2j,
+         g_zero=False)
+@example(f_src="z^2+1", g_src="exp(z)", theta=0.0, w=0.5j, g_zero=True)
+@example(f_src="exp((2.0+-2.0*i)*z)", g_src="exp((2.0+-2.0*i)*z)",
+         theta=math.pi, w=0.5j, g_zero=False)
+# det h -34.18780470768873 against the old -34.18780470768869: 4.9
+# epsilons of T^2
+@example(f_src="(-0.8552996466259848+0.22833973624392634*i)*z^0"
+               "+(2.7512191176741827+-1.0859375*i)*z^1",
+         g_src="(1.75+0.0*i)*z^0", theta=math.pi, w=0j, g_zero=False)
+@given(f_src=st.one_of(POLY, EXP, st.just("1"), st.just("-2.5")),
+       g_src=st.one_of(POLY, EXP, st.just("0")), theta=_THETA, w=_POINT,
+       g_zero=st.booleans())
+def test_phi_forms_agree_with_the_four_value_formulas(f_src, g_src, theta,
+                                                      w, g_zero):
+    """second_form_from_data and det_h_from_data agree with the formulas
+    in F, G, F' and G' they replaced: g exactly, h within 8 epsilons of
+    T = max(1, |G'| + |G F'/F|) and det h within 8 epsilons of T^2, also
+    at a drawn zero of G, where the old det h took its limit branch.
+    Both sides round relative to the terms of Phi, which cancel where
+    |Phi| is small (F = G gives Phi = 0), and the old det h sums three
+    products of size T^2; each side is within about 4 epsilons of them.
+    20,000 seeded draws of this kind reached 3.3 epsilons of T for h and
+    5.3 of T^2 for det h."""
+    g_ast = parse_expr(g_src)
+    if g_zero:
+        g_ast = BinOp("*", BinOp("-", Var("z"), Lit(w)), g_ast)
+    d = WeierstrassData(parse_expr(f_src), g_ast)
+    assume(abs(compile_expr(d.F)(w)) > 1e-3)
+    f_val, g_val, fp, gp = _four_values(d, w, 0.0)
+    terms = max(1.0, abs(gp) + abs(g_val * fp / f_val))
+    eps8 = 8.0 * sys.float_info.epsilon
+    forms = second_form_from_data(d, w, 1e-9, theta)
+    want = _four_value_forms(d, w, theta)
+    assert forms[:3] == want[:3]
+    for x, y in zip(forms[3:], want[3:]):
+        assert abs(x - y) <= eps8 * terms, (x, y, terms)
+    det_h, want_det = det_h_from_data(d, w), _four_value_det_h(d, w)
+    assert abs(det_h - want_det) <= eps8 * terms ** 2, (det_h, want_det)
+
+
+def _outcome(call) -> str:
+    """repr of the forms, or the name of the error raised."""
+    try:
+        return repr(call())
+    except DegenerateMetricError:
+        return "DegenerateMetricError"
 
 
 @settings(max_examples=25, deadline=None)
@@ -778,63 +905,75 @@ _POINT = st.complex_numbers(max_magnitude=0.9, allow_nan=False,
          at_zero=False)
 @example(f_src="z^2+1", g_src="exp(z)", theta=math.pi, w=0.5j,
          at_zero=True)
-# F' and G' fold to the literal 0: the rotated values are signed zeros
+# F' and G' fold to the literal 0: Phi is the unsigned literal 0
 @example(f_src="(0.0+-1.0*i)*z^0", g_src="(0.0+0.0*i)*z^0",
          theta=math.pi, w=0j, at_zero=False)
 @given(f_src=st.one_of(POLY, EXP, st.just("1"), st.just("-2.5")),
-       g_src=st.one_of(POLY, EXP, st.just("0")),
-       theta=st.one_of(st.just(math.pi), st.just(0.0),
-                       st.just(2.0 * math.pi), st.floats(-7, 7)),
-       w=_POINT, at_zero=st.booleans())
+       g_src=st.one_of(POLY, EXP, st.just("0")), theta=_THETA, w=_POINT,
+       at_zero=st.booleans())
 def test_rotated_values_equal_tree_scaled_data(f_src, g_src, theta, w,
                                                 at_zero):
-    """The closed forms of the theta member, from F, G, F' and G'
-    multiplied by the rotor, equal those of the tree-scaled data by repr
-    up to the sign of a zero; at a zero of F both raise the same
-    DegenerateMetricError."""
+    """The closed forms of the theta member are, by repr, those of r F(w)
+    and r Phi(w), r = _rotor(theta), or of F(w) and Phi(w) at theta = 0
+    modulo 2*pi; a zero of F raises DegenerateMetricError, as it does for
+    the tree-scaled data (r F, r G), whose Phi is r Phi up to rounding.
+    test_phi_forms_agree_with_the_four_value_formulas checks the values
+    against the rotated F, G, F' and G'."""
     f_ast = parse_expr(f_src)
     if at_zero:
         f_ast = BinOp("*", BinOp("-", Var("z"), Lit(w)), f_ast)
     d = WeierstrassData(f_ast, parse_expr(g_src))
-    expected = _outcome(lambda: second_form_from_data(scaled(d, theta), w))
-    assert _outcome(
-        lambda: second_form_from_data(d, w, 1e-9, theta)) == expected
+
+    def from_phi():
+        f_val = compile_expr(d.F)(w)
+        r = weierstrass._rotor(theta)
+        if theta % (2.0 * math.pi) != 0.0:
+            f_val = r * f_val
+        if abs(f_val) <= 1e-9:
+            raise DegenerateMetricError("zero of F")
+        phi = compile_expr(_phi_tree(d))(w)
+        if theta % (2.0 * math.pi) != 0.0:
+            phi = r * phi
+        g11 = abs(f_val) * abs(f_val)
+        return FundamentalForms(g11, 0.0, g11, phi.real, -phi.imag,
+                                -phi.real)
+
+    got = _outcome(lambda: second_form_from_data(d, w, 1e-9, theta))
+    assert got == _outcome(from_phi)
+    if at_zero:
+        assert got == _outcome(
+            lambda: second_form_from_data(scaled(d, theta), w))
 
 
 class TestCompiledView:
     PAIRS = [("exp(z)", "z^2"), ("1.2*exp(-0.5*z)", "(z+0.3-0.2*i)^2+0.02*i"),
              ("z", "z^2+1"), ("cosh(z)", "sin(z)/(z-3)")]
 
-    @staticmethod
-    def recompiled(d, w):
-        return (compile_expr(d.F)(w), compile_expr(d.G)(w),
-                compile_expr(differentiate(d.F))(w),
-                compile_expr(differentiate(d.G))(w))
-
     @pytest.mark.parametrize("f_src, g_src", PAIRS)
     @pytest.mark.parametrize("theta", [0.0, 0.7])
-    def test_closed_forms_bit_identical(self, f_src, g_src, theta,
-                                        monkeypatch):
+    def test_closed_forms_bit_identical(self, f_src, g_src, theta):
+        """The view holds F, G and Phi compiled from their trees, and the
+        closed forms read those three values alone."""
         member = scaled(data(f_src, g_src), theta)
         rng = random.Random(11)
-        points = [complex(rng.uniform(-0.9, 0.9), rng.uniform(-0.9, 0.9))
-                  for _ in range(25)]
-        viewed = [(weierstrass._data_values(member, w),
-                   second_form_from_data(member, w),
-                   det_h_from_data(member, w), metric_at(member, w))
-                  for w in points]
-        monkeypatch.setattr(weierstrass, "_data_values", self.recompiled)
-        for w, (values, forms, det_h, metric) in zip(points, viewed):
-            assert values == self.recompiled(member, w)
-            assert forms == second_form_from_data(member, w)
-            assert det_h == det_h_from_data(member, w)
-            assert metric == abs(compile_expr(member.F)(w)) ** 2
+        for _ in range(25):
+            w = complex(rng.uniform(-0.9, 0.9), rng.uniform(-0.9, 0.9))
+            f, g, phi = (compile_expr(t)(w)
+                         for t in (member.F, member.G, _phi_tree(member)))
+            assert tuple(fn(w) for fn in member.compiled) == (f, g, phi)
+            g11 = abs(f) * abs(f)
+            assert repr(second_form_from_data(member, w)) == repr(
+                FundamentalForms(g11, 0.0, g11, phi.real, -phi.imag,
+                                 -phi.real))
+            assert det_h_from_data(member, w) == -abs(phi) ** 2
+            assert metric_at(member, w) == abs(f) ** 2
 
     def test_view_is_outside_equality_and_repr(self):
         a, b = data("exp(z)", "z^2"), data("exp(z)", "z^2")
         assert a == b and hash(a) == hash(b)
         assert a.compiled is not None and "compiled" not in repr(a)
-        assert a.compiled.df(0.5) == compile_expr(differentiate(a.F))(0.5)
+        assert a.compiled._fields == ("f", "g", "phi")
+        assert a.compiled.phi(0.5) == compile_expr(_phi_tree(a))(0.5)
 
 
 class TestDetH:

@@ -19,7 +19,8 @@ each case the script prints
 
 * whether the exit codes and the non-numeric text agree (a case that
   argparse refuses on one revision shows as its exit code, 2);
-* how many numeric tokens changed;
+* how many numeric tokens changed, a zero whose sign flipped included
+  (0.0 and -0.0 compare equal but print differently);
 * the largest absolute and the largest relative change, with the JSON
   field, CSV column or text key it happened in.
 
@@ -135,16 +136,23 @@ def _tokens(text: str):
 
 
 def _compare_stream(name: str, a: str, b: str):
-    """(text equal, changed count, token count, worst abs, worst rel)."""
+    """(text equal, changed count, signed-zero flips among them, token
+    count, worst abs, worst rel)."""
     skel_a, nums_a, fields = _tokens(a)
     skel_b, nums_b, _ = _tokens(b)
     if skel_a != skel_b or len(nums_a) != len(nums_b):
-        return False, None, len(nums_b), None, None
-    changed = 0
+        return False, None, None, len(nums_b), None, None
+    changed = flips = 0
     worst_abs = (0.0, None)
     worst_rel = (0.0, None)
     for x, y, field in zip(nums_a, nums_b, fields):
-        if x == y or (math.isnan(x) and math.isnan(y)):
+        if math.isnan(x) and math.isnan(y):
+            continue
+        if x == y:
+            # 0.0 == -0.0, but the bytes differ
+            if math.copysign(1.0, x) != math.copysign(1.0, y):
+                changed += 1
+                flips += 1
             continue
         changed += 1
         where = f"{name}:{field}"
@@ -154,23 +162,24 @@ def _compare_stream(name: str, a: str, b: str):
             worst_abs = (diff, where)
         if not rel <= worst_rel[0]:
             worst_rel = (rel, where)
-    return True, changed, len(nums_b), worst_abs, worst_rel
+    return True, changed, flips, len(nums_b), worst_abs, worst_rel
 
 
 def compare_case(ra: dict, rb: dict) -> str:
     parts = [f"exit code {'equal' if ra['rc'] == rb['rc'] else 'differs'} "
              f"({ra['rc']} / {rb['rc']})"]
     differs = []
-    changed = total = 0
+    changed = flips = total = 0
     worst_abs, worst_rel = (0.0, None), (0.0, None)
     for stream in [key for key in ra if key != "rc"]:
-        same, n, count, w_abs, w_rel = _compare_stream(
+        same, n, n_flips, count, w_abs, w_rel = _compare_stream(
             stream, ra[stream], rb[stream])
         total += count
         if not same:
             differs.append(stream)
             continue
         changed += n
+        flips += n_flips
         if w_abs[1] and not w_abs[0] <= worst_abs[0]:
             worst_abs = w_abs
         if w_rel[1] and not w_rel[0] <= worst_rel[0]:
@@ -181,8 +190,11 @@ def compare_case(ra: dict, rb: dict) -> str:
         return "; ".join(parts)
     parts.append("non-numeric text equal")
     parts.append(f"{changed} of {total} numeric tokens changed")
-    if changed:
+    if flips:
+        parts.append(f"{flips} of them only in the sign of a zero")
+    if worst_abs[1]:
         parts.append(f"max abs {worst_abs[0]:.3e} at {worst_abs[1]}")
+    if worst_rel[1]:
         parts.append(f"max rel {worst_rel[0]:.3e} at {worst_rel[1]}")
     return "; ".join(parts)
 
